@@ -10,9 +10,15 @@ Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
 from coterie import _backend, cone, faces, rootsys
+
+# the pairwise face-order encoding lives with the test oracles
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracles  # noqa: E402
 
 
 def _cleared_rows(rs, reduced=False):
@@ -69,8 +75,8 @@ def make_workloads(rng):
     ]
 
     # the E8 face-lattice comparison: 3^7 faces, ~4.8M ordered pairs
-    rule = faces._rule_triples(faces.all_orientations(e8))
-    cube = faces._cube_triples(len(e8.edges))
+    rule = oracles._rule_triples(faces.all_orientations(e8))
+    cube = oracles._cube_triples(len(e8.edges))
 
     return {
         "rank_of": (bench_rank_of, matrices),

@@ -109,12 +109,21 @@ def canonical_arrangement(rs: rootsys.RootSystem) -> Arrangement:
 
 
 @lru_cache(maxsize=None)
-def _reflection_rows(rs: rootsys.RootSystem) -> tuple:
-    """Integer matrices of the simple reflections, for the right action on functionals."""
+def _reflection_updates(rs: rootsys.RootSystem) -> tuple:
+    """Per simple reflection, for the right action on functionals, the
+    entries (k, j, c) where its integer matrix exceeds the identity by c:
+    f maps to f + sum of f[k] c e_j, and only row alpha of s_alpha differs."""
     out = []
     for a in range(rs.rank):
         m = rootsys.simple_reflection(rs, a).matrix
-        out.append(tuple(tuple(int(v) for v in row) for row in m))
+        out.append(
+            tuple(
+                (k, j, int(v) - (k == j))
+                for k, row in enumerate(m)
+                for j, v in enumerate(row)
+                if v != (k == j)
+            )
+        )
     return tuple(out)
 
 
@@ -122,17 +131,21 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
     """Close the fundamental functionals under all simple reflections.
 
     Members are deduplicated as gcd-reduced (sign-preserving) integer
-    functionals. If the orbit exceeds cap the returned Arrangement carries
+    functionals. A reflection is an integer involution, so it maps a
+    reduced functional to a reduced one and its image needs no second
+    reduction. If the orbit exceeds cap the returned Arrangement carries
     the IMPLICIT marker and the partial size explored.
     """
-    mats = _reflection_rows(arr.rs)
-    n = arr.rs.rank
+    updates = _reflection_updates(arr.rs)
     seen = {_reduced(h.functional) for h in arr.fundamental}
     queue = list(seen)
     while queue:
         f = queue.pop()
-        for m in mats:
-            g = _reduced(tuple(sum(f[k] * m[k][j] for k in range(n)) for j in range(n)))
+        for changes in updates:
+            g = list(f)
+            for k, j, c in changes:
+                g[j] += f[k] * c
+            g = tuple(g)
             if g not in seen:
                 if len(seen) >= cap:
                     return Arrangement(

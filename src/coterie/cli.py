@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -379,10 +380,10 @@ def cmd_faces(args) -> int:
             f"face lattice enumeration is bounded at rank {faces.CUBE_RANK_BOUND}"
         )
     out = args.out
-    all_faces = [faces.face_of(rs, o) for o in faces.all_orientations(rs)]
+    dims = faces.face_dimensions(rs)
     hist = {}
-    for f in all_faces:
-        hist[f.dim] = hist.get(f.dim, 0) + 1
+    for d in dims:
+        hist[d] = hist.get(d, 0) + 1
     iso = faces.cube_isomorphism_check(rs)
 
     if args.format == "json":
@@ -391,14 +392,14 @@ def cmd_faces(args) -> int:
             "command": "faces",
             "type": label,
             "rank": rs.rank,
-            "count": len(all_faces),
+            "count": len(dims),
             "dimensions": {str(d): hist[d] for d in sorted(hist)},
             "cube_isomorphic": iso,
         }
         print(json.dumps(payload, indent=2), file=out)
     else:
         print(f"type {label}", file=out)
-        print(f"faces {len(all_faces)}", file=out)
+        print(f"faces {len(dims)}", file=out)
         print(
             "dimensions: "
             + " ".join(f"{d}:{hist[d]}" for d in sorted(hist)),
@@ -495,6 +496,42 @@ def cmd_arrangement(args) -> int:
 # parser and dispatch
 
 
+# a '-' followed by a digit, '.' or '/' starts a negative entry (no option
+# looks like that), so points such as -1,2 need no '--' in front
+_NEGATIVE_ENTRY = re.compile(r"-[\d./]")
+
+
+def _protect_negative_entries(argv: list) -> list:
+    """Move every negative entry in a positional slot behind a '--', where
+    argparse reads it as a positional whatever it looks like.  A token
+    right after a long option without '=' is that option's value and stays
+    put.  The moved entries keep their order and precede any positionals
+    the caller already put behind a '--'; in every command they are the
+    last positionals, so the positional order is unchanged."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    kept, moved = [], []
+    for pos, token in enumerate(argv[:end]):
+        prev = argv[pos - 1] if pos else ""
+        is_value = prev.startswith("--") and "=" not in prev
+        if _NEGATIVE_ENTRY.match(token) and not is_value:
+            moved.append(token)
+        else:
+            kept.append(token)
+    if not moved:
+        return argv
+    return kept + ["--"] + moved + argv[end + 1 :]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coterie",
@@ -559,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arrangement", help="stable oriented hyperplane arrangements")
     p.add_argument("type", nargs="?", default=None)
     p.add_argument("--file", default=None, help="read the arrangement from a file")
-    p.add_argument("--orbit-cap", type=int, default=arrmod.ORBIT_CAP)
+    p.add_argument("--orbit-cap", type=_positive_int, default=arrmod.ORBIT_CAP)
     add_format(p)
     p.set_defaults(func=cmd_arrangement)
 
@@ -568,8 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_protect_negative_entries(list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     args.out = sys.stdout

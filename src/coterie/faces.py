@@ -7,9 +7,20 @@ there are 3^(n-1) orientations; the fully oriented ones cut out the
 2^(n-1) extremal rays.
 
 The lattice is compared against the face lattice of an (n-1)-cube built
-the blunt way, as explicit vertex subsets ordered by inclusion, and the
-orientation-to-face map is certified geometrically through exact ranks
-and per-face interior points.
+the blunt way, as explicit vertex subsets ordered by inclusion.  Both
+orders are compared as complete relations, one down-set bitset (a Python
+int over the 3^(n-1) faces) per face: under arrow erasure the faces below
+f are those that agree with f on each edge f orients, the AND of one
+per-edge state mask per oriented edge; under inclusion they are those
+that avoid every cube vertex f misses, the AND over those vertices of
+NOT(faces containing the vertex).  Nothing assumes the product structure
+of the cube.  The orientation-to-face map is then certified geometrically
+through exact integer ranks and per-face interior points; that rank pass
+also yields the face dimensions (face_dimensions).
+
+Each extremal ray is built in O(n) by propagating its edge ratios from
+node 0 along the Dynkin tree, then checked in integers against its
+equality rows, and against the closed and the open cone.
 """
 
 from __future__ import annotations
@@ -18,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add, mul
 from typing import Optional
 
-from . import _kernels_py, cone, exactla, rootsys
+from . import cone, exactla, rootsys
 from ._backend import kernels
 from .exactla import EQ, GE, ConeSystem, constraint
 
@@ -116,37 +128,88 @@ class ExtremalRay:
     anomalies: tuple = ()
 
 
+@lru_cache(maxsize=None)
+def _edge_ratios(rs: rootsys.RootSystem) -> tuple:
+    """Per edge (i, j): the ratios of the (i, j) and (j, i) inequalities,
+    a_i >= ratio(i, j) a_j and a_j >= ratio(j, i) a_i."""
+    return tuple((cone.ratio(rs, i, j), cone.ratio(rs, j, i)) for i, j in rs.edges)
+
+
+@lru_cache(maxsize=None)
+def _tree_steps(rs: rootsys.RootSystem) -> tuple:
+    """(parent, child, edge position) for every edge, breadth first from
+    node 0, so each parent is reached before its children."""
+    adjacency = {k: [] for k in range(rs.rank)}
+    for pos, (i, j) in enumerate(rs.edges):
+        adjacency[i].append((j, pos))
+        adjacency[j].append((i, pos))
+    steps = []
+    seen = {0}
+    queue = [0]
+    for node in queue:
+        for nxt, pos in adjacency[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                steps.append((node, nxt, pos))
+    return tuple(steps)
+
+
+def _propagate_ray(rs: rootsys.RootSystem, states) -> tuple:
+    """(integer vector, anomaly) for a full orientation: a_0 = 1, then
+    every oriented edge fixes its child from its parent, the vector kept in
+    integers by rescaling it whenever a ratio has a denominator.  The
+    equalities form a tree with nonzero coefficients, so they cut out
+    exactly this line; a zero ratio breaks the chain and comes back as an
+    anomaly instead."""
+    ratios = _edge_ratios(rs)
+    x = [0] * rs.rank
+    x[0] = 1
+    for parent, child, pos in _tree_steps(rs):
+        i, j = rs.edges[pos]
+        # a_big = q a_small on this edge's equality
+        big, q = (i, ratios[pos][0]) if states[pos] == RIGHT else (j, ratios[pos][1])
+        if child == big:
+            num, den = q.numerator, q.denominator
+        elif q == 0:
+            return None, f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {child + 1} free"
+        else:
+            num, den = q.denominator, q.numerator
+        # a_child = a_parent num / den
+        value = x[parent] * num
+        if den != 1:
+            x = [c * den for c in x]
+        x[child] = value
+    return x, None
+
+
 def _normalize_ray(k) -> tuple:
-    # last coordinate scaled to 1 when possible, else primitive with
-    # positive leading entry
+    # integer vector k: last coordinate scaled to 1 when possible, else
+    # primitive with positive leading entry
     if k[-1] != 0:
-        return tuple(Fraction(c) / k[-1] for c in k)
+        return tuple(Fraction(c, k[-1]) for c in k)
     return exactla.primitive(k)
 
 
 def extremal_rays(rs: rootsys.RootSystem) -> tuple:
-    """One ray per fully oriented diagram; violations of the expected
-    geometry are attached as anomalies, never dropped."""
+    """One ray per fully oriented diagram, in the enumeration order of
+    all_orientations; violations of the expected geometry are attached as
+    anomalies, never dropped."""
     n = rs.rank
+    rows = [_edge_rows(rs, i, j) for i, j in rs.edges]
     out = []
-    for f in all_orientations(rs):
-        if not f.fully_oriented:
+    for states in product((LEFT, RIGHT), repeat=len(rs.edges)):
+        f = Orientation(edges=rs.edges, states=states)
+        ints, broken = _propagate_ray(rs, states)
+        if ints is None:
+            out.append(ExtremalRay(orientation=f, vector=None, anomalies=(broken,)))
             continue
-        rows = []
-        for (i, j), state in zip(rs.edges, f.states):
-            fwd, bwd = _edge_rows(rs, i, j)
-            rows.append(list(fwd if state == RIGHT else bwd))
-        if rows:
-            kernel = exactla.solve_linear(rows, [Fraction(0)] * len(rows)).kernel
-        else:
-            # edgeless rank-1 diagram: the whole line is the kernel
-            kernel = tuple(exactla.unit(n, i) for i in range(n))
+        v = _normalize_ray(ints)
         anomalies = []
-        if len(kernel) != 1:
-            anomalies.append(f"equality system has kernel dimension {len(kernel)}")
-            out.append(ExtremalRay(orientation=f, vector=None, anomalies=tuple(anomalies)))
-            continue
-        v = _normalize_ray(kernel[0])
+        for (i, j), (fwd, bwd), state in zip(rs.edges, rows, states):
+            row = fwd if state == RIGHT else bwd
+            if sum(map(mul, row, ints)) != 0:
+                anomalies.append(f"ray {v} violates the equality on edge ({i + 1}, {j + 1})")
         if any(c <= 0 for c in v):
             anomalies.append(f"ray {v} leaves the positive orthant")
         if not cone.member(rs, v, "closed", "edges"):
@@ -176,61 +239,81 @@ def poset_order(f: Orientation, g: Orientation) -> bool:
 # cube comparison
 
 
-def _rule_triples(orients) -> list:
-    """(neutral, right, left) edge bitmasks per orientation, the triple
-    layout the kernels compare: f >= g iff g.n subset f.n, f.r subset g.r,
-    f.l subset g.l."""
-    triples = []
-    for o in orients:
-        l = n = r = 0
-        for pos, s in enumerate(o.states):
-            bit = 1 << pos
-            if s == LEFT:
-                l |= bit
-            elif s == NEUTRAL:
-                n |= bit
-            else:
-                r |= bit
-        triples.append((n, r, l))
-    return triples
-
-
 def _cube_vertex_sets(m: int) -> list:
     """Faces of the m-cube in the enumeration order of all_orientations,
     each as a bitmask over the 2^m vertices ('<' pins 0, '>' pins 1)."""
     sets = []
     for states in product(STATES, repeat=m):
+        care = pinned = 0
+        for pos, s in enumerate(states):
+            if s != NEUTRAL:
+                care |= 1 << pos
+                if s == RIGHT:
+                    pinned |= 1 << pos
         vs = 0
         for v in range(1 << m):
-            for pos, s in enumerate(states):
-                bit = (v >> pos) & 1
-                if (s == LEFT and bit) or (s == RIGHT and not bit):
-                    break
-            else:
+            if v & care == pinned:
                 vs |= 1 << v
         sets.append(vs)
     return sets
 
 
-def _cube_triples(m: int) -> list:
-    """Encode vertex-set inclusion in the kernels' (n, r, l) comparison.
-    The n slot tests subset as-is, so (vs, 0, 0) makes the order literal
-    inclusion of vertex sets.  The compiled kernel truncates at 64 bits,
-    so for m = 7 the 128-bit set is split: low half in the n slot, high
-    half complemented in the r slot (whose test runs the other way)."""
-    sets = _cube_vertex_sets(m)
-    if m == 7:
-        full = (1 << 64) - 1
-        return [(vs & full, full ^ (vs >> 64), 0) for vs in sets]
-    return [(vs, 0, 0) for vs in sets]
+def _rule_downsets(orients) -> list:
+    """Per orientation f, the bitset of orientations g with f >= g under
+    arrow erasure: g agrees with f on every edge f orients, so the set is
+    the AND of one state mask per oriented edge of f."""
+    size = len(orients)
+    everything = (1 << size) - 1
+    masks = {}  # (edge position, state) -> orientations in that state there
+    for index, o in enumerate(orients):
+        for key in enumerate(o.states):
+            masks[key] = masks.get(key, 0) | (1 << index)
+    out = []
+    for o in orients:
+        down = everything
+        for pos, s in enumerate(o.states):
+            if s != NEUTRAL:
+                down &= masks[(pos, s)]
+        out.append(down)
+    return out
 
 
-def _order_pairs_disagree(rule_triples, cube_triples, m: int) -> int:
-    if m <= 7:
-        return kernels.order_pairs_disagree(rule_triples, cube_triples)
-    # past 128 cube vertices nothing fits the compiled kernel's word size;
-    # the pure kernel takes arbitrary ints
-    return _kernels_py.order_pairs_disagree(rule_triples, cube_triples)
+def _cube_downsets(vertex_sets) -> list:
+    """Per face F, the bitset of faces G whose vertex set lies inside F's:
+    G must avoid every vertex F misses, so the set is the AND over those
+    vertices of NOT(faces containing the vertex), taken here as the
+    complement of one OR."""
+    size = len(vertex_sets)
+    everything = (1 << size) - 1
+    containing = {}  # vertex -> faces containing it
+    cube = 0
+    for index, vs in enumerate(vertex_sets):
+        cube |= vs
+        while vs:
+            low = vs & -vs
+            containing[low] = containing.get(low, 0) | (1 << index)
+            vs ^= low
+    out = []
+    for vs in vertex_sets:
+        missing = cube & ~vs
+        meets_missing = 0
+        while missing:
+            low = missing & -missing
+            meets_missing |= containing[low]
+            missing ^= low
+        out.append(everything & ~meets_missing)
+    return out
+
+
+def _first_disagreement(a, b) -> int:
+    """First flattened pair index i * size + j where j lies in the down-set
+    of i under one order but not the other, or -1 when the orders agree."""
+    size = len(a)
+    for i, (x, y) in enumerate(zip(a, b, strict=True)):
+        diff = x ^ y
+        if diff:
+            return i * size + (diff & -diff).bit_length() - 1
+    return -1
 
 
 def _interior_point(rays_by_states, g: Orientation):
@@ -243,7 +326,7 @@ def _interior_point(rays_by_states, g: Orientation):
         for p, s in zip(neutral_positions, combo):
             states[p] = s
         v = rays_by_states[tuple(states)]
-        total = v if total is None else tuple(a + b for a, b in zip(total, v))
+        total = v if total is None else tuple(map(add, total, v))
     return total
 
 
@@ -256,14 +339,26 @@ def _tight_states(rs: rootsys.RootSystem, point) -> Optional[tuple]:
     states = []
     for i, j in rs.edges:
         fwd, bwd = _edge_rows(rs, i, j)
-        vf = sum(c * x for c, x in zip(fwd, point))
-        vb = sum(c * x for c, x in zip(bwd, point))
+        vf = sum(map(mul, fwd, point))
+        vb = sum(map(mul, bwd, point))
         if vf < 0 or vb < 0:
             return None
         if vf == 0 and vb == 0:
             return None
         states.append(RIGHT if vf == 0 else LEFT if vb == 0 else NEUTRAL)
     return tuple(states)
+
+
+@lru_cache(maxsize=None)
+def face_dimensions(rs: rootsys.RootSystem) -> tuple:
+    """Dimension of every face, in the enumeration order of
+    all_orientations: rank minus the integer rank of its equality rows."""
+    rows = [dict(zip((RIGHT, LEFT), _edge_rows(rs, i, j))) for i, j in rs.edges]
+    dims = []
+    for o in all_orientations(rs):
+        eq_rows = [rows[pos][s] for pos, s in enumerate(o.states) if s != NEUTRAL]
+        dims.append(rs.rank - (kernels.rank_of(eq_rows) if eq_rows else 0))
+    return tuple(dims)
 
 
 def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND) -> bool:
@@ -276,24 +371,16 @@ def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND)
     m = len(rs.edges)
     orients = all_orientations(rs)
 
-    # combinatorial half: rule order vs vertex-set inclusion on the cube
-    if _order_pairs_disagree(_rule_triples(orients), _cube_triples(m), m) != -1:
+    # combinatorial half: the two complete orders, one down-set per face
+    if _first_disagreement(_rule_downsets(orients), _cube_downsets(_cube_vertex_sets(m))) != -1:
         return False
 
     # geometric half; stays in integer arithmetic throughout
-    rows = {}
-    for pos, (i, j) in enumerate(rs.edges):
-        fwd, bwd = _edge_rows(rs, i, j)
-        rows[pos] = {RIGHT: fwd, LEFT: bwd}
-    dims = {}
-    for o in orients:
-        eq_rows = [
-            rows[pos][s] for pos, s in enumerate(o.states) if s != NEUTRAL
-        ]
-        d = rs.rank - (kernels.rank_of(eq_rows) if eq_rows else 0)
+    by_states = {}
+    for o, d in zip(orients, face_dimensions(rs), strict=True):
         if d != rs.rank - o.oriented_count:
             return False
-        dims[o.states] = d
+        by_states[o.states] = d
     for o in orients:
         for pos, s in enumerate(o.states):
             if s != NEUTRAL:
@@ -301,7 +388,7 @@ def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND)
             for t in (LEFT, RIGHT):
                 below = list(o.states)
                 below[pos] = t
-                if dims[tuple(below)] != dims[o.states] - 1:
+                if by_states[tuple(below)] != by_states[o.states] - 1:
                     return False
 
     rays_by_states = {}

@@ -5,13 +5,24 @@ and fundamental-weight coordinates are recomputed with sympy from the
 defining pairing equations. None of this shares code with the package
 (different arithmetic stack, no matrix inversion of the package's Cartan
 data), so agreement is a genuine two-route check.
+
+The second half keeps the slower, direct routes that the library replaced
+by faster algorithms: the pairwise comparison of the face order with the
+cube order, extremal rays as Fraction nullspace solves, and the Weyl orbit
+closed by dense matrix products.  They run on the package's own data, so
+they check the faster algorithms, not the data.
 """
 
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import sympy
 
-from coterie import rootsys
+from coterie import _kernels_py, arrangement, cone, exactla, faces, rootsys
+from coterie._backend import kernels
+from coterie.arrangement import IMPLICIT, Arrangement, OrientedHyperplane
+from coterie.faces import LEFT, NEUTRAL, RIGHT, ExtremalRay, Orientation
 
 
 def _unit(m, k):
@@ -102,3 +113,115 @@ def weight_columns(stype):
         assert len(sol) == 1
         cols.append([_to_fraction(sol[0][x]) for x in xs])
     return cols
+
+
+# ---------------------------------------------------------------------------
+# face order against the cube order, one ordered pair at a time
+
+
+def _rule_triples(orients) -> list:
+    """(neutral, right, left) edge bitmasks per orientation, the triple
+    layout the kernels compare: f >= g iff g.n subset f.n, f.r subset g.r,
+    f.l subset g.l."""
+    triples = []
+    for o in orients:
+        l = n = r = 0
+        for pos, s in enumerate(o.states):
+            bit = 1 << pos
+            if s == LEFT:
+                l |= bit
+            elif s == NEUTRAL:
+                n |= bit
+            else:
+                r |= bit
+        triples.append((n, r, l))
+    return triples
+
+
+def _cube_triples(m: int) -> list:
+    """Encode vertex-set inclusion in the kernels' (n, r, l) comparison.
+    The n slot tests subset as-is, so (vs, 0, 0) makes the order literal
+    inclusion of vertex sets.  The compiled kernel truncates at 64 bits,
+    so for m = 7 the 128-bit set is split: low half in the n slot, high
+    half complemented in the r slot (whose test runs the other way)."""
+    sets = faces._cube_vertex_sets(m)
+    if m == 7:
+        full = (1 << 64) - 1
+        return [(vs & full, full ^ (vs >> 64), 0) for vs in sets]
+    return [(vs, 0, 0) for vs in sets]
+
+
+def _order_pairs_disagree(rule_triples, cube_triples, m: int) -> int:
+    if m <= 7:
+        return kernels.order_pairs_disagree(rule_triples, cube_triples)
+    # past 128 cube vertices nothing fits the compiled kernel's word size;
+    # the pure kernel takes arbitrary ints
+    return _kernels_py.order_pairs_disagree(rule_triples, cube_triples)
+
+
+# ---------------------------------------------------------------------------
+# extremal rays as nullspaces of the equality rows
+
+
+def extremal_rays_by_solve(rs) -> tuple:
+    """One ray per fully oriented diagram from a Fraction nullspace solve
+    of its equality rows, with the same anomaly checks and normalisation
+    as faces.extremal_rays."""
+    n = rs.rank
+    out = []
+    for states in product(faces.STATES, repeat=len(rs.edges)):
+        f = Orientation(edges=rs.edges, states=states)
+        if not f.fully_oriented:
+            continue
+        rows = []
+        for (i, j), state in zip(rs.edges, f.states):
+            fwd, bwd = faces._edge_rows(rs, i, j)
+            rows.append(list(fwd if state == RIGHT else bwd))
+        if rows:
+            kernel = exactla.solve_linear(rows, [Fraction(0)] * len(rows)).kernel
+        else:
+            # edgeless rank-1 diagram: the whole line is the kernel
+            kernel = tuple(exactla.unit(n, i) for i in range(n))
+        anomalies = []
+        if len(kernel) != 1:
+            anomalies.append(f"equality system has kernel dimension {len(kernel)}")
+            out.append(ExtremalRay(orientation=f, vector=None, anomalies=tuple(anomalies)))
+            continue
+        v = faces._normalize_ray(kernel[0])
+        if any(c <= 0 for c in v):
+            anomalies.append(f"ray {v} leaves the positive orthant")
+        if not cone.member(rs, v, "closed", "edges"):
+            anomalies.append(f"ray {v} is outside the closed cone")
+        if n > 1 and cone.member(rs, v, "open", "edges"):
+            anomalies.append(f"ray {v} is interior, expected boundary")
+        out.append(ExtremalRay(orientation=f, vector=v, anomalies=tuple(anomalies)))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Weyl orbit by dense reflection matrices
+
+
+def weyl_orbit_dense(arr, cap: int = arrangement.ORBIT_CAP):
+    """arrangement.weyl_orbit with every reflection applied as a full
+    n x n product and every image gcd-reduced again."""
+    # columns of each integer reflection matrix: image entry j is f . column j
+    mats = []
+    for a in range(arr.rs.rank):
+        m = rootsys.simple_reflection(arr.rs, a).matrix
+        mats.append([tuple(int(row[j]) for row in m) for j in range(arr.rs.rank)])
+    seen = {arrangement._reduced(h.functional) for h in arr.fundamental}
+    queue = list(seen)
+    while queue:
+        f = queue.pop()
+        for columns in mats:
+            g = arrangement._reduced(tuple(sum(map(mul, f, col)) for col in columns))
+            if g not in seen:
+                if len(seen) >= cap:
+                    return Arrangement(
+                        rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=len(seen)
+                    )
+                seen.add(g)
+                queue.append(g)
+    full = tuple(OrientedHyperplane(f) for f in sorted(seen))
+    return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=full)

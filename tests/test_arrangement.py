@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import oracles
 import pytest
 
 from coterie import arrangement as arrmod
@@ -133,6 +134,60 @@ class TestWeylOrbit:
         assert functionals(weyl_orbit(scaled)) == functionals(
             weyl_orbit(canonical_arrangement(rs))
         )
+
+
+def generic_arrangement(label, seed, count=3):
+    """Fundamental functionals with every entry negative, no two of them
+    positive multiples of each other."""
+    rs = rootsys.build(label)
+    rng = random.Random(seed)
+    fund = {}
+    while len(fund) < count:
+        f = tuple(-rng.randint(1, 4) for _ in range(rs.rank))
+        fund.setdefault(arrmod._reduced(f), f)
+    return Arrangement(rs=rs, fundamental=tuple(fund.values()))
+
+
+class TestSparseOrbitAgainstDense:
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_same_orbit_when_it_fits(self, label):
+        arr = canonical_arrangement(rootsys.build(label))
+        orbit = weyl_orbit(arr)
+        if orbit.full == IMPLICIT:
+            assert label in {"B11", "B12", "C11", "C12", "D11", "D12", "E8"}
+            return
+        assert orbit == oracles.weyl_orbit_dense(arr)
+
+    @pytest.mark.parametrize("label", ["A3", "B4", "D5", "F4", "G2"])
+    def test_same_orbit_generic(self, label):
+        arr = generic_arrangement(label, seed=11)
+        assert weyl_orbit(arr) == oracles.weyl_orbit_dense(arr)
+
+    def test_same_partial_size_capped_e8(self):
+        arr = canonical_arrangement(rootsys.build("E8"))
+        orbit = weyl_orbit(arr)
+        assert orbit.full == IMPLICIT
+        assert orbit == oracles.weyl_orbit_dense(arr)
+
+    def test_same_partial_size_capped_generic_e7(self):
+        arr = generic_arrangement("E7", seed=5)
+        orbit = weyl_orbit(arr)
+        assert orbit.full == IMPLICIT
+        assert orbit == oracles.weyl_orbit_dense(arr)
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, 50])
+    def test_same_partial_size_small_caps(self, cap):
+        arr = canonical_arrangement(rootsys.build("E6"))
+        assert weyl_orbit(arr, cap) == oracles.weyl_orbit_dense(arr, cap)
+
+    def test_detects_planted_update(self, monkeypatch):
+        rs = rootsys.build("B3")
+        arr = canonical_arrangement(rs)
+        updates = [list(u) for u in arrmod._reflection_updates(rs)]
+        k, j, c = updates[1][0]
+        updates[1][0] = (k, j, c + 1)
+        monkeypatch.setattr(arrmod, "_reflection_updates", lambda _: tuple(map(tuple, updates)))
+        assert weyl_orbit(arr, cap=1000) != oracles.weyl_orbit_dense(arr, cap=1000)
 
 
 class TestClassifyingMap:

@@ -99,6 +99,22 @@ class TestMember:
         assert "geometric:" in out
         assert "edges:" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("member", "A2", "-1,2"),
+            ("member", "A2", "-1/2,2", "--mode", "closed"),
+            ("member", "A2", "--mode", "closed", "-.5,2"),
+            ("member", "A2", "--format=plain", "-1,2", "--mode", "open"),
+            ("member", "A2", "--", "-1,2"),
+        ],
+    )
+    def test_leading_negative_coordinate(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert "point (-" in out
+        assert "member: false" in out
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "member", "A2", "2,3", "--format", "json")
         payload = json.loads(out)
@@ -201,6 +217,22 @@ class TestArrangement:
 
     def test_orbit_cap_is_soft(self, capsys):
         code, out, _ = run_cli(capsys, "arrangement", "B3", "--orbit-cap", "4")
+        assert code == 0
+        assert "capped" in out
+
+    @pytest.mark.parametrize(
+        "cap, message",
+        [("0", "must be at least 1"), ("-5", "must be at least 1"), ("x", "invalid int")],
+    )
+    def test_orbit_cap_below_one_rejected(self, capsys, cap, message):
+        code, out, err = run_cli(capsys, "arrangement", "A2", "--orbit-cap", cap)
+        assert code == 2
+        assert out == ""
+        assert "--orbit-cap" in err
+        assert message in err
+
+    def test_orbit_cap_one_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "arrangement", "A2", "--orbit-cap", "1")
         assert code == 0
         assert "capped" in out
 

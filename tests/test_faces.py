@@ -3,11 +3,13 @@ cube-order comparison."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
+import oracles
 import pytest
 
-from coterie import cone, exactla, faces, rootsys
+from coterie import cli, cone, exactla, faces, rootsys
 from coterie.exactla import EQ, GE
 from coterie.faces import (
     CUBE_RANK_BOUND,
@@ -182,6 +184,71 @@ class TestExtremalRays:
             assert len(extremal_rays(rs)) == 2 ** len(rs.edges)
 
 
+class TestRayPropagation:
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_matches_solve_oracle(self, label):
+        rs = rootsys.build(label)
+        assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
+
+    @staticmethod
+    def corrupt(monkeypatch, rs, pos, which, value):
+        ratios = [list(r) for r in faces._edge_ratios(rs)]
+        ratios[pos][which] = value
+        monkeypatch.setattr(faces, "_edge_ratios", lambda _: tuple(map(tuple, ratios)))
+
+    def test_corrupted_ratio_gives_anomaly(self, monkeypatch):
+        rs = rootsys.build("A4")
+        good = faces._edge_ratios(rs)[1][0]
+        self.corrupt(monkeypatch, rs, 1, 0, 2 * good)
+        rays = extremal_rays(rs)
+        hit = [r for r in rays if r.orientation.states[1] == RIGHT]
+        assert hit and all(
+            any("violates the equality on edge (2, 3)" in a for a in r.anomalies) for r in hit
+        )
+        assert all(r.anomalies == () for r in rays if r.orientation.states[1] == LEFT)
+        assert not cube_isomorphism_check(rs)
+
+    def test_corrupted_ratio_fails_the_rays_command(self, monkeypatch, capsys):
+        rs = rootsys.build("D4")
+        self.corrupt(monkeypatch, rs, 0, 1, F(3, 7))
+        assert cli.main(["rays", "D4"]) == cli.EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert "anomalies:" in out and "anomalies: none" not in out
+
+    def test_zero_ratio_leaves_ray_undetermined(self, monkeypatch):
+        rs = rootsys.build("A3")
+        self.corrupt(monkeypatch, rs, 0, 1, F(0))
+        rays = {str(r.orientation): r for r in extremal_rays(rs)}
+        # '<' on edge (1, 2) now reads a_2 = 0 a_1, which pins node 2 to 0
+        assert rays["<>"].vector == (1, 0, 0)
+        assert "ray (1, 0, 0) leaves the positive orthant" in rays["<>"].anomalies
+        assert "ray (1, 0, 0) violates the equality on edge (1, 2)" in rays["<>"].anomalies
+        # '>' on that edge does not use the corrupted ratio
+        assert rays[">>"].anomalies == ()
+        rs_b = rootsys.build("B3")
+        self.corrupt(monkeypatch, rs_b, 0, 0, F(0))
+        # '>' reads a_1 = 0 a_2: node 1, the parent, cannot fix node 2
+        broken = {str(r.orientation): r for r in extremal_rays(rs_b)}[">>"]
+        assert broken.vector is None
+        assert broken.anomalies == ("zero ratio on edge (1, 2) leaves node 2 free",)
+
+
+class TestFaceDimensions:
+    @pytest.mark.parametrize("label", ["A1", "G2", "A4", "D5", "E6"])
+    def test_match_face_of(self, label):
+        rs = rootsys.build(label)
+        want = tuple(face_of(rs, o).dim for o in all_orientations(rs))
+        assert faces.face_dimensions(rs) == want
+
+    def test_wrong_dimensions_fail_the_check(self, monkeypatch):
+        rs = rootsys.build("B3")
+        dims = list(faces.face_dimensions(rs))
+        assert cube_isomorphism_check(rs)
+        dims[4] += 1
+        monkeypatch.setattr(faces, "face_dimensions", lambda _rs: tuple(dims))
+        assert not cube_isomorphism_check(rs)
+
+
 class TestCubeEncoding:
     def test_square_vertex_sets(self):
         sets = dict(zip(product(faces.STATES, repeat=2), faces._cube_vertex_sets(2)))
@@ -194,7 +261,7 @@ class TestCubeEncoding:
         """The triple formula on cube encodings is literal set inclusion."""
         m = 3
         sets = faces._cube_vertex_sets(m)
-        triples = faces._cube_triples(m)
+        triples = oracles._cube_triples(m)
         n = len(sets)
         for a in range(n):
             an, ar, al = triples[a]
@@ -211,7 +278,7 @@ class TestCubeEncoding:
         mask = (1 << (1 << m)) - 1
         family_n = [(vs, 0, 0) for vs in sets]
         family_r = [(0, mask ^ vs, 0) for vs in sets]
-        assert faces._order_pairs_disagree(family_n, family_r, m) == -1
+        assert oracles._order_pairs_disagree(family_n, family_r, m) == -1
 
     def test_split_encoding_matches_subset(self):
         """m = 7 needs 128 vertex bits; the split into two 64-bit slots must
@@ -220,7 +287,7 @@ class TestCubeEncoding:
 
         m = 7
         sets = faces._cube_vertex_sets(m)
-        split = faces._cube_triples(m)
+        split = oracles._cube_triples(m)
         rng = random.Random(7)
         for _ in range(4000):
             a, b = rng.randrange(len(sets)), rng.randrange(len(sets))
@@ -234,15 +301,65 @@ class TestCubeEncoding:
 
     def test_detects_planted_mismatch(self):
         rs = rootsys.build("A2")
-        orients = all_orientations(rs)
-        rule = faces._rule_triples(orients)
-        cube = faces._cube_triples(1)
-        assert faces._order_pairs_disagree(rule, cube, 1) == -1
-        broken = list(cube)
+        rule = faces._rule_downsets(all_orientations(rs))
+        sets = faces._cube_vertex_sets(1)
+        assert faces._first_disagreement(rule, faces._cube_downsets(sets)) == -1
+        broken = list(sets)
         broken[0] = broken[1]
         # duplicating the top face makes '<' compare above '-', which the
         # arrow-erasing order rejects
-        assert faces._order_pairs_disagree(rule, broken, 1) >= 0
+        assert faces._first_disagreement(rule, faces._cube_downsets(broken)) >= 0
+
+
+@lru_cache(maxsize=None)
+def pairwise_verdict(m):
+    """The pairwise oracle on the real data; both orders depend on the
+    number of edges alone, so one run per m serves every type."""
+    orients = all_orientations(rootsys.build(f"A{m + 1}"))
+    return oracles._order_pairs_disagree(oracles._rule_triples(orients), oracles._cube_triples(m), m)
+
+
+def bitset_verdict(orients, vertex_sets):
+    return faces._first_disagreement(
+        faces._rule_downsets(orients), faces._cube_downsets(vertex_sets)
+    )
+
+
+class TestBitsetCertificate:
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types(9)])
+    def test_agrees_with_pairwise_oracle(self, label):
+        rs = rootsys.build(label)
+        m = len(rs.edges)
+        verdict = bitset_verdict(all_orientations(rs), faces._cube_vertex_sets(m))
+        assert verdict == pairwise_verdict(m) == -1
+
+    def test_same_first_disagreement_on_planted_defects(self):
+        """Corrupt one cube face or swap two orientations: both routes must
+        report the same first disagreeing pair."""
+        rng = random.Random(31)
+        for m in range(1, 6):
+            orients = list(all_orientations(rootsys.build(f"A{m + 1}")))
+            sets = faces._cube_vertex_sets(m)
+            for _ in range(12):
+                o, vs = list(orients), list(sets)
+                a, b = rng.randrange(len(vs)), rng.randrange(len(vs))
+                if rng.random() < 0.5:
+                    vs[a] = vs[b] if a != b else vs[a] ^ 1
+                else:
+                    o[a], o[b] = o[b], o[a]
+                cube = [(v, 0, 0) for v in vs]  # the unsplit encoding, m < 7
+                want = oracles._order_pairs_disagree(oracles._rule_triples(o), cube, m)
+                assert bitset_verdict(o, vs) == want
+
+    def test_every_single_face_corruption_is_caught(self):
+        m = 3
+        orients = all_orientations(rootsys.build("A4"))
+        sets = faces._cube_vertex_sets(m)
+        for index in range(len(sets)):
+            for v in range(1 << m):
+                broken = list(sets)
+                broken[index] ^= 1 << v
+                assert bitset_verdict(orients, broken) >= 0
 
 
 class TestCubeIsomorphism:
