@@ -1,27 +1,9 @@
-"""Kernel backend selection: compiled extension when present, else pure Python.
+"""The kernel module the package calls, bound under a fixed name.
 
-`kernels` is the module the rest of the package uses. Both implementations
-are importable side by side (the benchmark and the parity tests need that);
-selection happens once at import time and is reported by `BACKEND`.
+Library code calls `kernels.<fn>` through this binding so that a tracer can
+patch the functions in one place; `BACKEND` names the implementation.
 """
 
-from . import _kernels_py
+from . import _kernels_py as kernels
 
-try:
-    from . import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-if _kernels_cy is not None:
-    kernels = _kernels_cy
-    BACKEND = "compiled"
-else:
-    kernels = _kernels_py
-    BACKEND = "pure"
-
-
-def available_backends():
-    out = {"pure": _kernels_py}
-    if _kernels_cy is not None:
-        out["compiled"] = _kernels_cy
-    return out
+BACKEND = "pure"

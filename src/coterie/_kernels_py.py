@@ -1,8 +1,8 @@
-"""Integer work loops, pure Python edition.
+"""Integer work loops.
 
-Everything here operates on plain Python ints (arbitrary precision) so the
-compiled twin in _kernels_cy.pyx can type only loop indices and keep exact
-arithmetic. Higher-level code clears denominators before calling in.
+Everything here operates on plain Python ints (arbitrary precision), so
+arithmetic stays exact. Higher-level code clears denominators before
+calling in.
 
 Row encodings:
   inequality rows for fm_step: (coeffs tuple, bound, strict flag)

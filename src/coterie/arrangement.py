@@ -134,10 +134,12 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
     functionals. A reflection is an integer involution, so it maps a
     reduced functional to a reduced one and its image needs no second
     reduction. If the orbit exceeds cap the returned Arrangement carries
-    the IMPLICIT marker and the partial size explored.
+    the IMPLICIT marker and the partial size explored, which is at most cap.
     """
     updates = _reflection_updates(arr.rs)
     seen = {_reduced(h.functional) for h in arr.fundamental}
+    if len(seen) > cap:
+        return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=cap)
     queue = list(seen)
     while queue:
         f = queue.pop()

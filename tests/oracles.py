@@ -20,7 +20,6 @@ from operator import mul
 import sympy
 
 from coterie import _kernels_py, arrangement, cone, exactla, faces, rootsys
-from coterie._backend import kernels
 from coterie.arrangement import IMPLICIT, Arrangement, OrientedHyperplane
 from coterie.faces import LEFT, NEUTRAL, RIGHT, ExtremalRay, Orientation
 
@@ -141,21 +140,11 @@ def _rule_triples(orients) -> list:
 def _cube_triples(m: int) -> list:
     """Encode vertex-set inclusion in the kernels' (n, r, l) comparison.
     The n slot tests subset as-is, so (vs, 0, 0) makes the order literal
-    inclusion of vertex sets.  The compiled kernel truncates at 64 bits,
-    so for m = 7 the 128-bit set is split: low half in the n slot, high
-    half complemented in the r slot (whose test runs the other way)."""
-    sets = faces._cube_vertex_sets(m)
-    if m == 7:
-        full = (1 << 64) - 1
-        return [(vs & full, full ^ (vs >> 64), 0) for vs in sets]
-    return [(vs, 0, 0) for vs in sets]
+    inclusion of vertex sets."""
+    return [(vs, 0, 0) for vs in faces._cube_vertex_sets(m)]
 
 
-def _order_pairs_disagree(rule_triples, cube_triples, m: int) -> int:
-    if m <= 7:
-        return kernels.order_pairs_disagree(rule_triples, cube_triples)
-    # past 128 cube vertices nothing fits the compiled kernel's word size;
-    # the pure kernel takes arbitrary ints
+def _order_pairs_disagree(rule_triples, cube_triples) -> int:
     return _kernels_py.order_pairs_disagree(rule_triples, cube_triples)
 
 
@@ -211,6 +200,8 @@ def weyl_orbit_dense(arr, cap: int = arrangement.ORBIT_CAP):
         m = rootsys.simple_reflection(arr.rs, a).matrix
         mats.append([tuple(int(row[j]) for row in m) for j in range(arr.rs.rank)])
     seen = {arrangement._reduced(h.functional) for h in arr.fundamental}
+    if len(seen) > cap:
+        return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=cap)
     queue = list(seen)
     while queue:
         f = queue.pop()

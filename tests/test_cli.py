@@ -234,7 +234,13 @@ class TestArrangement:
     def test_orbit_cap_one_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "arrangement", "A2", "--orbit-cap", "1")
         assert code == 0
-        assert "capped" in out
+        assert "orbit: capped (explored 1)" in out.splitlines()
+
+    def test_orbit_cap_below_fundamental_size(self, capsys):
+        """E6 has six fundamental members; a cap of 3 explores no more than 3."""
+        code, out, _ = run_cli(capsys, "arrangement", "E6", "--orbit-cap", "3")
+        assert code == 0
+        assert "orbit: capped (explored 3)" in out.splitlines()
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "arrangement", "G2", "--format", "json")

@@ -278,26 +278,7 @@ class TestCubeEncoding:
         mask = (1 << (1 << m)) - 1
         family_n = [(vs, 0, 0) for vs in sets]
         family_r = [(0, mask ^ vs, 0) for vs in sets]
-        assert oracles._order_pairs_disagree(family_n, family_r, m) == -1
-
-    def test_split_encoding_matches_subset(self):
-        """m = 7 needs 128 vertex bits; the split into two 64-bit slots must
-        still compare as set inclusion."""
-        from coterie import _kernels_py
-
-        m = 7
-        sets = faces._cube_vertex_sets(m)
-        split = oracles._cube_triples(m)
-        rng = random.Random(7)
-        for _ in range(4000):
-            a, b = rng.randrange(len(sets)), rng.randrange(len(sets))
-            an, ar, al = split[a]
-            bn, br, bl = split[b]
-            ge = (bn & ~an) == 0 and (ar & ~br) == 0 and (al & ~bl) == 0
-            assert ge == ((sets[b] & ~sets[a]) == 0)
-        # full cross-check through the pure kernel, which takes wide ints
-        unsplit = [(vs, 0, 0) for vs in sets]
-        assert _kernels_py.order_pairs_disagree(split, unsplit) == -1
+        assert oracles._order_pairs_disagree(family_n, family_r) == -1
 
     def test_detects_planted_mismatch(self):
         rs = rootsys.build("A2")
@@ -316,7 +297,7 @@ def pairwise_verdict(m):
     """The pairwise oracle on the real data; both orders depend on the
     number of edges alone, so one run per m serves every type."""
     orients = all_orientations(rootsys.build(f"A{m + 1}"))
-    return oracles._order_pairs_disagree(oracles._rule_triples(orients), oracles._cube_triples(m), m)
+    return oracles._order_pairs_disagree(oracles._rule_triples(orients), oracles._cube_triples(m))
 
 
 def bitset_verdict(orients, vertex_sets):
@@ -347,8 +328,8 @@ class TestBitsetCertificate:
                     vs[a] = vs[b] if a != b else vs[a] ^ 1
                 else:
                     o[a], o[b] = o[b], o[a]
-                cube = [(v, 0, 0) for v in vs]  # the unsplit encoding, m < 7
-                want = oracles._order_pairs_disagree(oracles._rule_triples(o), cube, m)
+                cube = [(v, 0, 0) for v in vs]  # the _cube_triples encoding
+                want = oracles._order_pairs_disagree(oracles._rule_triples(o), cube)
                 assert bitset_verdict(o, vs) == want
 
     def test_every_single_face_corruption_is_caught(self):

@@ -1,16 +1,14 @@
-"""Parity tests: every available kernel backend computes the same thing,
-and the integer kernels agree with the Fraction-level routines."""
+"""The integer kernels against independent routes: sympy for rank, direct
+evaluation for rows, and lifted grid points for Fourier-Motzkin steps."""
 
 import random
 from fractions import Fraction
 
-import pytest
+import sympy
 
+from coterie import _kernels_py as kernels
 from coterie import exactla
-from coterie._backend import BACKEND, available_backends
-
-BACKENDS = available_backends()
-PAIRS = [(a, b) for a in BACKENDS for b in BACKENDS if a < b]
+from coterie._backend import BACKEND
 
 
 def rand_int_rows(rng, m, n, lo=-6, hi=6):
@@ -40,129 +38,83 @@ def rand_eval_rows(rng, m, n):
 
 
 def test_backend_marker():
-    assert BACKEND in BACKENDS
+    assert BACKEND == "pure"
 
 
-def test_compiled_backend_present():
-    """The build ships the compiled twin; if this fails the extension did
-    not compile and only the fallback is active."""
-    assert "compiled" in BACKENDS
+def rank_mismatches(cases):
+    """The cases where kernels.rank_of disagrees with sympy's rank."""
+    return [rows for rows in cases if kernels.rank_of(rows) != sympy.Matrix(rows).rank()]
 
 
-@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "-vs-".join(p))
-class TestParity:
-    def test_rank_of(self, pair):
-        k1, k2 = (BACKENDS[p] for p in pair)
-        rng = random.Random(101)
-        for _ in range(150):
-            rows = rand_int_rows(rng, rng.randint(1, 5), rng.randint(1, 5))
-            assert k1.rank_of(rows) == k2.rank_of(rows)
-
-    def test_rank_of_big_entries(self, pair):
-        """Fraction-free elimination grows entries; no word-size truncation."""
-        k1, k2 = (BACKENDS[p] for p in pair)
-        rng = random.Random(102)
-        for _ in range(25):
-            rows = rand_int_rows(rng, 4, 4, lo=-(10**12), hi=10**12)
-            assert k1.rank_of(rows) == k2.rank_of(rows)
-
-    def test_fm_step(self, pair):
-        k1, k2 = (BACKENDS[p] for p in pair)
-        rng = random.Random(103)
-        for _ in range(150):
-            n = rng.randint(1, 4)
-            rows = rand_fm_rows(rng, rng.randint(0, 7), n)
-            col = rng.randrange(n)
-            assert sorted(k1.fm_step(rows, col)) == sorted(k2.fm_step(rows, col))
-
-    def test_eval_rows(self, pair):
-        k1, k2 = (BACKENDS[p] for p in pair)
-        rng = random.Random(104)
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            rows = rand_eval_rows(rng, rng.randint(1, 6), n)
-            x = tuple(rng.randint(-6, 6) for _ in range(n))
-            assert k1.eval_rows(rows, x) == k2.eval_rows(rows, x)
-
-    def test_order_pairs_disagree(self, pair):
-        k1, k2 = (BACKENDS[p] for p in pair)
-        rng = random.Random(105)
-        for _ in range(200):
-            size = rng.randint(1, 12)
-            a = [
-                tuple(rng.randint(0, (1 << 10) - 1) for _ in range(3))
-                for _ in range(size)
-            ]
-            b = [
-                tuple(rng.randint(0, (1 << 10) - 1) for _ in range(3))
-                for _ in range(size)
-            ]
-            assert k1.order_pairs_disagree(a, b) == k2.order_pairs_disagree(a, b)
-            assert k1.order_pairs_disagree(a, a) == -1
+def rank_cases():
+    rng = random.Random(106)
+    cases = [rand_int_rows(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(60)]
+    # fraction-free elimination grows entries; nothing may truncate them
+    rng = random.Random(102)
+    cases += [rand_int_rows(rng, 4, 4, lo=-(10**12), hi=10**12) for _ in range(25)]
+    # a rank drop hidden in 10^12-sized entries
+    cases.append([(10**12, 3 * 10**12 + 1), (2 * 10**12, 6 * 10**12 + 2)])
+    return cases
 
 
 class TestAgainstFractionRoute:
-    def test_rank_matches_mat_rank(self):
-        rng = random.Random(106)
-        for backend in BACKENDS.values():
-            for _ in range(60):
-                rows = rand_int_rows(rng, rng.randint(1, 4), rng.randint(1, 4))
-                assert backend.rank_of(rows) == exactla.mat_rank(rows)
+    def test_rank_matches_sympy(self):
+        assert rank_mismatches(rank_cases()) == []
+
+    def test_planted_wrong_rank_is_caught(self, monkeypatch):
+        """exactla.mat_rank calls rank_of, so it follows a broken rank_of and
+        cannot serve as the oracle; sympy does not."""
+        true_rank = kernels.rank_of
+        monkeypatch.setattr(kernels, "rank_of", lambda rows: true_rank(rows[1:]))
+        assert exactla.mat_rank([[1, 2], [3, 4]]) == 1
+        assert rank_mismatches(rank_cases())
 
     def test_eval_matches_direct(self):
         rng = random.Random(107)
         rels = {0: ">", 1: ">=", 2: "="}
-        for backend in BACKENDS.values():
-            for _ in range(80):
-                n = rng.randint(1, 4)
-                rows = rand_eval_rows(rng, rng.randint(1, 5), n)
-                x = tuple(rng.randint(-5, 5) for _ in range(n))
-                want = True
-                for coeffs, bound, rel in rows:
-                    v = sum(c * xi for c, xi in zip(coeffs, x))
-                    if rels[rel] == ">":
-                        ok = v > bound
-                    elif rels[rel] == ">=":
-                        ok = v >= bound
-                    else:
-                        ok = v == bound
-                    want = want and ok
-                assert backend.eval_rows(rows, x) == want
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            rows = rand_eval_rows(rng, rng.randint(1, 5), n)
+            x = tuple(rng.randint(-5, 5) for _ in range(n))
+            want = True
+            for coeffs, bound, rel in rows:
+                v = sum(c * xi for c, xi in zip(coeffs, x))
+                if rels[rel] == ">":
+                    ok = v > bound
+                elif rels[rel] == ">=":
+                    ok = v >= bound
+                else:
+                    ok = v == bound
+                want = want and ok
+            assert kernels.eval_rows(rows, x) == want
 
     def test_fm_step_preserves_solutions(self):
         """Grid points of a projection: x solves the stepped system iff some
         lift solved the original rows."""
         rng = random.Random(108)
-        for backend in BACKENDS.values():
-            for _ in range(40):
-                n = rng.randint(2, 3)
-                rows = rand_fm_rows(rng, rng.randint(1, 5), n)
-                col = rng.randrange(n)
-                stepped = backend.fm_step(rows, col)
 
-                def holds(rs_, point):
-                    for coeffs, bound, strict in rs_:
-                        v = sum(c * p for c, p in zip(coeffs, point))
-                        if strict and not v > bound:
-                            return False
-                        if not strict and not v >= bound:
-                            return False
-                    return True
+        def holds(rs_, point):
+            for coeffs, bound, strict in rs_:
+                v = sum(c * p for c, p in zip(coeffs, point))
+                if strict and not v > bound:
+                    return False
+                if not strict and not v >= bound:
+                    return False
+            return True
 
-                grid = [Fraction(t, 2) for t in range(-8, 9)]
-                others = [k for k in range(n) if k != col]
-                for _ in range(20):
-                    base = {k: rng.choice(grid) for k in others}
-                    point = [base.get(k, Fraction(0)) for k in range(n)]
-                    lifted = any(
-                        holds(
-                            rows,
-                            [
-                                rng_t if k == col else point[k]
-                                for k in range(n)
-                            ],
-                        )
-                        for rng_t in grid
-                    )
-                    if lifted:
-                        assert holds(stepped, point)
+        grid = [Fraction(t, 2) for t in range(-8, 9)]
+        for _ in range(40):
+            n = rng.randint(2, 3)
+            rows = rand_fm_rows(rng, rng.randint(1, 5), n)
+            col = rng.randrange(n)
+            stepped = kernels.fm_step(rows, col)
+            others = [k for k in range(n) if k != col]
+            for _ in range(20):
+                base = {k: rng.choice(grid) for k in others}
+                point = [base.get(k, Fraction(0)) for k in range(n)]
+                lifted = any(
+                    holds(rows, [t if k == col else point[k] for k in range(n)])
+                    for t in grid
+                )
+                if lifted:
+                    assert holds(stepped, point)
