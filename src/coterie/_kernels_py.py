@@ -4,6 +4,16 @@ Everything here operates on plain Python ints (arbitrary precision), so
 arithmetic stays exact. Higher-level code clears denominators before
 calling in.
 
+Functions:
+  eliminate     fraction-free Gauss-Jordan elimination, the one loop behind
+                exactla's rank, solve and inverse
+  rank_of       matrix rank through eliminate
+  _reduce_row   gcd normalisation of a (coeffs, bound) row
+  fm_step       one Fourier-Motzkin elimination step
+  eval_rows     evaluation of (coeffs, bound, rel) rows at an integer point
+  order_pairs_disagree  first disagreement of two partial orders (the test
+                oracles compare the face order with it)
+
 Row encodings:
   inequality rows for fm_step: (coeffs tuple, bound, strict flag)
   evaluation rows:             (coeffs tuple, bound, rel code) with
@@ -24,42 +34,48 @@ def idot(f, x):
     return s
 
 
-def rank_of(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+def eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivots, d): the eliminated rows, the pivot column of each
+    of the first len(pivots) rows, and the pivot value d they all share, so
+    that those rows divided by d are the reduced row echelon form and the
+    remaining rows are zero.  The pivot is the first nonzero entry at or
+    below the current rank.  Every row is updated at every step as
+    (p * row - c * top) // prev, so each division is exact (Bareiss 1968).
+    """
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
-    rank = 0
+    pivots = []
     prev = 1
     for col in range(ncols):
-        piv = -1
-        for r in range(rank, nrows):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            mat[piv], mat[rank] = mat[rank], mat[piv]
-        p = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            c = mat[r][col]
-            row = mat[r]
-            top = mat[rank]
-            for j in range(ncols):
-                row[j] = (p * row[j] - c * top[j]) // prev
-        prev = p
-        rank += 1
+        rank = len(pivots)
         if rank == nrows:
             break
-    return rank
+        piv = next((r for r in range(rank, nrows) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[piv], mat[rank] = mat[rank], mat[piv]
+        top = mat[rank]
+        p = top[col]
+        for r in range(nrows):
+            if r != rank:
+                c = mat[r][col]
+                mat[r] = [(p * x - c * y) // prev for x, y in zip(mat[r], top)]
+        pivots.append(col)
+        prev = p
+    return mat, pivots, prev
+
+
+def rank_of(rows):
+    """Rank of an integer matrix."""
+    return len(eliminate(rows)[1])
 
 
 def _reduce_row(coeffs, bound):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    g = gcd(g, bound)
+    """Divide an integer row (coeffs, bound) by the gcd of its entries."""
+    g = gcd(*coeffs, bound)
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
         bound = bound // g

@@ -387,14 +387,16 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     n = rs.rank
     rays = [r_i_general(inst, i, delta) for i in range(len(inst.nu))]
     ct = exactla.mat_transpose(rs.cartan)
+    # (r_j - lam, r_j) >= 0 with equality exactly at j = i:
+    # functional -(B r_j), bound -(r_j, B r_j), the same for every i.
+    walls = []
+    for r in rays:
+        br = exactla.mat_vec(rs.form, r)
+        walls.append((exactla.vec_scale(-1, br), -exactla.vec_dot(r, br)))
     systems = []
     for i in range(len(rays)):
         cons = [constraint(row, GT, 0) for row in ct]
-        for j, r in enumerate(rays):
-            # (r_j - lam, r_j) >= 0 with equality exactly at j = i:
-            # functional -(B r_j), bound -(r_j, r_j).
-            f = exactla.vec_scale(Fraction(-1), exactla.mat_vec(rs.form, list(r)))
-            bound = -rootsys.inner(rs, r, r)
+        for j, (f, bound) in enumerate(walls):
             cons.append(constraint(f, EQ if j == i else GT, bound))
         systems.append(ConeSystem(n, tuple(cons)))
     return tuple(systems)

@@ -1,17 +1,19 @@
 """Exact rational linear algebra and feasibility of mixed linear systems.
 
 Scalars are fractions.Fraction, vectors are tuples of Fractions, matrices
-tuples of row tuples; no floating point anywhere. Feasibility of systems
-mixing strict/weak inequalities and equalities is decided by
-Fourier-Motzkin elimination with strictness tracking over cleared integer
-rows, returning an exact rational witness on success.
+tuples of row tuples; no floating point anywhere. Solving, inversion and
+rank clear each row to integers and run one fraction-free elimination,
+kernels.eliminate; Fraction appears only in what they return. Feasibility
+of systems mixing strict/weak inequalities and equalities is decided by
+Fourier-Motzkin elimination with strictness tracking over the same cleared
+integer rows, returning an exact rational witness on success.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from ._backend import kernels
@@ -88,11 +90,9 @@ def mat_mul(a, b) -> tuple:
 
 def clear_row(coords) -> tuple:
     """Scale a rational vector by the positive lcm of denominators: integer entries."""
-    coords = vec(coords)
-    d = 1
-    for c in coords:
-        d = lcm(d, c.denominator)
-    return tuple(int(c * d) for c in coords)
+    coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+    d = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (d // c.denominator) for c in coords)
 
 
 def primitive(coords) -> tuple:
@@ -101,44 +101,24 @@ def primitive(coords) -> tuple:
     Clears denominators, divides by the gcd, and makes the first nonzero
     entry positive. The zero vector maps to itself.
     """
-    ints = clear_row(coords)
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g == 0:
-        return ints
-    ints = tuple(c // g for c in ints)
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = tuple(-x for x in ints)
-            break
+    ints, _ = kernels._reduce_row(clear_row(coords), 0)
+    if next((c for c in ints if c), 0) < 0:
+        return tuple(-c for c in ints)
     return ints
 
 
 def mat_rank(m) -> int:
-    rows = [clear_row(r) for r in m]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return kernels.rank_of(rows)
+    rows = [r for r in map(clear_row, m) if any(r)]
+    return kernels.rank_of(rows) if rows else 0
 
 
 def mat_inverse(m) -> tuple:
     n = len(m)
-    aug = [list(vec(row)) + list(unit(n, i)) for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError(f"singular matrix (rank < {n})")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows = [clear_row(tuple(row) + unit(n, i)) for i, row in enumerate(m)]
+    rows, pivots, d = kernels.eliminate(rows)
+    if pivots != list(range(n)):
+        raise SingularMatrixError(f"singular matrix (rank < {n})")
+    return tuple(tuple(Fraction(v, d) for v in row[n:]) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -158,36 +138,23 @@ def solve_linear(a, b) -> LinearSolution:
 
     Raises InconsistentSystemError when the system has no solution.
     """
-    rows = [list(vec(row)) + [Fraction(v)] for row, v in zip(a, b, strict=True)]
+    rows = [clear_row(tuple(row) + (v,)) for row, v in zip(a, b, strict=True)]
     ncols = len(rows[0]) - 1 if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols] != 0:
-            raise InconsistentSystemError("inconsistent linear system")
+    rows, pivots, d = kernels.eliminate(rows)
+    if pivots and pivots[-1] == ncols:
+        raise InconsistentSystemError("inconsistent linear system")
+    # each pivot row divided by d is a row of the reduced echelon form
     particular = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        particular[col] = rows[r][ncols]
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    for row, col in zip(rows, pivots):
+        particular[col] = Fraction(row[ncols], d)
     kernel = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = d
+        for row, col in zip(rows, pivots):
+            v[col] = -row[fc]
         kernel.append(primitive(v))
     return LinearSolution(tuple(particular), tuple(kernel))
 
@@ -221,7 +188,7 @@ class LinearConstraint:
 
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:
-    return LinearConstraint(vec(functional), rel, Fraction(bound))
+    return LinearConstraint(functional, rel, bound)
 
 
 @dataclass(frozen=True)
@@ -243,13 +210,11 @@ class ConeSystem:
 
     def satisfies(self, x) -> bool:
         """Exact evaluation at a rational point of length dim."""
-        x = vec(x)
+        x = tuple(x)
         if len(x) != self.dim:
             raise ValueError(f"point has length {len(x)}, system dimension is {self.dim}")
-        d = 1
-        for c in x:
-            d = lcm(d, c.denominator)
-        ints = tuple(int(c * d) for c in x)
+        # the appended 1 clears to the common denominator d
+        *ints, d = clear_row(x + (1,))
         rows = self._rows if d == 1 else tuple((f, b * d, r) for f, b, r in self._rows)
         return kernels.eval_rows(rows, ints)
 
@@ -266,19 +231,12 @@ class Feasibility:
 def _initial_rows(system: ConeSystem):
     eq_rows = []
     ineq_rows = []
-    for c in system.constraints:
-        coeffs, bound, rel = c.cleared()
-        g = 0
-        for v in coeffs:
-            g = gcd(g, v)
-        g = gcd(g, bound)
-        if g > 1:
-            coeffs = tuple(v // g for v in coeffs)
-            bound //= g
-        if rel == EQ:
+    for coeffs, bound, rel in system._rows:
+        coeffs, bound = kernels._reduce_row(coeffs, bound)
+        if rel == kernels.REL_EQ:
             eq_rows.append((coeffs, bound))
         else:
-            ineq_rows.append((coeffs, bound, rel == GT))
+            ineq_rows.append((coeffs, bound, rel == kernels.REL_GT))
     return eq_rows, ineq_rows
 
 
@@ -330,15 +288,7 @@ def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Opti
                 if c == 0:
                     return coeffs, bound
                 coeffs = tuple(p * x - c * y for x, y in zip(coeffs, pivot[0]))
-                bound = p * bound - c * pivot[1]
-                g = 0
-                for v in coeffs:
-                    g = gcd(g, v)
-                g = gcd(g, bound)
-                if g > 1:
-                    coeffs = tuple(v // g for v in coeffs)
-                    bound //= g
-                return coeffs, bound
+                return kernels._reduce_row(coeffs, p * bound - c * pivot[1])
 
             eq_rows = [substitute(coeffs, bound) for coeffs, bound in eq_rows]
             ineq_rows = [substitute(coeffs, bound) + (strict,) for coeffs, bound, strict in ineq_rows]

@@ -7,9 +7,10 @@ defining pairing equations. None of this shares code with the package
 data), so agreement is a genuine two-route check.
 
 The second half keeps the slower, direct routes that the library replaced
-by faster algorithms: the pairwise comparison of the face order with the
-cube order, extremal rays as Fraction nullspace solves, and the Weyl orbit
-closed by dense matrix products.  They run on the package's own data, so
+by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
+the pairwise comparison of the face order with the cube order, extremal
+rays as Fraction nullspace solves, and the Weyl orbit closed by dense
+matrix products.  They run on the package's own data, so
 they check the faster algorithms, not the data.
 """
 
@@ -21,6 +22,14 @@ import sympy
 
 from coterie import _kernels_py, arrangement, cone, exactla, faces, rootsys
 from coterie.arrangement import IMPLICIT, Arrangement, OrientedHyperplane
+from coterie.exactla import (
+    InconsistentSystemError,
+    LinearSolution,
+    SingularMatrixError,
+    primitive,
+    unit,
+    vec,
+)
 from coterie.faces import LEFT, NEUTRAL, RIGHT, ExtremalRay, Orientation
 
 
@@ -115,6 +124,64 @@ def weight_columns(stype):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over Fractions
+
+
+def solve_linear_by_fractions(a, b) -> LinearSolution:
+    """exactla.solve_linear by Gauss-Jordan elimination on Fraction rows."""
+    rows = [list(vec(row)) + [Fraction(v)] for row, v in zip(a, b, strict=True)]
+    ncols = len(rows[0]) - 1 if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank][col]
+        rows[rank] = [x / p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                c = rows[r][col]
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    for r in range(rank, len(rows)):
+        if rows[r][ncols] != 0:
+            raise InconsistentSystemError("inconsistent linear system")
+    particular = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        particular[col] = rows[r][ncols]
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    kernel = []
+    for fc in free_cols:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][fc]
+        kernel.append(primitive(v))
+    return LinearSolution(tuple(particular), tuple(kernel))
+
+
+def mat_inverse_by_fractions(m) -> tuple:
+    """exactla.mat_inverse by Gauss-Jordan elimination on Fraction rows."""
+    n = len(m)
+    aug = [list(vec(row)) + list(unit(n, i)) for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError(f"singular matrix (rank < {n})")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+# ---------------------------------------------------------------------------
 # face order against the cube order, one ordered pair at a time
 
 
@@ -167,7 +234,7 @@ def extremal_rays_by_solve(rs) -> tuple:
             fwd, bwd = faces._edge_rows(rs, i, j)
             rows.append(list(fwd if state == RIGHT else bwd))
         if rows:
-            kernel = exactla.solve_linear(rows, [Fraction(0)] * len(rows)).kernel
+            kernel = solve_linear_by_fractions(rows, [Fraction(0)] * len(rows)).kernel
         else:
             # edgeless rank-1 diagram: the whole line is the kernel
             kernel = tuple(exactla.unit(n, i) for i in range(n))

@@ -4,10 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coterie import _kernels_py as kernels
 from coterie import exactla
 from coterie.exactla import (
     EQ,
@@ -29,6 +32,7 @@ from coterie.exactla import (
 )
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+big_integers = st.integers(min_value=-(10**12), max_value=10**12)
 dims = st.integers(min_value=1, max_value=4)
 
 
@@ -102,6 +106,192 @@ class TestSolveLinear:
         for k in sol.kernel:
             assert k == primitive(k)
             assert all(isinstance(c, int) for c in k)
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def solve_outcome(solve, a, b):
+    try:
+        sol = solve(a, b)
+    except InconsistentSystemError:
+        return "inconsistent"
+    return sol.particular, sol.kernel
+
+
+def sympy_solve_outcome(a, b):
+    """Particular solution with the free variables at 0, and the nullspace
+    basis in free-column order, each vector made primitive."""
+    m = sympy.Matrix(a)
+    try:
+        sol, params = m.gauss_jordan_solve(sympy.Matrix([[v] for v in b]))
+    except ValueError:
+        return "inconsistent"
+    sol = sol.subs({t: 0 for t in params})
+    kernel = tuple(primitive([_fraction(x) for x in k]) for k in m.nullspace())
+    return tuple(_fraction(x) for x in sol), kernel
+
+
+def solve_disagreements(cases):
+    """The systems on which solve_linear disagrees with the Fraction
+    Gauss-Jordan oracle or with sympy."""
+    bad = []
+    for a, b in cases:
+        got = solve_outcome(solve_linear, a, b)
+        if got != solve_outcome(oracles.solve_linear_by_fractions, a, b) or got != sympy_solve_outcome(a, b):
+            bad.append((a, b))
+    return bad
+
+
+def inverse_outcome(inverse, m):
+    try:
+        return inverse(m)
+    except SingularMatrixError:
+        return "singular"
+
+
+def sympy_inverse_outcome(m):
+    m = sympy.Matrix(m)
+    if m.det() == 0:
+        return "singular"
+    return tuple(tuple(_fraction(x) for x in row) for row in m.inv().tolist())
+
+
+def inverse_disagreements(cases):
+    """The matrices on which mat_inverse disagrees with the Fraction
+    Gauss-Jordan oracle or with sympy."""
+    bad = []
+    for m in cases:
+        got = inverse_outcome(mat_inverse, m)
+        if got != inverse_outcome(oracles.mat_inverse_by_fractions, m) or got != sympy_inverse_outcome(m):
+            bad.append(m)
+    return bad
+
+
+def _random_rows(rng, nrows, ncols, big):
+    if big:
+        return [[rng.randint(-(10**12), 10**12) for _ in range(ncols)] for _ in range(nrows)]
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _drop_rank(rng, rows):
+    """Replace the last row by a combination of the first and second-to-last."""
+    c = rng.randint(-3, 3)
+    rows[-1] = [c * x + y for x, y in zip(rows[0], rows[-2])]
+
+
+def solve_cases():
+    """Square and rectangular systems, some rank-deficient, with consistent
+    and random right-hand sides; every fourth has 10^12-sized entries."""
+    rng = random.Random(109)
+    cases = []
+    for k in range(120):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        big = k % 4 == 3
+        a = _random_rows(rng, m, n, big)
+        if m >= 2 and k % 3 == 0:
+            _drop_rank(rng, a)
+        if k % 2 == 0:
+            b = list(exactla.mat_vec(a, _random_rows(rng, 1, n, big)[0]))
+        else:
+            b = _random_rows(rng, 1, m, big)[0]
+        cases.append((a, b))
+    return cases
+
+
+def inverse_cases():
+    """Square matrices up to 5 x 5, every third singular, every fourth with
+    10^12-sized entries."""
+    rng = random.Random(110)
+    cases = []
+    for k in range(80):
+        n = rng.randint(1, 5)
+        rows = _random_rows(rng, n, n, k % 4 == 3)
+        if n >= 2 and k % 3 == 0:
+            _drop_rank(rng, rows)
+        cases.append(rows)
+    return cases
+
+
+@st.composite
+def linear_systems(draw):
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = draw(st.sampled_from([small_rationals, big_integers]))
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        c = draw(small_rationals)
+        a[-1] = [c * x + y for x, y in zip(a[0], a[-2])]
+    if draw(st.booleans()):
+        b = list(exactla.mat_vec(a, [draw(entries) for _ in range(n)]))
+    else:
+        b = [draw(entries) for _ in range(m)]
+    return a, b
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = draw(st.sampled_from([small_rationals, big_integers]))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(small_rationals)
+        rows[-1] = [c * x + y for x, y in zip(rows[0], rows[-2])]
+    return rows
+
+
+class TestAgainstOracles:
+    """The integer elimination against Gauss-Jordan on Fractions
+    (tests/oracles.py) and against sympy."""
+
+    @given(system=linear_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_matches_oracles(self, system):
+        assert solve_disagreements([system]) == []
+
+    @given(m=square_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_matches_oracles(self, m):
+        assert inverse_disagreements([m]) == []
+
+    def test_solve_cases_match_oracles(self):
+        cases = solve_cases()
+        outcomes = [solve_outcome(solve_linear, a, b) for a, b in cases]
+        # the fixed cases reach every branch: inconsistent, unique, with kernel
+        assert "inconsistent" in outcomes
+        assert any(o != "inconsistent" and not o[1] for o in outcomes)
+        assert any(o != "inconsistent" and o[1] for o in outcomes)
+        assert solve_disagreements(cases) == []
+
+    def test_inverse_cases_match_oracles(self):
+        cases = inverse_cases()
+        assert "singular" in [inverse_outcome(mat_inverse, m) for m in cases]
+        assert inverse_disagreements(cases) == []
+
+
+class TestPlantedEliminationDefect:
+    """A broken kernels.eliminate shows up in the comparisons above, and the
+    library follows it, so the library cannot be its own oracle."""
+
+    def test_wrong_pivot_value_is_caught(self, monkeypatch):
+        true_eliminate = kernels.eliminate
+
+        def off_by_one(rows):
+            rows, pivots, d = true_eliminate(rows)
+            return rows, pivots, d + 1 if d > 0 else d - 1
+
+        monkeypatch.setattr(kernels, "eliminate", off_by_one)
+        assert solve_linear(((2,),), (2,)).particular == (Fraction(2, 3),)
+        assert solve_disagreements(solve_cases())
+        assert inverse_disagreements(inverse_cases())
+
+    def test_dropped_row_is_caught(self, monkeypatch):
+        true_eliminate = kernels.eliminate
+        monkeypatch.setattr(kernels, "eliminate", lambda rows: true_eliminate(rows[:-1]))
+        assert mat_rank(identity(2)) == 1
+        assert solve_disagreements(solve_cases())
+        assert inverse_disagreements(inverse_cases())
 
 
 class TestPrimitive:
