@@ -18,6 +18,7 @@ from math import gcd
 from typing import Optional, Union
 
 from . import exactla, rootsys
+from ._backend import kernels
 
 ORBIT_CAP = 100_000
 IMPLICIT = "implicit"
@@ -29,16 +30,6 @@ class DegenerateArrangementError(ValueError):
 
 class ArrangementFormatError(ValueError):
     """Malformed arrangement file."""
-
-
-def _reduced(functional) -> tuple:
-    """Divide by the gcd, preserving sign (the orientation)."""
-    g = 0
-    for c in functional:
-        g = gcd(g, c)
-    if g <= 1:
-        return tuple(functional)
-    return tuple(c // g for c in functional)
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,7 @@ class Arrangement:
                 )
         seen = {}
         for h in fund:
-            key = _reduced(h.functional)
+            key = kernels._reduce_row(h.functional, 0)[0]
             if key in seen:
                 raise DegenerateArrangementError(
                     f"functionals {seen[key]} and {h.functional} are positive multiples (degenerate)"
@@ -118,7 +109,7 @@ def _reflection_updates(rs: rootsys.RootSystem) -> tuple:
         m = rootsys.simple_reflection(rs, a).matrix
         out.append(
             tuple(
-                (k, j, int(v) - (k == j))
+                (k, j, v - (k == j))
                 for k, row in enumerate(m)
                 for j, v in enumerate(row)
                 if v != (k == j)
@@ -137,7 +128,7 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
     the IMPLICIT marker and the partial size explored, which is at most cap.
     """
     updates = _reflection_updates(arr.rs)
-    seen = {_reduced(h.functional) for h in arr.fundamental}
+    seen = {kernels._reduce_row(h.functional, 0)[0] for h in arr.fundamental}
     if len(seen) > cap:
         return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=cap)
     queue = list(seen)

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from . import arrangement as arrmod
 from . import cone, faces, rootsys
@@ -28,10 +28,6 @@ EXIT_INVARIANT = 3
 EXIT_CAP = 4
 
 SCHEMA = 1
-
-
-class InvariantViolation(Exception):
-    """A structural guarantee failed at runtime; mapped to exit code 3."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +117,16 @@ def _chain(rs, i, j):
     conditions of the edge; r - t = 1 before integer scaling.  The middle
     whose triple is already integral is preferred, otherwise the higher
     numbered node sits in the middle and the triple is scaled by the lcm
-    of the denominators.
+    k of the denominators.
     """
-    c = rs.inv_coeffs
-    d = c[i][i] * c[j][j] - c[i][j] * c[j][i]
 
     def triple(o, m):
-        r = c[o][o] * c[m][m] / d
-        s = c[o][o] * c[o][m] / d
-        t = c[o][m] * c[m][o] / d
-        k = lcm(r.denominator, s.denominator, t.denominator)
-        return (int(r * k), int(s * k), int(t * k)), k
+        # cleared rows q a_o > p a_m and v a_m > u a_o: (q/p) a_o > a_m > (u/v) a_o,
+        # scaled to r - t = 1 that is (q v, p v, p u) / (q v - p u), in lowest terms over k
+        fwd, bwd = rootsys.pair_row(rs, o, m), rootsys.pair_row(rs, m, o)
+        q, p, v, u = fwd[o], -fwd[m], bwd[m], -bwd[o]
+        g = gcd(q * v, p * v, p * u, q * v - p * u)
+        return (q * v // g, p * v // g, p * u // g), (q * v - p * u) // g
 
     mid_hi, k_hi = triple(i, j)
     mid_lo, k_lo = triple(j, i)
@@ -157,14 +152,14 @@ def _chain_json(rs, i, j) -> dict:
 
 def _pair_text(rs, b, a) -> str:
     # directed condition for the ordered pair (b, a), cleared to integers
-    q = cone.ratio(rs, b, a)
-    return f"{_term(q.denominator, b)} > {_term(q.numerator, a)}"
+    row = rootsys.pair_row(rs, b, a)
+    return f"{_term(row[b], b)} > {_term(-row[a], a)}"
 
 
 def _equality_text(rs, i, j, state) -> str:
     b, a = (i, j) if state == faces.RIGHT else (j, i)
-    q = cone.ratio(rs, b, a)
-    lhs, rhs = (q.denominator, b), (q.numerator, a)
+    row = rootsys.pair_row(rs, b, a)
+    lhs, rhs = (row[b], b), (-row[a], a)
     if lhs[1] > rhs[1]:
         lhs, rhs = rhs, lhs
     return f"{_term(lhs[0], lhs[1])} = {_term(rhs[0], rhs[1])}"
@@ -617,9 +612,6 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except (
         ValueError,
         OSError,

@@ -6,15 +6,17 @@ ordered pair of distinct simple roots (beta, alpha),
     a_beta > (c_{beta,alpha} / c_{alpha,alpha}) a_alpha
 
 together with a_alpha > 0, where c_{beta,alpha} are the weight coordinates
-(rootsys.inv_coeffs).  Only the pairs joined by a Dynkin edge are needed;
-the rest follow by telescoping ratios along the tree path, so the reduced
-description lists each edge in both directions.  The closed cone replaces
+(rootsys.ratio reads the ratio off the integer weights).  Only the pairs
+joined by a Dynkin edge are needed; the rest follow by telescoping ratios
+along the tree path, so the reduced description lists each edge in both
+directions.  The closed cone replaces
 every > by >=.
 
 Three membership routes are kept deliberately independent: evaluating the
 reduced system, evaluating the full system, and the geometric test that
 checks r_alpha(x) > 0 and positivity of the off-alpha coordinates of
-x - r_alpha(x) * weight_alpha for every alpha.
+x - r_alpha(x) * weight_alpha for every alpha.  All three run on the point
+cleared to integers, against the integer root data.
 
 A general instance replaces the weight data by an arrangement pulled back
 through a linear map theta_star; membership of a shift delta is decided by
@@ -28,11 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import Optional
 
 from . import arrangement as arrmod
 from . import exactla, rootsys
 from .exactla import EQ, GE, GT, ConeSystem, ResourceCapError, constraint
+from .rootsys import ratio
 
 SUBSET_CAP = 1_000_000
 
@@ -51,11 +55,6 @@ class InstanceFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # root-coordinate description
-
-
-def ratio(rs: rootsys.RootSystem, beta: int, alpha: int) -> Fraction:
-    """Coefficient of a_alpha in the (beta, alpha) inequality."""
-    return rs.inv_coeffs[beta][alpha] / rs.inv_coeffs[alpha][alpha]
 
 
 def ordered_pairs(rs: rootsys.RootSystem, reduced: bool = True) -> tuple:
@@ -87,8 +86,8 @@ def inequalities(rs: rootsys.RootSystem, reduced: bool = True) -> CoterieDescrip
     def rows(rel):
         cons = [constraint(exactla.unit(n, a), rel, 0) for a in range(n)]
         for b, a in pairs:
-            f = [Fraction(0)] * n
-            f[b] = Fraction(1)
+            f = [0] * n
+            f[b] = 1
             f[a] = -ratio(rs, b, a)
             cons.append(constraint(f, rel, 0))
         return tuple(cons)
@@ -102,26 +101,36 @@ def inequalities(rs: rootsys.RootSystem, reduced: bool = True) -> CoterieDescrip
     )
 
 
-def r_alpha(rs: rootsys.RootSystem, x, alpha: int) -> Fraction:
-    """Height of x over the alpha wall: a_alpha / c_{alpha,alpha}."""
-    x = exactla.vec(x)
+def _point(rs: rootsys.RootSystem, x) -> tuple:
+    x = tuple(x)
     if len(x) != rs.rank:
         raise ValueError(f"point has length {len(x)}, rank is {rs.rank}")
-    return x[alpha] / rs.inv_coeffs[alpha][alpha]
+    return x
+
+
+def r_alpha(rs: rootsys.RootSystem, x, alpha: int) -> Fraction:
+    """Height of x over the alpha wall: a_alpha / c_{alpha,alpha}."""
+    x = _point(rs, x)
+    return Fraction(x[alpha]) * rs.weight_den / rs.weights[alpha][alpha]
+
+
+def _weight_residual(rs: rootsys.RootSystem, x, alpha: int) -> tuple:
+    """W[alpha][alpha] x - x_alpha W[., alpha] with W = rs.weights, for an
+    integer point x: the positive multiple W[alpha][alpha] / weight_den of
+    x - r_alpha(x) lambda_alpha, whose alpha entry is zero by design."""
+    w = rs.weights[alpha][alpha]
+    xa = x[alpha]
+    return tuple(w * xb - xa * row[alpha] for xb, row in zip(x, rs.weights))
 
 
 def _member_geometric(rs: rootsys.RootSystem, x, strict: bool) -> bool:
-    # r_alpha(x) positive and x - r_alpha(x) * weight_alpha positive away
-    # from alpha; the alpha coordinate of the residual is zero by design.
+    # r_alpha(x) positive, which is the sign of x_alpha, and the residual
+    # positive away from alpha
     for a in range(rs.rank):
-        r = r_alpha(rs, x, a)
-        if r < 0 or (strict and r == 0):
+        if x[a] < 0 or (strict and x[a] == 0):
             return False
-        residual = exactla.vec_sub(x, exactla.vec_scale(r, rootsys.fundamental_weight(rs, a)))
-        for b in range(rs.rank):
-            if b == a:
-                continue
-            if residual[b] < 0 or (strict and residual[b] == 0):
+        for b, v in enumerate(_weight_residual(rs, x, a)):
+            if b != a and (v < 0 or (strict and v == 0)):
                 return False
     return True
 
@@ -136,11 +145,10 @@ def member(rs: rootsys.RootSystem, x, mode: str = "open", method: str = "edges")
         raise ValueError(f"unknown mode {mode!r}")
     if method not in ("edges", "full", "geometric"):
         raise ValueError(f"unknown method {method!r}")
-    x = exactla.vec(x)
-    if len(x) != rs.rank:
-        raise ValueError(f"point has length {len(x)}, rank is {rs.rank}")
+    x = _point(rs, x)
     if method == "geometric":
-        return _member_geometric(rs, x, strict=(mode == "open"))
+        # the cone is invariant under positive scaling
+        return _member_geometric(rs, exactla.clear_row(x), strict=(mode == "open"))
     desc = inequalities(rs, reduced=(method == "edges"))
     system = desc.open_system if mode == "open" else desc.closed_system
     return system.satisfies(x)
@@ -157,12 +165,13 @@ def additivity_check(rs: rootsys.RootSystem, x, y) -> bool:
         raise MembershipPreconditionError("x is not in the open cone")
     if not member(rs, y, "open", "edges"):
         raise MembershipPreconditionError("y is not in the open cone")
-    s = exactla.vec_add(exactla.vec(x), exactla.vec(y))
+    # both checks are homogeneous: run them on d x and d y, d > 0 a common denominator
+    ints = exactla.clear_row(tuple(x) + tuple(y))
+    x, y = ints[: rs.rank], ints[rs.rank :]
+    s = tuple(map(add, x, y))
     if not member(rs, s, "open", "edges"):
         return False
-    return all(
-        r_alpha(rs, s, a) == r_alpha(rs, x, a) + r_alpha(rs, y, a) for a in range(rs.rank)
-    )
+    return all(r_alpha(rs, s, a) == r_alpha(rs, x, a) + r_alpha(rs, y, a) for a in range(rs.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +280,8 @@ class GeneralCoterieInstance:
             raise DegenerateInstanceError("nu functionals must act on the theta domain")
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "nu", nus)
-        for i, (nu_i, h) in enumerate(zip(nus, self.arr.fundamental)):
-            comp = tuple(
-                sum(nu_i[k] * theta[k][j] for k in range(m)) for j in range(n)
-            )
+        for i, h in enumerate(self.arr.fundamental):
+            comp = self.composite(i)
             want = tuple(-Fraction(c) for c in h.functional)
             if comp != want:
                 raise DegenerateInstanceError(
@@ -392,7 +399,7 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     walls = []
     for r in rays:
         br = exactla.mat_vec(rs.form, r)
-        walls.append((exactla.vec_scale(-1, br), -exactla.vec_dot(r, br)))
+        walls.append((tuple(-v for v in br), -exactla.vec_dot(r, br)))
     systems = []
     for i in range(len(rays)):
         cons = [constraint(row, GT, 0) for row in ct]

@@ -1,7 +1,11 @@
 """Exact rational linear algebra and feasibility of mixed linear systems.
 
-Scalars are fractions.Fraction, vectors are tuples of Fractions, matrices
-tuples of row tuples; no floating point anywhere. Solving, inversion and
+Entries are ints or fractions.Fraction, vectors are tuples, matrices tuples
+of row tuples; no floating point anywhere. The Fraction vector helpers
+(vec, vec_dot, mat_vec, ...) serve the constraint API and the
+general-instance route; clear_row turns a rational vector into integers
+for everything else. Constraint systems are stored as cleared integer rows
+and evaluated at a cleared integer point. Solving, inversion and
 rank clear each row to integers and run one fraction-free elimination,
 kernels.eliminate; Fraction appears only in what they return. Feasibility
 of systems mixing strict/weak inequalities and equalities is decided by
@@ -42,14 +46,6 @@ def vec(coords) -> tuple:
     return tuple(Fraction(c) for c in coords)
 
 
-def mat(rows) -> tuple:
-    return tuple(vec(r) for r in rows)
-
-
-def zeros(n: int) -> tuple:
-    return (Fraction(0),) * n
-
-
 def unit(n: int, i: int) -> tuple:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
@@ -58,17 +54,8 @@ def identity(n: int) -> tuple:
     return tuple(unit(n, i) for i in range(n))
 
 
-def vec_add(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a) -> tuple:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a, b) -> Fraction:
@@ -81,11 +68,6 @@ def mat_vec(m, v) -> tuple:
 
 def mat_transpose(m) -> tuple:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a, b) -> tuple:
-    bt = mat_transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
 def clear_row(coords) -> tuple:

@@ -91,14 +91,7 @@ class Face:
 @lru_cache(maxsize=None)
 def _edge_rows(rs: rootsys.RootSystem, i: int, j: int) -> tuple:
     """Cleared integer functionals of the (i, j) and (j, i) inequalities."""
-    n = rs.rank
-    fwd = [Fraction(0)] * n
-    fwd[i] = Fraction(1)
-    fwd[j] = -cone.ratio(rs, i, j)
-    bwd = [Fraction(0)] * n
-    bwd[j] = Fraction(1)
-    bwd[i] = -cone.ratio(rs, j, i)
-    return exactla.clear_row(fwd), exactla.clear_row(bwd)
+    return rootsys.pair_row(rs, i, j), rootsys.pair_row(rs, j, i)
 
 
 def face_of(rs: rootsys.RootSystem, f: Orientation) -> Face:
@@ -132,7 +125,7 @@ class ExtremalRay:
 def _edge_ratios(rs: rootsys.RootSystem) -> tuple:
     """Per edge (i, j): the ratios of the (i, j) and (j, i) inequalities,
     a_i >= ratio(i, j) a_j and a_j >= ratio(j, i) a_i."""
-    return tuple((cone.ratio(rs, i, j), cone.ratio(rs, j, i)) for i, j in rs.edges)
+    return tuple((rootsys.ratio(rs, i, j), rootsys.ratio(rs, j, i)) for i, j in rs.edges)
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,10 @@ reproduces (they differ from Bourbaki for some exceptional types):
   G2              edge 1-2, alpha_1 short
 
 Short roots are normalized to squared length 2. Everything downstream
-(inequalities, faces, arrangements) consumes the RootSystem built here;
-inv_coeffs is always computed by exact inversion, never tabulated.
+(inequalities, faces, arrangements) consumes the RootSystem built here.
+Its tables are integers; the fundamental weights are one integer matrix
+over one denominator, computed by exact inversion, never tabulated, and
+the cone's pair ratios and cleared pair rows are read off it here alone.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from . import exactla
+from ._backend import kernels
 
 MAX_RANK = 12
 _FAMILY_MIN = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
@@ -94,25 +98,33 @@ def _edges_and_norms(stype: SimpleType):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan data for one simple type.
+    """Cartan data for one simple type, in integers.
 
     cartan[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j); form[i][j] is the
     W-invariant bilinear form (alpha_i, alpha_j) with short roots of squared
-    length 2; inv_coeffs = (cartan^T)^-1, whose column alpha holds the
-    fundamental weight lambda_alpha in root coordinates; edges are the
-    0-based tree edges (i, j) with i < j.
+    length 2; weights = weight_den * (cartan^T)^-1 with weight_den > 0 the
+    lcm of the denominators of that inverse, so column alpha of weights is
+    weight_den * lambda_alpha in root coordinates; edges are the 0-based
+    tree edges (i, j) with i < j.
     """
 
     stype: SimpleType
     cartan: tuple
     form: tuple
-    inv_coeffs: tuple
+    weights: tuple
+    weight_den: int
     edges: tuple
 
     def __hash__(self):
-        # the nested Fraction tables make the generated hash O(rank^2) per
-        # call, and cache lookups keyed on the system hash constantly
+        # the nested tables make the generated hash O(rank^2) per call, and
+        # cache lookups keyed on the system hash constantly
         return hash(self.stype)
+
+    @cached_property
+    def inv_coeffs(self) -> tuple:
+        """(cartan^T)^-1 as Fractions: weights / weight_den.  Column alpha
+        holds the fundamental weight lambda_alpha in root coordinates."""
+        return tuple(tuple(Fraction(v, self.weight_den) for v in row) for row in self.weights)
 
     @property
     def rank(self) -> int:
@@ -131,35 +143,48 @@ def _build(stype: SimpleType) -> RootSystem:
     n = stype.rank
     edges1, norms = _edges_and_norms(stype)
     edges = tuple(sorted((i - 1, j - 1) if i < j else (j - 1, i - 1) for i, j in edges1))
-    form = [[Fraction(0)] * n for _ in range(n)]
+    form = [[0] * n for _ in range(n)]
     for i in range(n):
-        form[i][i] = Fraction(norms[i])
+        form[i][i] = norms[i]
     for i, j in edges:
-        form[i][j] = form[j][i] = Fraction(-max(norms[i], norms[j]), 2)
-    cartan = [[2 * form[i][j] / form[j][j] for j in range(n)] for i in range(n)]
-    for row in cartan:
-        for v in row:
-            if v.denominator != 1:
-                raise AssertionError(f"non-integral Cartan entry for {stype}")
-    cartan = tuple(tuple(v for v in row) for row in cartan)
-    inv_coeffs = exactla.mat_inverse(exactla.mat_transpose(cartan))
+        # squared lengths are 2, 4 or 6, so the halved maximum is an integer
+        form[i][j] = form[j][i] = -max(norms[i], norms[j]) // 2
+    if any(2 * form[i][j] % form[j][j] for i in range(n) for j in range(n)):
+        raise AssertionError(f"non-integral Cartan entry for {stype}")
+    cartan = tuple(tuple(2 * form[i][j] // form[j][j] for j in range(n)) for i in range(n))
+    inverse = exactla.mat_inverse(exactla.mat_transpose(cartan))
+    den = lcm(*(v.denominator for row in inverse for v in row))
+    weights = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in inverse)
     return RootSystem(
         stype=stype,
         cartan=cartan,
         form=tuple(tuple(row) for row in form),
-        inv_coeffs=inv_coeffs,
+        weights=weights,
+        weight_den=den,
         edges=edges,
     )
 
 
+def ratio(rs: RootSystem, beta: int, alpha: int) -> Fraction:
+    """c_{beta,alpha} / c_{alpha,alpha}: the (beta, alpha) condition of the
+    cone reads a_beta > ratio a_alpha."""
+    return Fraction(rs.weights[beta][alpha], rs.weights[alpha][alpha])
+
+
+def pair_row(rs: RootSystem, beta: int, alpha: int) -> tuple:
+    """The (beta, alpha) condition cleared to a primitive integer functional:
+    weights[alpha][alpha] e_beta - weights[beta][alpha] e_alpha divided by
+    its gcd, so its beta and -alpha entries are the denominator and the
+    numerator of ratio(beta, alpha)."""
+    row = [0] * rs.rank
+    row[beta] = rs.weights[alpha][alpha]
+    row[alpha] = -rs.weights[beta][alpha]
+    return kernels._reduce_row(tuple(row), 0)[0]
+
+
 def symmetrizers(rs: RootSystem) -> tuple:
     """d_i = (alpha_i, alpha_i)/2, so form[i][j] = d_j * cartan[i][j]."""
-    return tuple(rs.form[i][i] / 2 for i in range(rs.rank))
-
-
-def coeff(rs: RootSystem, beta: int, alpha: int) -> Fraction:
-    """Entry c_{beta,alpha} of inv_coeffs (0-based nodes)."""
-    return rs.inv_coeffs[beta][alpha]
+    return tuple(rs.form[i][i] // 2 for i in range(rs.rank))
 
 
 def fundamental_weight(rs: RootSystem, alpha: int) -> tuple:
@@ -169,13 +194,19 @@ def fundamental_weight(rs: RootSystem, alpha: int) -> tuple:
     return tuple(rs.inv_coeffs[b][alpha] for b in range(rs.rank))
 
 
+def _cleared(x, n: int) -> tuple:
+    """(integers, d) with x = integers / d and d > 0, for x of length n."""
+    *ints, d = exactla.clear_row(tuple(x) + (1,))
+    if len(ints) != n:
+        raise ValueError(f"vectors must have length {n}")
+    return ints, d
+
+
 def inner(rs: RootSystem, v, w) -> Fraction:
     """W-invariant bilinear form on root coordinates: v^T . form . w."""
-    v = exactla.vec(v)
-    w = exactla.vec(w)
-    if len(v) != rs.rank or len(w) != rs.rank:
-        raise ValueError(f"vectors must have length {rs.rank}")
-    return exactla.vec_dot(v, exactla.mat_vec(rs.form, w))
+    v, dv = _cleared(v, rs.rank)
+    w, dw = _cleared(w, rs.rank)
+    return Fraction(sum(c * kernels.idot(row, w) for c, row in zip(v, rs.form)), dv * dw)
 
 
 @dataclass(frozen=True)
@@ -193,22 +224,22 @@ def simple_reflection(rs: RootSystem, alpha: int) -> WeylElement:
     if not 0 <= alpha < rs.rank:
         raise ValueError(f"node {alpha} out of range for {rs}")
     n = rs.rank
-    rows = []
-    for k in range(n):
-        if k != alpha:
-            rows.append(exactla.unit(n, k))
-        else:
-            rows.append(tuple(Fraction((1 if j == k else 0) - rs.cartan[j][k]) for j in range(n)))
-    return WeylElement(word=(alpha,), matrix=tuple(rows))
+    rows = tuple(
+        tuple(int(j == k) - (rs.cartan[j][k] if k == alpha else 0) for j in range(n))
+        for k in range(n)
+    )
+    return WeylElement(word=(alpha,), matrix=rows)
 
 
 def weyl_apply(w: WeylElement, x) -> tuple:
-    return exactla.mat_vec(w.matrix, exactla.vec(x))
+    x, d = _cleared(x, len(w.matrix))
+    return tuple(Fraction(kernels.idot(row, x), d) for row in w.matrix)
 
 
 def coroot_pairing(rs: RootSystem, x) -> tuple:
     """(<x, alpha^v>)_alpha = cartan^T . x for x in root coordinates."""
-    return exactla.mat_vec(exactla.mat_transpose(rs.cartan), exactla.vec(x))
+    x, d = _cleared(x, rs.rank)
+    return tuple(Fraction(kernels.idot(col, x), d) for col in zip(*rs.cartan))
 
 
 def dominant_in_root_coords(rs: RootSystem, x, strict: bool = False) -> bool:
@@ -245,15 +276,15 @@ def chain_identity_check(rs: RootSystem) -> bool:
     """c_{alpha,gamma} = (c_{alpha,beta}/c_{beta,beta}) c_{beta,gamma} along tree paths.
 
     Checked for every ordered pair (alpha, gamma) and every interior node
-    beta of the connecting path.
+    beta of the connecting path, cross-multiplied in the integer weights.
     """
-    c = rs.inv_coeffs
+    w = rs.weights
     for a in range(rs.rank):
         for g in range(rs.rank):
             if a == g:
                 continue
             path = tree_path(rs, a, g)
             for b in path[1:-1]:
-                if c[a][g] != c[a][b] * c[b][g] / c[b][b]:
+                if w[a][g] * w[b][b] != w[a][b] * w[b][g]:
                     return False
     return True

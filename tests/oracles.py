@@ -9,17 +9,21 @@ data), so agreement is a genuine two-route check.
 The second half keeps the slower, direct routes that the library replaced
 by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
 the pairwise comparison of the face order with the cube order, extremal
-rays as Fraction nullspace solves, and the Weyl orbit closed by dense
-matrix products.  They run on the package's own data, so
-they check the faster algorithms, not the data.
+rays as Fraction nullspace solves, the Weyl orbit closed by dense matrix
+products, and the geometric membership test on Fraction vectors.  They run
+on the package's own data, so they check the faster algorithms, not the
+data; the membership test reads only the Cartan matrix, inverted here over
+Fractions, so it also checks the integer weights.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import mul
 
 import sympy
 
+import support
 from coterie import _kernels_py, arrangement, cone, exactla, faces, rootsys
 from coterie.arrangement import IMPLICIT, Arrangement, OrientedHyperplane
 from coterie.exactla import (
@@ -266,14 +270,14 @@ def weyl_orbit_dense(arr, cap: int = arrangement.ORBIT_CAP):
     for a in range(arr.rs.rank):
         m = rootsys.simple_reflection(arr.rs, a).matrix
         mats.append([tuple(int(row[j]) for row in m) for j in range(arr.rs.rank)])
-    seen = {arrangement._reduced(h.functional) for h in arr.fundamental}
+    seen = {_kernels_py._reduce_row(h.functional, 0)[0] for h in arr.fundamental}
     if len(seen) > cap:
         return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=cap)
     queue = list(seen)
     while queue:
         f = queue.pop()
         for columns in mats:
-            g = arrangement._reduced(tuple(sum(map(mul, f, col)) for col in columns))
+            g = _kernels_py._reduce_row(tuple(sum(map(mul, f, col)) for col in columns), 0)[0]
             if g not in seen:
                 if len(seen) >= cap:
                     return Arrangement(
@@ -283,3 +287,35 @@ def weyl_orbit_dense(arr, cap: int = arrangement.ORBIT_CAP):
                 queue.append(g)
     full = tuple(OrientedHyperplane(f) for f in sorted(seen))
     return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=full)
+
+
+# ---------------------------------------------------------------------------
+# geometric membership on Fraction vectors
+
+
+@lru_cache(maxsize=None)
+def fraction_weights(rs) -> tuple:
+    """(cartan^T)^-1 by Fraction Gauss-Jordan: c_{beta,alpha}, computed
+    without the package's integer weights."""
+    return mat_inverse_by_fractions(exactla.mat_transpose(rs.cartan))
+
+
+def member_geometric_by_fractions(rs, x, strict: bool) -> bool:
+    """The weight-residual membership test on Fraction vectors, as the
+    library ran it before its root data became integral: r_alpha(x) =
+    a_alpha / c_{alpha,alpha} positive and x - r_alpha(x) * lambda_alpha
+    positive away from alpha, with c from fraction_weights."""
+    x = vec(x)
+    c = fraction_weights(rs)
+    for a in range(rs.rank):
+        r = x[a] / c[a][a]
+        if r < 0 or (strict and r == 0):
+            return False
+        weight = tuple(c[b][a] for b in range(rs.rank))
+        residual = exactla.vec_sub(x, support.vec_scale(r, weight))
+        for b in range(rs.rank):
+            if b == a:
+                continue
+            if residual[b] < 0 or (strict and residual[b] == 0):
+                return False
+    return True

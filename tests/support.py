@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded exact samplers.
+"""Shared helpers for the test suite: seeded exact samplers and the small
+Fraction vector and matrix helpers the library no longer needs.
 
 All sampling is driven by random.Random instances with fixed seeds recorded
 in the tests, and produces Fractions with bounded denominators so every
@@ -8,6 +9,23 @@ check stays exact and reproducible.
 from fractions import Fraction
 
 from coterie import exactla, rootsys
+
+
+def zeros(n: int) -> tuple:
+    return (Fraction(0),) * n
+
+
+def vec_add(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(c, a) -> tuple:
+    c = Fraction(c)
+    return tuple(c * x for x in a)
+
+
+def mat_mul(a, b) -> tuple:
+    return tuple(tuple(exactla.vec_dot(row, col) for col in zip(*b)) for row in a)
 
 
 def rand_fraction(rng, lo=-2, hi=4, max_den=60) -> Fraction:
@@ -76,7 +94,7 @@ def sample_dominant(rs, rng, strict=True) -> tuple:
         p = rng.randint(1 if strict else 0, 4 * q)
         weights.append(Fraction(p, q))
     cols = exactla.mat_transpose(rs.inv_coeffs)
-    x = exactla.zeros(rs.rank)
+    x = zeros(rs.rank)
     for w, col in zip(weights, cols):
-        x = exactla.vec_add(x, exactla.vec_scale(w, col))
+        x = vec_add(x, vec_scale(w, col))
     return x

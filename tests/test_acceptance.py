@@ -187,7 +187,7 @@ def test_criterion_4():
         for sys_a, sys_b in ((cone_sys, chamber), (chamber, cone_sys)):
             for c in sys_b.constraints:
                 neg = exactla.constraint(
-                    exactla.vec_scale(F(-1), c.functional),
+                    support.vec_scale(F(-1), c.functional),
                     exactla.GE if c.rel == exactla.GT else exactla.GT,
                     -c.bound,
                 )
@@ -243,7 +243,7 @@ def test_criterion_8():
     for label in ("A2", "A3", "A4", "B3"):
         rs = rootsys.build(label)
         inst = cone.canonical_instance(rs)
-        zero = exactla.zeros(rs.rank)
+        zero = support.zeros(rs.rank)
         for _ in range(100):
             d = support.rand_positive_vec(rng, rs.rank)
             lam = support.rand_vec(rng, rs.rank)

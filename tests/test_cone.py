@@ -1,6 +1,7 @@
 """Tests for the cone description, membership routes, cross-section
 polytopes, and pulled-back instances."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import support
 from coterie import arrangement as arrmod
-from coterie import cone, exactla, rootsys
+from coterie import cone, exactla, faces, rootsys
 from coterie.cone import (
     CrossSection,
     DegenerateInstanceError,
@@ -124,7 +126,7 @@ class TestRAlpha:
         rs = rootsys.build("C3")
         x = (F(1, 3), F(2), F(5, 7))
         for a in range(3):
-            assert r_alpha(rs, exactla.vec_scale(6, x), a) == 6 * r_alpha(rs, x, a)
+            assert r_alpha(rs, support.vec_scale(6, x), a) == 6 * r_alpha(rs, x, a)
 
 
 class TestMember:
@@ -186,6 +188,76 @@ class TestMember:
             x = support.rand_vec(rng, 4)
             if member(rs, x):
                 assert all(v > 0 for v in x)
+
+
+def oracle_points(rs, seed) -> list:
+    """Seeded points for the comparison with the Fraction route: the origin,
+    interior points, the same points with one coordinate zeroed or with the
+    first entry negated, random points, and points exactly on walls (an
+    extremal ray, and the sum of two rays that share the wall at one edge)."""
+    rng = random.Random(seed)
+    n = rs.rank
+    points = [support.zeros(n)]
+    for _ in range(4):
+        x = support.sample_member(rs, rng)
+        k = rng.randrange(n)
+        points.append(x)
+        points.append(tuple(F(0) if i == k else c for i, c in enumerate(x)))
+        points.append((-x[0],) + x[1:])
+        points.append(support.rand_vec(rng, n))
+    m = len(rs.edges)
+    for _ in range(4 if m else 0):
+        s = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]
+        t = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]
+        pos = rng.randrange(m)
+        t[pos] = s[pos]
+        u, _ = faces._propagate_ray(rs, s)
+        v, _ = faces._propagate_ray(rs, t)
+        scale = F(rng.randint(1, 9), rng.randint(1, 9))
+        points.append(tuple(scale * c for c in u))
+        points.append(tuple(scale * (a + b) for a, b in zip(u, v)))
+    return points
+
+
+def route_disagreements(rs, points) -> list:
+    """(point, mode, method) wherever a library route differs from the
+    Fraction weight-residual oracle."""
+    out = []
+    for x in points:
+        for mode in ("open", "closed"):
+            want = oracles.member_geometric_by_fractions(rs, x, strict=(mode == "open"))
+            for method in ("edges", "full", "geometric"):
+                if member(rs, x, mode, method) != want:
+                    out.append((x, mode, method))
+    return out
+
+
+class TestRoutesAgainstFractionOracle:
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_routes_match_oracle(self, label):
+        rs = rootsys.build(label)
+        points = oracle_points(rs, label)
+        assert route_disagreements(rs, points) == []
+        for mode in ("open", "closed"):
+            verdicts = {oracles.member_geometric_by_fractions(rs, x, mode == "open") for x in points}
+            assert verdicts == {True, False}, mode
+
+    @pytest.mark.parametrize("label", ["A4", "B3", "D5", "E7", "G2"])
+    def test_weight_off_by_one_is_caught(self, label):
+        rs = rootsys.build(label)
+        b, a = rs.edges[0]
+        weights = [list(row) for row in rs.weights]
+        weights[b][a] += 1
+        planted = dataclasses.replace(rs, weights=tuple(map(tuple, weights)))
+        caught = {method for _, _, method in route_disagreements(planted, oracle_points(rs, label))}
+        assert caught == {"edges", "full", "geometric"}
+
+    def test_flipped_residual_sign_is_caught(self, monkeypatch):
+        residual = cone._weight_residual
+        monkeypatch.setattr(cone, "_weight_residual", lambda *args: tuple(-v for v in residual(*args)))
+        rs = rootsys.build("E6")
+        caught = {method for _, _, method in route_disagreements(rs, oracle_points(rs, "E6"))}
+        assert caught == {"geometric"}
 
 
 class TestAdditivity:
@@ -339,7 +411,7 @@ class TestInstanceGeometry:
         rs = rootsys.build("A2")
         inst = canonical_instance(rs)
         d = (F(3), F(2))
-        assert epsilon_i(inst, 0, exactla.vec_scale(2, d)) == epsilon_i(inst, 0, d) / 2
+        assert epsilon_i(inst, 0, support.vec_scale(2, d)) == epsilon_i(inst, 0, d) / 2
 
     def test_u_identity_random(self):
         rng = random.Random(17)
@@ -357,7 +429,7 @@ class TestInstanceGeometry:
         inst = canonical_instance(rs)
         delta = (F(2), F(3))
         for i in range(2):
-            assert u_value(inst, i, delta, exactla.zeros(2)) == nu_of(inst, i, delta)
+            assert u_value(inst, i, delta, support.zeros(2)) == nu_of(inst, i, delta)
             r = r_i_general(inst, i, delta)
             assert u_value(inst, i, delta, r) == 0
 
@@ -365,8 +437,8 @@ class TestInstanceGeometry:
         """nu_i(delta) = 0 degenerates the wall vector to the origin."""
         rs = rootsys.build("A2")
         inst = canonical_instance(rs)
-        assert r_i_general(inst, 0, (0, 0)) == tuple(exactla.zeros(2))
-        assert r_i_general(inst, 0, (0, 5)) == tuple(exactla.zeros(2))
+        assert r_i_general(inst, 0, (0, 0)) == tuple(support.zeros(2))
+        assert r_i_general(inst, 0, (0, 5)) == tuple(support.zeros(2))
 
 
 class TestGeneralMember:

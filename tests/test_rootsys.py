@@ -1,12 +1,16 @@
 """Tests for root-system construction against closed forms and the
 realization oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import sympy
 
 import oracles
+import support
 from coterie import exactla, rootsys
 from coterie.rootsys import (
     SimpleType,
@@ -116,8 +120,8 @@ class TestRootSystemInvariants:
     @pytest.mark.parametrize("rs", checked_types(), ids=str)
     def test_inverse_is_exact(self, rs):
         ct = exactla.mat_transpose(rs.cartan)
-        assert exactla.mat_mul(rs.inv_coeffs, ct) == exactla.identity(rs.rank)
-        assert exactla.mat_mul(ct, rs.inv_coeffs) == exactla.identity(rs.rank)
+        assert support.mat_mul(rs.inv_coeffs, ct) == exactla.identity(rs.rank)
+        assert support.mat_mul(ct, rs.inv_coeffs) == exactla.identity(rs.rank)
 
     @pytest.mark.parametrize("rs", checked_types(), ids=str)
     def test_inv_coeffs_positive(self, rs):
@@ -144,7 +148,7 @@ class TestRootSystemInvariants:
             for j in range(i + 1, n):
                 si = simple_reflection(rs, i).matrix
                 sj = simple_reflection(rs, j).matrix
-                commute = exactla.mat_mul(si, sj) == exactla.mat_mul(sj, si)
+                commute = support.mat_mul(si, sj) == support.mat_mul(sj, si)
                 assert commute == ((i, j) not in rs.edges)
 
     @pytest.mark.parametrize("rs", checked_types(), ids=str)
@@ -160,6 +164,12 @@ class TestRootSystemInvariants:
         assert chain_identity_check(rs)
 
 
+def weight_mismatches(rs, cols) -> list:
+    """Nodes alpha whose fundamental weight, column alpha of weights /
+    weight_den, differs from the sympy-solved one in cols."""
+    return [a for a in range(rs.rank) if list(fundamental_weight(rs, a)) != cols[a]]
+
+
 class TestOracleAgreement:
     """Two-route checks against the vector realizations (sympy stack)."""
 
@@ -171,13 +181,40 @@ class TestOracleAgreement:
     def test_cartan_matches_realization(self, rs):
         assert [list(r) for r in rs.cartan] == oracles.cartan_matrix(rs.stype)
 
-    @pytest.mark.parametrize("stype", ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"], ids=str)
+    @pytest.mark.parametrize("stype", [str(t) for t in all_types()], ids=str)
     def test_weights_match_pairing_solutions(self, stype):
-        """inv_coeffs columns equal sympy-solved fundamental weights."""
+        """weights / weight_den columns equal sympy-solved fundamental
+        weights, and weight_den is their one common denominator: the lcm of
+        their denominators, which is |det C| except for D_n with n even,
+        whose weight lattice modulo the root lattice is Z/2 x Z/2."""
         rs = build(stype)
         cols = oracles.weight_columns(stype)
-        for a in range(rs.rank):
-            assert list(fundamental_weight(rs, a)) == cols[a]
+        assert weight_mismatches(rs, cols) == []
+        assert rs.weight_den == lcm(*(q.denominator for col in cols for q in col))
+        det = abs(sympy.Matrix(oracles.cartan_matrix(stype)).det())
+        if rs.stype.family == "D" and rs.rank % 2 == 0:
+            assert (rs.weight_den, det) == (2, 4)
+        else:
+            assert rs.weight_den == det
+
+
+class TestIntegerWeights:
+    @pytest.mark.parametrize("label", ["A1", "B5", "D6", "E8", "G2"])
+    def test_tables_are_integers_and_inv_coeffs_fractions(self, label):
+        rs = build(label)
+        for table in (rs.cartan, rs.form, rs.weights):
+            assert all(type(v) is int for row in table for v in row)
+        assert all(type(v) is F for row in rs.inv_coeffs for v in row)
+        assert rs.inv_coeffs == tuple(
+            tuple(F(v, rs.weight_den) for v in row) for row in rs.weights
+        )
+
+    def test_planted_weight_is_caught(self):
+        rs = build("E6")
+        weights = [list(row) for row in rs.weights]
+        weights[2][5] += 1
+        planted = dataclasses.replace(rs, weights=tuple(map(tuple, weights)))
+        assert weight_mismatches(planted, oracles.weight_columns("E6")) == [5]
 
 
 class TestReflections:
@@ -185,7 +222,7 @@ class TestReflections:
         for rs in (build("A3"), build("G2"), build("B3")):
             for a in range(rs.rank):
                 alpha = exactla.unit(rs.rank, a)
-                assert weyl_apply(simple_reflection(rs, a), alpha) == exactla.vec_scale(-1, alpha)
+                assert weyl_apply(simple_reflection(rs, a), alpha) == support.vec_scale(-1, alpha)
 
     def test_involution(self):
         rng = random.Random(11)
@@ -221,7 +258,7 @@ class TestDominance:
 
     def test_zero_weak_only(self):
         rs = build("B3")
-        zero = exactla.zeros(3)
+        zero = support.zeros(3)
         assert dominant_in_root_coords(rs, zero)
         assert not dominant_in_root_coords(rs, zero, strict=True)
 
