@@ -493,3 +493,37 @@ class TestGeneralMember:
         for i, sys_i in enumerate(systems):
             rels = [c.rel for c in sys_i.constraints]
             assert rels.count(EQ) == 1
+
+
+def single_wall_instance(label, functional, theta_star, nu):
+    rs = rootsys.build(label)
+    arr = arrmod.Arrangement(rs=rs, fundamental=(functional,))
+    return GeneralCoterieInstance(arr=arr, theta_star=theta_star, nu=(nu,))
+
+
+class TestBoundaryRules:
+    """nu_j(delta) = 0 and delta = 0, where the wall sphere collapses to
+    the origin.  With another wall the collapsed row is 0 > 0, which no
+    lambda meets; alone, its row is 0 = 0 and only dominance is left."""
+
+    @pytest.mark.parametrize(
+        "label, delta",
+        [("A2", (0, 5)), ("A2", (3, 0)), ("B3", (1, 0, 2)), ("B3", (0, 0, 1)), ("B3", (0, 4, 0))],
+    )
+    def test_zero_nu_on_canonical_is_not_member(self, label, delta):
+        inst = canonical_instance(rootsys.build(label))
+        assert any(nu_of(inst, i, delta) == 0 for i in range(len(inst.nu)))
+        assert general_member(inst, delta) is False
+
+    @pytest.mark.parametrize(
+        "inst, delta",
+        [
+            (single_wall_instance("A1", (-1,), ((1,), (1,)), (1, 0)), (0, 5)),
+            (single_wall_instance("A2", (-1, -1), ((1, 0), (0, 1), (1, 1)), (1, 1, 0)), (0, 0, 5)),
+        ],
+        ids=["A1", "A2"],
+    )
+    def test_single_wall_zero_nu_is_member(self, inst, delta):
+        assert nu_of(inst, 0, delta) == 0
+        assert general_member(inst, delta) is True
+        assert general_member(inst, support.zeros(len(delta))) is False
