@@ -11,7 +11,7 @@ gcd-reduced representatives (sign preserved - it is the orientation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd

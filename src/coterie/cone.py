@@ -20,7 +20,9 @@ cleared to integers, against the integer root data.
 
 A general instance replaces the weight data by an arrangement pulled back
 through a linear map theta_star; membership of a shift delta is decided by
-eliminating the quantifier with exact Fourier-Motzkin.
+eliminating the quantifier with exact Fourier-Motzkin over the wall rows
+nu_j(delta) u_j(lam) > 0 (= 0 on the i-th wall).  The ray points r_i have a
+closed form in the integer weights.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
-from operator import add
-from typing import Optional
+from math import comb, lcm
+from operator import add, mul
 
 from . import arrangement as arrmod
 from . import exactla, rootsys
@@ -77,9 +78,14 @@ class CoterieDescription:
     closed_system: ConeSystem
 
 
-@lru_cache(maxsize=None)
 def inequalities(rs: rootsys.RootSystem, reduced: bool = True) -> CoterieDescription:
-    """Defining inequalities, positivity rows first, then pair rows."""
+    """Defining inequalities, positivity rows first, then pair rows, cached
+    once per (rs, reduced) however the call spells them."""
+    return _inequalities(rs, reduced)
+
+
+@lru_cache(maxsize=None)
+def _inequalities(rs: rootsys.RootSystem, reduced: bool) -> CoterieDescription:
     n = rs.rank
     pairs = ordered_pairs(rs, reduced)
 
@@ -324,33 +330,21 @@ def nu_of(inst: GeneralCoterieInstance, i: int, delta) -> Fraction:
 
 
 def r_i_general(inst: GeneralCoterieInstance, i: int, delta) -> tuple:
-    """The ray point of the i-th wall for the shift delta.
+    """The ray point of the i-th wall for the shift delta: c(x) = nu_i(delta)
+    with B x parallel to c = nu_i . theta_star = -l_i, B the form.
 
-    Solves: x orthogonal (under the form) to the kernel of nu_i . theta_star,
-    normalized by (nu_i . theta_star)(x) = nu_i(delta).
+    B = cartan . diag(d), d the symmetrizers, so B^-1 c is a multiple of
+    u = weights . e, e_k = c_k lcm(d) / d_k, and x = nu_i(delta) u / (c . u).
+    B is positive definite and l_i != 0, so c . u > 0: x exists and is unique.
     """
     rs = inst.rs
-    n = rs.rank
-    comp = list(inst.composite(i))
-    if not any(comp):
-        raise DegenerateInstanceError(
-            f"nu_{i} . theta_star is identically zero; the ray direction is undefined"
-        )
-    target = nu_of(inst, i, delta)
-    kernel = exactla.solve_linear([comp], [Fraction(0)]).kernel
-    # (mu, x)_B as a row functional; the form is symmetric so B mu works.
-    rows = [exactla.mat_vec(rs.form, list(mu)) for mu in kernel]
-    rows.append(comp)
-    rhs = [Fraction(0)] * len(kernel) + [target]
-    try:
-        sol = exactla.solve_linear(rows, rhs)
-    except exactla.InconsistentSystemError:
-        raise DegenerateInstanceError(
-            f"no ray point for wall {i}: orthogonality system inconsistent"
-        ) from None
-    if sol.kernel:
-        raise DegenerateInstanceError(f"ray point for wall {i} is not unique")
-    return tuple(sol.particular)
+    d = rootsys.symmetrizers(rs)
+    m = lcm(*d)
+    c = [-v for v in inst.arr.fundamental[i].functional]
+    e = [ck * (m // dk) for ck, dk in zip(c, d)]
+    u = [sum(map(mul, row, e)) for row in rs.weights]
+    scale = nu_of(inst, i, delta) / sum(map(mul, c, u))
+    return tuple(scale * v for v in u)
 
 
 def u_value(inst: GeneralCoterieInstance, i: int, delta, lam) -> Fraction:
@@ -387,21 +381,23 @@ def u_identity_check(inst: GeneralCoterieInstance, i: int, delta, lam) -> bool:
     return lhs == rhs
 
 
+def _wall_row(functional, nu: Fraction) -> tuple:
+    """nu u(lam) > 0 with the wall height u(lam) = nu + l(lam), as (row, bound)."""
+    return tuple(nu * c for c in functional), -nu * nu
+
+
 def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     """One existential system per wall: a strictly dominant lambda on the
-    i-th wall sphere, strictly inside every other wall sphere."""
-    rs = inst.rs
-    n = rs.rank
-    rays = [r_i_general(inst, i, delta) for i in range(len(inst.nu))]
-    ct = exactla.mat_transpose(rs.cartan)
-    # (r_j - lam, r_j) >= 0 with equality exactly at j = i:
-    # functional -(B r_j), bound -(r_j, B r_j), the same for every i.
-    walls = []
-    for r in rays:
-        br = exactla.mat_vec(rs.form, r)
-        walls.append((tuple(-v for v in br), -exactla.vec_dot(r, br)))
+    i-th wall sphere, strictly inside every other wall sphere.  By the
+    u-identity, (r_j - lam, r_j) > 0 is nu_j(delta) u_j(lam) > 0 up to a
+    positive factor, and both rows read 0 > 0 when nu_j(delta) = 0."""
+    n = inst.rs.rank
+    walls = [
+        _wall_row(h.functional, nu_of(inst, j, delta)) for j, h in enumerate(inst.arr.fundamental)
+    ]
+    ct = exactla.mat_transpose(inst.rs.cartan)
     systems = []
-    for i in range(len(rays)):
+    for i in range(len(walls)):
         cons = [constraint(row, GT, 0) for row in ct]
         for j, (f, bound) in enumerate(walls):
             cons.append(constraint(f, EQ if j == i else GT, bound))

@@ -10,10 +10,12 @@ The second half keeps the slower, direct routes that the library replaced
 by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
 the pairwise comparison of the face order with the cube order, extremal
 rays as Fraction nullspace solves, the Weyl orbit closed by dense matrix
-products, and the geometric membership test on Fraction vectors.  They run
-on the package's own data, so they check the faster algorithms, not the
-data; the membership test reads only the Cartan matrix, inverted here over
-Fractions, so it also checks the integer weights.
+products, the geometric membership test on Fraction vectors, and the
+general-instance ray points solved over the form, with the wall rows
+built from them.  They run on the package's own data, so they check the
+faster algorithms, not the data; the membership test reads only the Cartan
+matrix, inverted here over Fractions, so it also checks the integer
+weights, and the ray points read the form, not the weights.
 """
 
 from fractions import Fraction
@@ -26,10 +28,15 @@ import sympy
 import support
 from coterie import _kernels_py, arrangement, cone, exactla, faces, rootsys
 from coterie.arrangement import IMPLICIT, Arrangement, OrientedHyperplane
+from coterie.cone import DegenerateInstanceError, nu_of
 from coterie.exactla import (
+    EQ,
+    GT,
+    ConeSystem,
     InconsistentSystemError,
     LinearSolution,
     SingularMatrixError,
+    constraint,
     primitive,
     unit,
     vec,
@@ -319,3 +326,60 @@ def member_geometric_by_fractions(rs, x, strict: bool) -> bool:
             if residual[b] < 0 or (strict and residual[b] == 0):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# general-instance ray points by exact solves, and wall rows from them
+
+
+def r_i_general_by_solve(inst, i: int, delta) -> tuple:
+    """cone.r_i_general as two exact solves over the form.
+
+    Solves: x orthogonal (under the form) to the kernel of nu_i . theta_star,
+    normalized by (nu_i . theta_star)(x) = nu_i(delta).
+    """
+    rs = inst.rs
+    n = rs.rank
+    comp = list(inst.composite(i))
+    if not any(comp):
+        raise DegenerateInstanceError(
+            f"nu_{i} . theta_star is identically zero; the ray direction is undefined"
+        )
+    target = nu_of(inst, i, delta)
+    kernel = exactla.solve_linear([comp], [Fraction(0)]).kernel
+    # (mu, x)_B as a row functional; the form is symmetric so B mu works.
+    rows = [exactla.mat_vec(rs.form, list(mu)) for mu in kernel]
+    rows.append(comp)
+    rhs = [Fraction(0)] * len(kernel) + [target]
+    try:
+        sol = exactla.solve_linear(rows, rhs)
+    except exactla.InconsistentSystemError:
+        raise DegenerateInstanceError(
+            f"no ray point for wall {i}: orthogonality system inconsistent"
+        ) from None
+    if sol.kernel:
+        raise DegenerateInstanceError(f"ray point for wall {i} is not unique")
+    return tuple(sol.particular)
+
+
+def general_member_systems_by_rays(inst, delta) -> tuple:
+    """cone.general_member_systems with each wall row built from the ray
+    point r_j: a strictly dominant lambda on the i-th wall sphere, strictly
+    inside every other wall sphere."""
+    rs = inst.rs
+    n = rs.rank
+    rays = [r_i_general_by_solve(inst, i, delta) for i in range(len(inst.nu))]
+    ct = exactla.mat_transpose(rs.cartan)
+    # (r_j - lam, r_j) >= 0 with equality exactly at j = i:
+    # functional -(B r_j), bound -(r_j, B r_j), the same for every i.
+    walls = []
+    for r in rays:
+        br = exactla.mat_vec(rs.form, r)
+        walls.append((tuple(-v for v in br), -exactla.vec_dot(r, br)))
+    systems = []
+    for i in range(len(rays)):
+        cons = [constraint(row, GT, 0) for row in ct]
+        for j, (f, bound) in enumerate(walls):
+            cons.append(constraint(f, EQ if j == i else GT, bound))
+        systems.append(ConeSystem(n, tuple(cons)))
+    return tuple(systems)

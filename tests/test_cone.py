@@ -4,6 +4,7 @@ polytopes, and pulled-back instances."""
 import dataclasses
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,12 @@ class TestDescription:
     def test_cached(self):
         rs = rootsys.build("E6")
         assert inequalities(rs) is inequalities(rs)
+
+    def test_one_cache_entry_per_call_form(self):
+        """A positional warm-up serves the keyword call of member's routes."""
+        rs = rootsys.build("E6")
+        assert inequalities(rs) is inequalities(rs, reduced=True)
+        assert inequalities(rs, False) is inequalities(rs, reduced=False)
 
 
 class TestRatio:
@@ -527,3 +534,187 @@ class TestBoundaryRules:
         assert nu_of(inst, 0, delta) == 0
         assert general_member(inst, delta) is True
         assert general_member(inst, support.zeros(len(delta))) is False
+
+
+# ---------------------------------------------------------------------------
+# closed-form ray points and u-identity wall rows against the solve oracle
+
+
+def oracle_mismatches(inst, shifts) -> list:
+    """(kind, wall, shift) wherever r_i_general, or the initial elimination
+    rows of a wall system, differ from the solve-over-the-form oracle."""
+    out = []
+    for delta in shifts:
+        for i in range(len(inst.nu)):
+            if r_i_general(inst, i, delta) != oracles.r_i_general_by_solve(inst, i, delta):
+                out.append(("ray", i, delta))
+        got = general_member_systems(inst, delta)
+        want = oracles.general_member_systems_by_rays(inst, delta)
+        for i, (g, w) in enumerate(zip(got, want, strict=True)):
+            if exactla._initial_rows(g) != exactla._initial_rows(w):
+                out.append(("rows", i, delta))
+    return out
+
+
+def canonical_shifts(rs, rng) -> list:
+    """A positive shift, one with a zero entry, and one with a single
+    nonzero entry: nu_j(delta) = delta_j on the canonical instance."""
+    n = rs.rank
+    positive = support.rand_positive_vec(rng, n)
+    one_zero = list(support.rand_positive_vec(rng, n))
+    one_zero[rng.randrange(n)] = F(0)
+    single = [F(0)] * n
+    single[rng.randrange(n)] = support.rand_fraction(rng, 1, 3, 7)
+    return [positive, tuple(one_zero), tuple(single)]
+
+
+def generated_instance(rng, label, walls, extra):
+    """(instance, shifts): an orientation-valid instance over label with the
+    given number of walls and shift dimension rank + extra.
+
+    nu is [I | R] with shuffled columns and theta_star is solved row by row
+    so that nu_a . theta_star = -l_a.  The shifts hit chosen wall heights
+    nu(delta): all positive, one zero, and all zero."""
+    rs = rootsys.build(label)
+    n, m = rs.rank, rs.rank + extra
+    assert walls <= m
+    fund, seen = [], set()
+    while len(fund) < walls:
+        f = tuple(rng.randint(-3, 0) for _ in range(n))
+        key = exactla.primitive(f)
+        if any(f) and key not in seen:
+            seen.add(key)
+            fund.append(f)
+    r = [[rng.randint(-2, 2) for _ in range(m - walls)] for _ in range(walls)]
+    free = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(m - walls)]
+    theta = [
+        tuple(-fund[a][k] - sum(rb * row[k] for rb, row in zip(r[a], free)) for k in range(n))
+        for a in range(walls)
+    ] + free
+    nu = [tuple(F(int(a == b)) for b in range(walls)) + tuple(map(F, r[a])) for a in range(walls)]
+    perm = list(range(m))
+    rng.shuffle(perm)
+    inst = GeneralCoterieInstance(
+        arr=arrmod.Arrangement(rs=rs, fundamental=tuple(fund)),
+        theta_star=tuple(theta[k] for k in perm),
+        nu=tuple(tuple(row[k] for k in perm) for row in nu),
+    )
+    heights = [support.rand_positive_vec(rng, walls, 3, 7)]
+    heights.append(tuple(F(0) if a == 0 else v for a, v in enumerate(heights[0])))
+    heights.append(support.zeros(walls))
+    shifts = []
+    for t in heights:
+        s = support.rand_vec(rng, m - walls, -2, 2, 5)
+        delta = [t[a] - sum(map(mul, r[a], s)) for a in range(walls)] + list(s)
+        shifts.append(tuple(delta[k] for k in perm))
+        assert tuple(nu_of(inst, a, shifts[-1]) for a in range(walls)) == tuple(t)
+    return inst, shifts
+
+
+# every family, rank <= 6; the non-simply-laced ones are where the form's
+# symmetrizers differ from 1
+GENERATED_LABELS = (
+    "A1", "A3", "A6", "B2", "B3", "B5", "C3", "C4", "C6", "D4", "D5", "E6", "F4", "G2"
+)
+NON_SIMPLY_LACED = tuple(label for label in GENERATED_LABELS if label[0] in "BCFG")
+
+
+def generated_instances(labels=GENERATED_LABELS, count=5):
+    rng = random.Random(71)
+    for label in labels:
+        rank = rootsys.parse_type(label).rank
+        for _ in range(count):
+            extra = rng.randint(0, 2)
+            # rank 1 has a single nonpositive direction
+            walls = 1 if rank == 1 else rng.randint(1, min(3, rank + extra))
+            yield label, generated_instance(rng, label, walls, extra)
+
+
+def mixes_root_lengths(inst) -> bool:
+    """Some wall functional is supported on both short and long roots,
+    the only case where the symmetrizers do not cancel."""
+    lengths = [row[k] for k, row in enumerate(inst.rs.form)]
+    return any(
+        len({lengths[k] for k, c in enumerate(h.functional) if c}) > 1 for h in inst.arr.fundamental
+    )
+
+
+class TestRaysAndWallRowsAgainstSolveOracle:
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_canonical_every_type(self, label):
+        rs = rootsys.build(label)
+        shifts = canonical_shifts(rs, random.Random(label))
+        assert oracle_mismatches(canonical_instance(rs), shifts) == []
+
+    def test_a2_shift_file(self):
+        inst = parse_instance((DATA / "instance_a2.txt").read_text())
+        rng = random.Random(12)
+        shifts = [(1, 1, 1), (0, 1, 1), (1, 0, 1), (2, 1, 3)]
+        shifts += [support.rand_vec(rng, 3, 0, 3, 9) for _ in range(12)]
+        assert oracle_mismatches(inst, shifts) == []
+
+    def test_generated_instances(self):
+        for label, (inst, shifts) in generated_instances():
+            assert oracle_mismatches(inst, shifts) == [], label
+
+    def test_generated_witnesses_match(self):
+        """Same initial rows give the same eliminations: the verdicts and
+        witnesses of both routes agree (rank <= 6)."""
+        verdicts = set()
+        for label, (inst, shifts) in generated_instances(count=2):
+            for delta in shifts:
+                got = general_member_systems(inst, delta)
+                want = oracles.general_member_systems_by_rays(inst, delta)
+                for g, w in zip(got, want, strict=True):
+                    fg = exactla.feasible(g)
+                    assert fg == exactla.feasible(w), (label, delta)
+                    verdicts.add(fg.feasible)
+        assert verdicts == {True, False}
+
+    def test_no_solve_and_no_form(self, monkeypatch):
+        """The ray points need no solve; the wall systems not even the form."""
+
+        def refuse(*args):
+            raise AssertionError("the general route called a Fraction solve or product")
+
+        monkeypatch.setattr(exactla, "solve_linear", refuse)
+        monkeypatch.setattr(exactla, "mat_vec", refuse)
+        inst = parse_instance((DATA / "instance_a2.txt").read_text())
+        assert r_i_general(inst, 0, (1, 1, 3)) == (F(2), F(1))
+        no_form = dataclasses.replace(inst.rs, form=None)
+        inst = dataclasses.replace(inst, arr=dataclasses.replace(inst.arr, rs=no_form))
+        assert general_member(inst, (1, 1, 3)) is True
+        assert general_member(inst, (2, 1, 3)) is False
+
+    def test_dropped_symmetrizers_are_caught(self, monkeypatch):
+        """u = weights . c instead of weights . e: the scaling cancels on the
+        unit functionals of canonical instances, so only generated
+        instances over B, C, F and G show it."""
+        monkeypatch.setattr(rootsys, "symmetrizers", lambda rs: (1,) * rs.rank)
+        for label in ("B3", "C4", "F4", "G2"):
+            rs = rootsys.build(label)
+            shifts = canonical_shifts(rs, random.Random(3))
+            assert oracle_mismatches(canonical_instance(rs), shifts) == []
+        mixed = 0
+        for label, (inst, shifts) in generated_instances(NON_SIMPLY_LACED):
+            if mixes_root_lengths(inst):
+                mixed += 1
+                assert {kind for kind, _, _ in oracle_mismatches(inst, shifts)} == {"ray"}, label
+        assert mixed > 10
+
+    def test_dropped_nu_factor_is_caught(self, monkeypatch):
+        """The row u_j(lam) > 0 instead of nu_j(delta) u_j(lam) > 0 is the
+        same row while nu_j(delta) > 0, so only zero wall heights show it."""
+        monkeypatch.setattr(cone, "_wall_row", lambda functional, nu: (functional, -nu))
+        for label in ("A2", "B3", "G2"):
+            rs = rootsys.build(label)
+            positive, *with_zero = canonical_shifts(rs, random.Random(4))
+            inst = canonical_instance(rs)
+            assert oracle_mismatches(inst, [positive]) == []
+            for delta in with_zero:
+                assert {kind for kind, _, _ in oracle_mismatches(inst, [delta])} == {"rows"}
+        for label, (inst, shifts) in generated_instances(count=2):
+            assert oracle_mismatches(inst, shifts[:1]) == []
+            assert len(oracle_mismatches(inst, shifts[1:])) >= len(inst.nu), label
+        inst = single_wall_instance("A1", (-1,), ((1,), (1,)), (1, 0))
+        assert general_member(inst, (0, 5)) is False
