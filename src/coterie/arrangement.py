@@ -7,6 +7,9 @@ Functionals are kept exactly as supplied: the classifying map reads its
 saturation constants off the raw rows, so a scaled functional 3l is
 meaningful data, while the Weyl orbit output is canonicalized to
 gcd-reduced representatives (sign preserved - it is the orientation).
+Whether an orbit outgrows its cap is decided by counting it
+(orbit_size: |W| / |W_J| per fundamental member, W_J the parabolic
+stabilizer), so a capped orbit is never enumerated.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, prod
 from typing import Optional, Union
 
 from . import exactla, rootsys
@@ -118,18 +121,95 @@ def _reflection_updates(rs: rootsys.RootSystem) -> tuple:
     return tuple(out)
 
 
+def _stabilizer(f) -> tuple:
+    """Nodes k with f_k = 0. For f in the closed chamber (every entry <= 0)
+    its stabilizer is the standard parabolic subgroup on these nodes
+    (Humphreys 1990, Thm 1.12)."""
+    return tuple(k for k, c in enumerate(f) if c == 0)
+
+
+@lru_cache(maxsize=None)
+def _highest_root(cartan: tuple) -> tuple:
+    """Simple-root coefficients of the highest root of a connected integer
+    Cartan matrix, by root strings taken one height at a time: beta + alpha_i
+    is a root iff p > <beta, alpha_i^v>, where p counts the roots
+    beta - alpha_i, beta - 2 alpha_i, ... below beta."""
+    k = len(cartan)
+    layer = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    roots = set(layer)
+    while True:
+        above = []
+        for beta in layer:
+            for i in range(k):
+                down = list(beta)
+                down[i] -= 1
+                p = 0
+                while tuple(down) in roots:
+                    p += 1
+                    down[i] -= 1
+                if p > sum(b * row[i] for b, row in zip(beta, cartan)):
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if up not in roots:
+                        roots.add(up)
+                        above.append(up)
+        if not above:
+            # a connected system has one root of greatest height
+            return layer[0]
+        layer = above
+
+
+def _det(m) -> int:
+    """|det m| of a nonsingular integer matrix: the last Bareiss pivot."""
+    return abs(kernels.eliminate(m)[2])
+
+
+def _parabolic_order(rs: rootsys.RootSystem, nodes) -> int:
+    """|W_X| of the standard parabolic subgroup on the nodes X: the product
+    over the connected Dynkin components of X of k! c_1...c_k det C, with c
+    the highest-root coefficients and C the component's Cartan matrix
+    (Bourbaki, Lie Groups and Lie Algebras, Ch. VI 2)."""
+    rest = set(nodes)
+    order = 1
+    while rest:
+        comp = [rest.pop()]
+        for a in comp:
+            linked = {j for i, j in rs.edges if i == a} | {i for i, j in rs.edges if j == a}
+            comp.extend(linked & rest)
+            rest -= linked
+        comp.sort()
+        cartan = tuple(tuple(rs.cartan[i][j] for j in comp) for i in comp)
+        order *= factorial(len(comp)) * prod(_highest_root(cartan)) * _det(cartan)
+    return order
+
+
+def orbit_size(arr: Arrangement) -> int:
+    """Number of members of the Weyl orbit of arr.fundamental, by counting.
+
+    Every fundamental functional lies in the closed chamber of the right
+    action f -> f s_k, so its orbit has |W| / |W_J| members, J its zero
+    nodes; distinct gcd-reduced chamber points lie in distinct orbits, so
+    the sizes add.
+    """
+    rs = arr.rs
+    order = _parabolic_order(rs, range(rs.rank))
+    return sum(order // _parabolic_order(rs, _stabilizer(h.functional)) for h in arr.fundamental)
+
+
 def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
     """Close the fundamental functionals under all simple reflections.
 
     Members are deduplicated as gcd-reduced (sign-preserving) integer
     functionals. A reflection is an integer involution, so it maps a
     reduced functional to a reduced one and its image needs no second
-    reduction. If the orbit exceeds cap the returned Arrangement carries
-    the IMPLICIT marker and the partial size explored, which is at most cap.
+    reduction. Whether the orbit exceeds cap is decided first by counting
+    (orbit_size), without enumerating: if it does, the returned Arrangement
+    carries the IMPLICIT marker and partial_size = cap, the number of
+    members an enumeration would hold when it hit the cap. An orbit that
+    fits is enumerated in full.
     """
     updates = _reflection_updates(arr.rs)
     seen = {kernels._reduce_row(h.functional, 0)[0] for h in arr.fundamental}
-    if len(seen) > cap:
+    if len(seen) > cap or orbit_size(arr) > cap:
         return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=cap)
     queue = list(seen)
     while queue:
@@ -140,6 +220,8 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
                 g[j] += f[k] * c
             g = tuple(g)
             if g not in seen:
+                # not reached while orbit_size is exact; it still bounds
+                # the set if the count were ever wrong
                 if len(seen) >= cap:
                     return Arrangement(
                         rs=arr.rs,

@@ -238,6 +238,45 @@ def _verdict(eq_rows, ineq_rows) -> bool:
     return True
 
 
+def _back_substitute(steps, dim: int) -> tuple:
+    """Rebuild a witness from feasible's elimination steps, last step first:
+    an equality pivot fixes its variable, a Fourier-Motzkin step picks the
+    midpoint of the variable's interval, or bound +/- 1 on an unbounded side."""
+    witness = [Fraction(0)] * dim
+    assigned = []
+    for var, kind, payload in reversed(steps):
+        if kind == "eq":
+            coeffs, bound = payload
+            rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
+            witness[var] = (Fraction(bound) - rest) / coeffs[var]
+        else:
+            # If lo == hi below, both bounds are weak: a strict pair at equal
+            # value combines to an unsatisfiable verdict row, caught earlier.
+            lo = hi = None
+            for coeffs, bound, strict in payload:
+                c = coeffs[var]
+                if c == 0:
+                    continue
+                rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
+                value = (Fraction(bound) - rest) / c
+                if c > 0:
+                    if lo is None or value > lo:
+                        lo = value
+                else:
+                    if hi is None or value < hi:
+                        hi = value
+            if lo is None and hi is None:
+                witness[var] = Fraction(0)
+            elif hi is None:
+                witness[var] = lo + 1
+            elif lo is None:
+                witness[var] = hi - 1
+            else:
+                witness[var] = (lo + hi) / 2
+        assigned.append(var)
+    return tuple(witness)
+
+
 def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Optional[Sequence[int]] = None) -> Feasibility:
     """Exact feasibility of a mixed strict/weak/equality system.
 
@@ -245,8 +284,10 @@ def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Opti
     mentions the variable, otherwise by a Fourier-Motzkin step (a derived
     inequality is strict iff at least one parent is). On success the witness
     is rebuilt by back-substitution, taking the midpoint of each bounded
-    interval and bound +/- 1 on unbounded sides. Raises ResourceCapError if
-    an intermediate system exceeds max_rows rows.
+    interval and bound +/- 1 on unbounded sides, and checked against the
+    system's cleared integer rows (ConeSystem.satisfies); a witness that
+    fails them raises AssertionError. Raises ResourceCapError if an
+    intermediate system exceeds max_rows rows.
     """
     dim = system.dim
     elim_order = list(range(dim - 1, -1, -1)) if order is None else list(order)
@@ -286,40 +327,7 @@ def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Opti
             ineq_rows = kernels.fm_step(ineq_rows, var)
     if not _verdict(eq_rows, ineq_rows):
         return Feasibility(False, None)
-    witness = [Fraction(0)] * dim
-    assigned = []
-    for var, kind, payload in reversed(steps):
-        if kind == "eq":
-            coeffs, bound = payload
-            rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
-            witness[var] = (Fraction(bound) - rest) / coeffs[var]
-        else:
-            # If lo == hi below, both bounds are weak: a strict pair at equal
-            # value combines to an unsatisfiable verdict row, caught earlier.
-            lo = hi = None
-            for coeffs, bound, strict in payload:
-                c = coeffs[var]
-                if c == 0:
-                    continue
-                rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
-                value = (Fraction(bound) - rest) / c
-                if c > 0:
-                    if lo is None or value > lo:
-                        lo = value
-                else:
-                    if hi is None or value < hi:
-                        hi = value
-            if lo is None and hi is None:
-                witness[var] = Fraction(0)
-            elif hi is None:
-                witness[var] = lo + 1
-            elif lo is None:
-                witness[var] = hi - 1
-            else:
-                witness[var] = (lo + hi) / 2
-        assigned.append(var)
-    witness = tuple(witness)
-    for c in system.constraints:
-        if not c.holds(witness):
-            raise AssertionError("internal error: witness fails its own system")
+    witness = _back_substitute(steps, dim)
+    if not system.satisfies(witness):
+        raise AssertionError("internal error: witness fails its own system")
     return Feasibility(True, witness)

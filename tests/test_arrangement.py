@@ -3,6 +3,7 @@ classifying map."""
 
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import oracles
@@ -159,7 +160,10 @@ class TestSparseOrbitAgainstDense:
         if orbit.full == IMPLICIT:
             assert label in {"B11", "B12", "C11", "C12", "D11", "D12", "E8"}
             return
-        assert orbit == oracles.weyl_orbit_dense(arr)
+        dense = oracles.weyl_orbit_dense(arr)
+        assert orbit == dense
+        # the count that decides the cap agrees with the enumerated orbit
+        assert arrmod.orbit_size(arr) == len(dense.full)
 
     @pytest.mark.parametrize("label", ["A3", "B4", "D5", "F4", "G2"])
     def test_same_orbit_generic(self, label):
@@ -191,6 +195,106 @@ class TestSparseOrbitAgainstDense:
         updates[1][0] = (k, j, c + 1)
         monkeypatch.setattr(arrmod, "_reflection_updates", lambda _: tuple(map(tuple, updates)))
         assert weyl_orbit(arr, cap=1000) != oracles.weyl_orbit_dense(arr, cap=1000)
+
+
+def weyl_group_order(stype):
+    """|W| from the classical table."""
+    n = stype.rank
+    if stype.family == "A":
+        return factorial(n + 1)
+    if stype.family in "BC":
+        return 2**n * factorial(n)
+    if stype.family == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}[str(stype)]
+
+
+def zero_entry_arrangement(label, seed):
+    """One to three fundamental functionals with entries in {0, ..., -3},
+    each with at least one zero entry, so every member has a nontrivial
+    parabolic stabilizer; rank >= 2."""
+    rs = rootsys.build(label)
+    rng = random.Random(seed)
+    count = rng.randint(1, min(3, rs.rank))
+    fund = {}
+    while len(fund) < count:
+        f = [-rng.randint(0, 3) for _ in range(rs.rank)]
+        f[rng.randrange(rs.rank)] = 0
+        if any(f):
+            fund.setdefault(_reduce_row(tuple(f), 0)[0], tuple(f))
+    return Arrangement(rs=rs, fundamental=tuple(fund.values()))
+
+
+SMALL_TYPES = [str(t) for t in rootsys.all_types(max_rank=6) if t.rank >= 2]
+
+
+def size_mismatches(arrs, cap=5000):
+    """The arrangements whose orbit_size disagrees with the dense
+    enumeration: a different size where the orbit fits cap, a size within
+    cap where the enumeration outgrew it."""
+    out = []
+    for arr in arrs:
+        dense = oracles.weyl_orbit_dense(arr, cap)
+        size = arrmod.orbit_size(arr)
+        if (size <= cap) if dense.full == IMPLICIT else (size != len(dense.full)):
+            out.append(arr)
+    return out
+
+
+class TestOrbitSize:
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_weyl_group_order(self, label):
+        """A functional with no zero entry has a trivial stabilizer, so its
+        orbit has |W| members."""
+        rs = rootsys.build(label)
+        regular = Arrangement(rs=rs, fundamental=((-1,) * rs.rank,))
+        assert arrmod.orbit_size(regular) == weyl_group_order(rs.stype)
+
+    @pytest.mark.parametrize("label", SMALL_TYPES)
+    def test_zero_entries_match_enumeration(self, label):
+        arrs = [zero_entry_arrangement(label, seed) for seed in range(3)]
+        assert not size_mismatches(arrs)
+        for arr in arrs:
+            assert weyl_orbit(arr, 5000) == oracles.weyl_orbit_dense(arr, 5000)
+
+    def test_generic_matches_enumeration(self):
+        assert not size_mismatches([generic_arrangement(label, seed=11) for label in SMALL_TYPES])
+
+    def test_detects_dropped_det(self, monkeypatch):
+        arrs = [canonical_arrangement(rootsys.build(label)) for label in SMALL_TYPES]
+        assert not size_mismatches(arrs)
+        monkeypatch.setattr(arrmod, "_det", lambda m: 1)
+        assert size_mismatches(arrs)
+
+    def test_detects_ignored_zero_entries(self, monkeypatch):
+        arrs = [zero_entry_arrangement(label, 0) for label in SMALL_TYPES]
+        assert not size_mismatches(arrs)
+        monkeypatch.setattr(arrmod, "_stabilizer", lambda f: ())
+        assert size_mismatches(arrs)
+
+
+class TestCapBoundary:
+    """A cap equal to the orbit size enumerates it all; one less reports
+    IMPLICIT at the cap. Both agree with the dense enumeration."""
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            canonical_arrangement(rootsys.build("F4")),
+            canonical_arrangement(rootsys.build("E6")),
+            zero_entry_arrangement("B4", 0),
+            generic_arrangement("A3", seed=11),
+        ],
+        ids=["F4", "E6", "B4-zero", "A3-generic"],
+    )
+    def test_cap_at_and_below_size(self, arr):
+        size = len(oracles.weyl_orbit_dense(arr).full)
+        at = weyl_orbit(arr, cap=size)
+        assert at.full != IMPLICIT and len(at.full) == size
+        assert at == oracles.weyl_orbit_dense(arr, cap=size)
+        below = weyl_orbit(arr, cap=size - 1)
+        assert below.full == IMPLICIT and below.partial_size == size - 1
+        assert below == oracles.weyl_orbit_dense(arr, cap=size - 1)
 
 
 class TestClassifyingMap:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import pytest
 
 from coterie import cli
@@ -241,6 +242,29 @@ class TestArrangement:
         code, out, _ = run_cli(capsys, "arrangement", "E6", "--orbit-cap", "3")
         assert code == 0
         assert "orbit: capped (explored 3)" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "cap, line, orbit",
+        [
+            ("240", "orbit size 240", {"capped": False, "size": 240}),
+            ("239", "orbit: capped (explored 239)", {"capped": True, "explored": 239}),
+        ],
+    )
+    def test_orbit_cap_boundary(self, capsys, monkeypatch, cap, line, orbit):
+        """F4's canonical orbit has 240 members: a cap of 240 reports it in
+        full, 239 reports it capped at the cap; both as the dense
+        enumeration reports them."""
+        plain = ["arrangement", "F4", "--orbit-cap", cap]
+        json_argv = plain + ["--format", "json"]
+        code, out, _ = run_cli(capsys, *plain)
+        assert code == 0
+        assert line in out.splitlines()
+        code, out_json, _ = run_cli(capsys, *json_argv)
+        assert code == 0
+        assert json.loads(out_json)["orbit"] == orbit
+        monkeypatch.setattr(cli.arrmod, "weyl_orbit", oracles.weyl_orbit_dense)
+        assert run_cli(capsys, *plain) == (0, out, "")
+        assert run_cli(capsys, *json_argv) == (0, out_json, "")
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "arrangement", "G2", "--format", "json")

@@ -385,6 +385,27 @@ class TestFeasible:
         with pytest.raises(ResourceCapError):
             feasible(system, max_rows=5)
 
+    @pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(1), Fraction(-1, 2)])
+    def test_perturbed_witness_raises(self, monkeypatch, shift):
+        """Planted defect: a witness moved onto or past a bound of
+        {x > 0, x < 1} (1/2 is the honest one) fails the integer re-check."""
+        system = ConeSystem(1, (constraint([1], GT, 0), constraint([-1], GT, -1)))
+        honest = exactla._back_substitute
+        monkeypatch.setattr(
+            exactla, "_back_substitute", lambda steps, dim: (honest(steps, dim)[0] + shift,)
+        )
+        with pytest.raises(AssertionError, match="witness fails its own system"):
+            feasible(system)
+
+    def test_dropped_fm_row_caught_by_witness_check(self, monkeypatch):
+        """Planted defect: an elimination that loses its derived row x0 > 5
+        leaves x0 free, so the rebuilt x1 misses x0 - x1 > 0."""
+        system = ConeSystem(2, (constraint([1, -1], GT, 0), constraint([0, 1], GT, 5)))
+        assert feasible(system).feasible
+        monkeypatch.setattr(exactla.kernels, "fm_step", lambda rows, var: [])
+        with pytest.raises(AssertionError, match="witness fails its own system"):
+            feasible(system)
+
     @given(system=small_system())
     @settings(max_examples=120)
     def test_witness_satisfies_system(self, system):
