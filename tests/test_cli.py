@@ -36,6 +36,20 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / f"inequalities_{label}_latex.txt").read_text()
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "latex"])
+    @pytest.mark.parametrize("label", ["B4", "F4", "G2"])
+    def test_rays(self, capsys, label, fmt):
+        code, out, _ = run_cli(capsys, "rays", label, "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"rays_{label}_{fmt}.txt").read_text()
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("label", ["D5", "F4"])
+    def test_faces(self, capsys, label, fmt):
+        code, out, _ = run_cli(capsys, "faces", label, "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"faces_{label}_{fmt}.txt").read_text()
+
 
 class TestInequalities:
     def test_anchor_chains_present(self, capsys):
