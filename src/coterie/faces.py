@@ -7,16 +7,25 @@ there are 3^(n-1) orientations; the fully oriented ones cut out the
 2^(n-1) extremal rays.
 
 The lattice is compared against the face lattice of an (n-1)-cube built
-the blunt way, as explicit vertex subsets ordered by inclusion.  Both
-orders are compared as complete relations, one down-set bitset (a Python
-int over the 3^(n-1) faces) per face: under arrow erasure the faces below
-f are those that agree with f on each edge f orients, the AND of one
-per-edge state mask per oriented edge; under inclusion they are those
-that avoid every cube vertex f misses, the AND over those vertices of
-NOT(faces containing the vertex).  Nothing assumes the product structure
-of the cube.  The orientation-to-face map is then certified geometrically
-through exact integer ranks and per-face interior points; that rank pass
-also yields the face dimensions (face_dimensions).
+the blunt way, as explicit vertex subsets ordered by inclusion: each cube
+face is the set {pinned | s : s a subset of its free bits} over the 2^m
+vertices, m = n-1.  Both orders are compared as complete relations, one
+down-set bitset (a Python int over the 3^(n-1) faces) per face: under
+arrow erasure the faces below f are those that agree with f on each edge f
+orients, the AND of one per-edge state mask per oriented edge; under
+inclusion they are those that avoid every cube vertex f misses, the
+complement of the OR over those vertices of the faces containing the
+vertex.  That OR is read four vertices at a time from 16-entry tables, one
+per 4-bit chunk of the vertex mask (the "four Russians" trick).  Nothing
+assumes the product structure of the cube.
+
+The orientation-to-face map is then certified geometrically through
+exact integer ranks and per-face interior points; that rank pass also
+yields the face dimensions (face_dimensions).  The interior point of a
+face is the sum of the rays of all full orientings of its neutral edges,
+built face by face from the recurrence point(g) = point(g with its first
+neutral edge '<') + point(g with it '>'), and its tight edge inequalities
+must reproduce the orientation exactly.
 
 Each extremal ray is built in O(n) by propagating its edge ratios from
 node 0 along the Dynkin tree, then checked in integers against its
@@ -42,6 +51,7 @@ RIGHT = ">"
 STATES = (LEFT, NEUTRAL, RIGHT)
 
 CUBE_RANK_BOUND = 9
+NIBBLE = 4  # vertices per down-set table chunk: 16 entries a table
 
 
 @dataclass(frozen=True)
@@ -177,17 +187,23 @@ def _propagate_ray(rs: rootsys.RootSystem, states) -> tuple:
 
 
 def _normalize_ray(k) -> tuple:
-    # integer vector k: last coordinate scaled to 1 when possible, else
-    # primitive with positive leading entry
+    """(v, ints) for a nonzero integer vector k: v is k with its last
+    coordinate scaled to 1 when possible, else primitive with positive
+    leading entry; ints is a positive integer multiple of v."""
+    if k[-1] < 0:
+        k = [-c for c in k]
     if k[-1] != 0:
-        return tuple(Fraction(c, k[-1]) for c in k)
-    return exactla.primitive(k)
+        return tuple(Fraction(c, k[-1]) for c in k), tuple(k)
+    v = exactla.primitive(k)
+    return v, v
 
 
 def extremal_rays(rs: rootsys.RootSystem) -> tuple:
     """One ray per fully oriented diagram, in the enumeration order of
     all_orientations; violations of the expected geometry are attached as
-    anomalies, never dropped."""
+    anomalies, never dropped.  The checks run on a positive integer
+    multiple of the ray, which has the same signs and, the cone being
+    invariant under positive scaling, the same memberships."""
     n = rs.rank
     rows = [_edge_rows(rs, i, j) for i, j in rs.edges]
     out = []
@@ -197,17 +213,17 @@ def extremal_rays(rs: rootsys.RootSystem) -> tuple:
         if ints is None:
             out.append(ExtremalRay(orientation=f, vector=None, anomalies=(broken,)))
             continue
-        v = _normalize_ray(ints)
+        v, ints = _normalize_ray(ints)
         anomalies = []
         for (i, j), (fwd, bwd), state in zip(rs.edges, rows, states):
             row = fwd if state == RIGHT else bwd
             if sum(map(mul, row, ints)) != 0:
                 anomalies.append(f"ray {v} violates the equality on edge ({i + 1}, {j + 1})")
-        if any(c <= 0 for c in v):
+        if any(c <= 0 for c in ints):
             anomalies.append(f"ray {v} leaves the positive orthant")
-        if not cone.member(rs, v, "closed", "edges"):
+        if not cone.member(rs, ints, "closed", "edges"):
             anomalies.append(f"ray {v} is outside the closed cone")
-        if n > 1 and cone.member(rs, v, "open", "edges"):
+        if n > 1 and cone.member(rs, ints, "open", "edges"):
             # rank 1 is the degenerate case where the only ray is interior
             anomalies.append(f"ray {v} is interior, expected boundary")
         out.append(ExtremalRay(orientation=f, vector=v, anomalies=tuple(anomalies)))
@@ -234,19 +250,23 @@ def poset_order(f: Orientation, g: Orientation) -> bool:
 
 def _cube_vertex_sets(m: int) -> list:
     """Faces of the m-cube in the enumeration order of all_orientations,
-    each as a bitmask over the 2^m vertices ('<' pins 0, '>' pins 1)."""
+    each as a bitmask over the 2^m vertices ('<' pins 0, '>' pins 1): the
+    vertices pinned | s for every subset s of the neutral positions."""
     sets = []
     for states in product(STATES, repeat=m):
-        care = pinned = 0
+        free = pinned = 0
         for pos, s in enumerate(states):
-            if s != NEUTRAL:
-                care |= 1 << pos
-                if s == RIGHT:
-                    pinned |= 1 << pos
+            if s == NEUTRAL:
+                free |= 1 << pos
+            elif s == RIGHT:
+                pinned |= 1 << pos
         vs = 0
-        for v in range(1 << m):
-            if v & care == pinned:
-                vs |= 1 << v
+        sub = free
+        while True:  # every subset of free, from free down to 0
+            vs |= 1 << (pinned | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
         sets.append(vs)
     return sets
 
@@ -271,29 +291,47 @@ def _rule_downsets(orients) -> list:
     return out
 
 
+def _vertex_tables(containing, width: int) -> list:
+    """One table per NIBBLE-vertex chunk of a vertex mask of the given bit
+    width: entry t of chunk c is the OR of containing[v] over the vertices
+    v = NIBBLE c + b with bit b set in t.  Each entry extends the entry
+    without its lowest bit by one OR."""
+    tables = []
+    for base in range(0, width, NIBBLE):
+        table = [0] * (1 << NIBBLE)
+        for t in range(1, 1 << NIBBLE):
+            low = t & -t
+            table[t] = table[t ^ low] | containing.get(low << base, 0)
+        tables.append(table)
+    return tables
+
+
 def _cube_downsets(vertex_sets) -> list:
     """Per face F, the bitset of faces G whose vertex set lies inside F's:
-    G must avoid every vertex F misses, so the set is the AND over those
-    vertices of NOT(faces containing the vertex), taken here as the
-    complement of one OR."""
+    G must avoid every vertex F misses, so the set is the complement of the
+    OR over those vertices of the faces containing the vertex.  That OR is
+    read NIBBLE vertices at a time from precomputed tables (the "four
+    Russians" trick of Arlazarov, Dinic, Kronrod and Faradzev 1970)."""
     size = len(vertex_sets)
     everything = (1 << size) - 1
-    containing = {}  # vertex -> faces containing it
+    containing = {}  # vertex bit -> faces containing the vertex
     cube = 0
     for index, vs in enumerate(vertex_sets):
         cube |= vs
+        bit = 1 << index
         while vs:
             low = vs & -vs
-            containing[low] = containing.get(low, 0) | (1 << index)
+            containing[low] = containing.get(low, 0) | bit
             vs ^= low
+    tables = _vertex_tables(containing, cube.bit_length())
+    chunk = (1 << NIBBLE) - 1
     out = []
     for vs in vertex_sets:
         missing = cube & ~vs
         meets_missing = 0
-        while missing:
-            low = missing & -missing
-            meets_missing |= containing[low]
-            missing ^= low
+        for table in tables:
+            meets_missing |= table[missing & chunk]
+            missing >>= NIBBLE
         out.append(everything & ~meets_missing)
     return out
 
@@ -309,29 +347,36 @@ def _first_disagreement(a, b) -> int:
     return -1
 
 
-def _interior_point(rays_by_states, g: Orientation):
-    """Sum of the rays of all full orientings of g's neutral edges; lands in
-    the relative interior of face_of(g).  Expects integer ray vectors."""
-    total = None
-    neutral_positions = [p for p, s in enumerate(g.states) if s == NEUTRAL]
-    for combo in product((LEFT, RIGHT), repeat=len(neutral_positions)):
-        states = list(g.states)
-        for p, s in zip(neutral_positions, combo):
-            states[p] = s
-        v = rays_by_states[tuple(states)]
-        total = v if total is None else tuple(map(add, total, v))
-    return total
+def _split(states, pos) -> tuple:
+    """states with the edge at pos set to '<' and to '>'."""
+    head, tail = states[:pos], states[pos + 1 :]
+    return head + (LEFT,) + tail, head + (RIGHT,) + tail
 
 
-def _tight_states(rs: rootsys.RootSystem, point) -> Optional[tuple]:
-    """Which edge inequalities the integer point makes tight; None if the
-    point is not strictly positive or is tight in both directions of one
-    edge."""
+def _interior_points(rays_by_states, orients) -> dict:
+    """Per orientation g (keyed by its states), the sum of the rays of all
+    full orientings of g's neutral edges, which lies in the relative
+    interior of g's face.  Those orientings split by the state of g's
+    first neutral edge, so the sum is point(g with it '<') + point(g with
+    it '>'): one vector add per face, children before parents.  Expects
+    integer ray vectors."""
+    points = dict(rays_by_states)
+    for o in sorted(orients, key=lambda o: o.states.count(NEUTRAL)):
+        if o.fully_oriented:
+            continue
+        lo, hi = _split(o.states, o.states.index(NEUTRAL))
+        points[o.states] = tuple(map(add, points[lo], points[hi]))
+    return points
+
+
+def _tight_states(edge_rows, point) -> Optional[tuple]:
+    """Which edge inequalities the integer point makes tight, given the
+    (forward, backward) rows of every edge; None if the point is not
+    strictly positive or is tight in both directions of one edge."""
     if any(c <= 0 for c in point):
         return None
     states = []
-    for i, j in rs.edges:
-        fwd, bwd = _edge_rows(rs, i, j)
+    for fwd, bwd in edge_rows:
         vf = sum(map(mul, fwd, point))
         vb = sum(map(mul, bwd, point))
         if vf < 0 or vb < 0:
@@ -389,8 +434,6 @@ def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND)
         if ray.anomalies or ray.vector is None:
             return False
         rays_by_states[ray.orientation.states] = exactla.clear_row(ray.vector)
-    for o in orients:
-        point = _interior_point(rays_by_states, o)
-        if _tight_states(rs, point) != o.states:
-            return False
-    return True
+    points = _interior_points(rays_by_states, orients)
+    edge_rows = [_edge_rows(rs, i, j) for i, j in rs.edges]
+    return all(_tight_states(edge_rows, points[o.states]) == o.states for o in orients)

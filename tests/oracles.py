@@ -8,8 +8,9 @@ data), so agreement is a genuine two-route check.
 
 The second half keeps the slower, direct routes that the library replaced
 by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
-the pairwise comparison of the face order with the cube order, extremal
-rays as Fraction nullspace solves, the Weyl orbit closed by dense matrix
+the pairwise comparison of the face order with the cube order, the cube's
+vertex sets, down-sets and interior points built one vertex or ray at a
+time, extremal rays as Fraction nullspace solves, the Weyl orbit closed by dense matrix
 products, the geometric membership test on Fraction vectors, and the
 general-instance ray points solved over the form, with the wall rows
 built from them.  They run on the package's own data, so they check the
@@ -21,7 +22,7 @@ weights, and the ray points read the form, not the weights.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import add, mul
 
 import sympy
 
@@ -219,11 +220,75 @@ def _cube_triples(m: int) -> list:
     """Encode vertex-set inclusion in the kernels' (n, r, l) comparison.
     The n slot tests subset as-is, so (vs, 0, 0) makes the order literal
     inclusion of vertex sets."""
-    return [(vs, 0, 0) for vs in faces._cube_vertex_sets(m)]
+    return [(vs, 0, 0) for vs in cube_vertex_sets_by_scan(m)]
 
 
 def _order_pairs_disagree(rule_triples, cube_triples) -> int:
     return _kernels_py.order_pairs_disagree(rule_triples, cube_triples)
+
+
+# ---------------------------------------------------------------------------
+# cube faces, down-sets and interior points, one vertex or ray at a time
+
+
+def cube_vertex_sets_by_scan(m: int) -> list:
+    """Faces of the m-cube in the enumeration order of all_orientations,
+    each as a bitmask over the 2^m vertices ('<' pins 0, '>' pins 1)."""
+    sets = []
+    for states in product(faces.STATES, repeat=m):
+        care = pinned = 0
+        for pos, s in enumerate(states):
+            if s != NEUTRAL:
+                care |= 1 << pos
+                if s == RIGHT:
+                    pinned |= 1 << pos
+        vs = 0
+        for v in range(1 << m):
+            if v & care == pinned:
+                vs |= 1 << v
+        sets.append(vs)
+    return sets
+
+
+def cube_downsets_by_vertex(vertex_sets) -> list:
+    """Per face F, the bitset of faces G whose vertex set lies inside F's:
+    G must avoid every vertex F misses, so the set is the AND over those
+    vertices of NOT(faces containing the vertex), taken here as the
+    complement of one OR."""
+    size = len(vertex_sets)
+    everything = (1 << size) - 1
+    containing = {}  # vertex -> faces containing it
+    cube = 0
+    for index, vs in enumerate(vertex_sets):
+        cube |= vs
+        while vs:
+            low = vs & -vs
+            containing[low] = containing.get(low, 0) | (1 << index)
+            vs ^= low
+    out = []
+    for vs in vertex_sets:
+        missing = cube & ~vs
+        meets_missing = 0
+        while missing:
+            low = missing & -missing
+            meets_missing |= containing[low]
+            missing ^= low
+        out.append(everything & ~meets_missing)
+    return out
+
+
+def interior_point_by_sum(rays_by_states, g: Orientation):
+    """Sum of the rays of all full orientings of g's neutral edges; lands in
+    the relative interior of face_of(g).  Expects integer ray vectors."""
+    total = None
+    neutral_positions = [p for p, s in enumerate(g.states) if s == NEUTRAL]
+    for combo in product((LEFT, RIGHT), repeat=len(neutral_positions)):
+        states = list(g.states)
+        for p, s in zip(neutral_positions, combo):
+            states[p] = s
+        v = rays_by_states[tuple(states)]
+        total = v if total is None else tuple(map(add, total, v))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +319,7 @@ def extremal_rays_by_solve(rs) -> tuple:
             anomalies.append(f"equality system has kernel dimension {len(kernel)}")
             out.append(ExtremalRay(orientation=f, vector=None, anomalies=tuple(anomalies)))
             continue
-        v = faces._normalize_ray(kernel[0])
+        v = faces._normalize_ray(kernel[0])[0]
         if any(c <= 0 for c in v):
             anomalies.append(f"ray {v} leaves the positive orthant")
         if not cone.member(rs, v, "closed", "edges"):

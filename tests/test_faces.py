@@ -137,9 +137,7 @@ class TestPosetOrder:
         by_states = rays_by_states(rs)
         orients = all_orientations(rs)
         systems = {o.states: face_of(rs, o).system for o in orients}
-        interiors = {
-            o.states: faces._interior_point(by_states, o) for o in orients
-        }
+        interiors = faces._interior_points(by_states, orients)
         for f in orients:
             for g in orients:
                 geometric = systems[f.states].satisfies(interiors[g.states])
@@ -353,11 +351,144 @@ class TestCubeIsomorphism:
     def test_interior_points_realize_orientations(self):
         rs = rootsys.build("A3")
         by_states = rays_by_states(rs)
-        for o in all_orientations(rs):
-            p = faces._interior_point(by_states, o)
-            assert faces._tight_states(rs, p) == o.states
+        orients = all_orientations(rs)
+        points = faces._interior_points(by_states, orients)
+        edge_rows = [faces._edge_rows(rs, i, j) for i, j in rs.edges]
+        for o in orients:
+            assert faces._tight_states(edge_rows, points[o.states]) == o.states
 
     def test_rank_bound(self):
         with pytest.raises(ValueError):
             cube_isomorphism_check(rootsys.build("A10"))
         assert CUBE_RANK_BOUND == 9
+
+
+@lru_cache(maxsize=None)
+def oracle_cube(m):
+    """Vertex sets and down-sets of the m-cube, one vertex at a time."""
+    sets = oracles.cube_vertex_sets_by_scan(m)
+    return sets, oracles.cube_downsets_by_vertex(sets)
+
+
+def integer_rays(rs):
+    return {o: exactla.clear_row(v) for o, v in rays_by_states(rs).items()}
+
+
+def oracle_interior_points(rays, orients):
+    return {o.states: oracles.interior_point_by_sum(rays, o) for o in orients}
+
+
+class TestCubeRoutinesAgainstOracles:
+    @pytest.mark.parametrize("m", range(9))
+    def test_vertex_sets_and_downsets(self, m):
+        sets, downsets = oracle_cube(m)
+        assert faces._cube_vertex_sets(m) == sets
+        assert faces._cube_downsets(sets) == downsets
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types(9)])
+    def test_every_type(self, label):
+        rs = rootsys.build(label)
+        m = len(rs.edges)
+        sets, downsets = oracle_cube(m)
+        assert faces._cube_vertex_sets(m) == sets
+        assert faces._cube_downsets(sets) == downsets
+        orients = all_orientations(rs)
+        rays = integer_rays(rs)
+        assert faces._interior_points(rays, orients) == oracle_interior_points(rays, orients)
+
+    def test_point_of_a_vertex_face_is_its_ray(self):
+        rs = rootsys.build("A4")
+        rays = integer_rays(rs)
+        points = faces._interior_points(rays, all_orientations(rs))
+        assert all(points[o] == v for o, v in rays.items())
+
+    def test_rank_one_is_a_one_vertex_cube(self):
+        # m = 0: one face, one vertex, a vertex mask of width 1, one table
+        rs = rootsys.build("A1")
+        assert faces._cube_vertex_sets(0) == [1]
+        assert faces._cube_downsets([1]) == [1]
+        assert len(faces._vertex_tables({1: 1}, 1)) == 1
+        (only,) = all_orientations(rs)
+        rays = integer_rays(rs)
+        assert faces._interior_points(rays, [only]) == {(): (1,)}
+        assert cube_isomorphism_check(rs)
+
+    def test_rank_two_is_a_segment(self):
+        # m = 1: faces '<', '-', '>' over the vertices 0 and 1
+        rs = rootsys.build("A2")
+        sets = faces._cube_vertex_sets(1)
+        assert sets == [0b01, 0b11, 0b10]
+        assert faces._cube_downsets(sets) == [0b001, 0b111, 0b100]
+        rays = integer_rays(rs)
+        points = faces._interior_points(rays, all_orientations(rs))
+        assert points[(NEUTRAL,)] == tuple(a + b for a, b in zip(rays[(LEFT,)], rays[(RIGHT,)]))
+        assert cube_isomorphism_check(rs)
+
+    def test_tables_hold_unions_of_containing(self):
+        containing = {1 << v: 1 << (3 * v) for v in range(6)}
+        tables = faces._vertex_tables(containing, 6)
+        assert len(tables) == 2
+        for base, table in zip((0, 4), tables):
+            for t in range(16):
+                want = 0
+                for b in range(4):
+                    if t >> b & 1:
+                        want |= containing.get(1 << (base + b), 0)
+                assert table[t] == want
+
+
+class TestCubeRoutinePlantedDefects:
+    """A broken table or recurrence must fail the oracle comparison and the
+    certificate itself."""
+
+    @staticmethod
+    def plant_tables(monkeypatch, corrupt):
+        real = faces._vertex_tables
+        monkeypatch.setattr(faces, "_vertex_tables", lambda c, w: corrupt(real(c, w)))
+
+    @staticmethod
+    def caught(m):
+        rs = rootsys.build(f"A{m + 1}")
+        sets, downsets = oracle_cube(m)
+        broken = faces._cube_downsets(sets)
+        rule = faces._rule_downsets(all_orientations(rs))
+        return (
+            broken != downsets
+            and faces._first_disagreement(rule, broken) >= 0
+            and not cube_isomorphism_check(rs)
+        )
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_one_wrong_table_entry(self, monkeypatch, m):
+        # face 0 ('<' everywhere) is the vertex 0 alone; claiming that it
+        # meets the vertices it misses in the last chunk drops it from its
+        # own down-set
+        last = ((1 << m) - 1) // faces.NIBBLE
+        entry = ((1 << (1 << m)) - 2) >> (last * faces.NIBBLE) & 15
+
+        def corrupt(tables):
+            tables[last][entry] ^= 1
+            return tables
+
+        self.plant_tables(monkeypatch, corrupt)
+        assert self.caught(m)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_dropped_last_chunk(self, monkeypatch, m):
+        self.plant_tables(monkeypatch, lambda tables: tables[:-1])
+        assert self.caught(m)
+
+    @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
+    def test_recurrence_adding_one_child_twice(self, monkeypatch, label):
+        rs = rootsys.build(label)
+        orients = all_orientations(rs)
+        rays = integer_rays(rs)
+        real = faces._split
+
+        def twice(states, pos):
+            lo, _ = real(states, pos)
+            return lo, lo
+
+        monkeypatch.setattr(faces, "_split", twice)
+        assert faces._interior_points(rays, orients) != oracle_interior_points(rays, orients)
+        assert not cube_isomorphism_check(rs)
