@@ -21,6 +21,7 @@ Row encodings:
 """
 
 from math import gcd
+from operator import mul
 
 REL_GT = 0
 REL_GE = 1
@@ -28,10 +29,7 @@ REL_EQ = 2
 
 
 def idot(f, x):
-    s = 0
-    for a, b in zip(f, x):
-        s += a * b
-    return s
+    return sum(map(mul, f, x))
 
 
 def eliminate(rows):

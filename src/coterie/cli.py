@@ -35,14 +35,16 @@ SCHEMA = 1
 
 
 def _fmt_q(q) -> str:
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
 def _latex_q(q) -> str:
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     sign = "-" if q < 0 else ""
@@ -165,6 +167,14 @@ def _equality_text(rs, i, j, state) -> str:
     return f"{_term(lhs[0], lhs[1])} = {_term(rhs[0], rhs[1])}"
 
 
+def _equality_texts(rs) -> list:
+    """Per edge, its two equalities as text, keyed by the edge's state."""
+    return [
+        {s: _equality_text(rs, i, j, s) for s in (faces.LEFT, faces.RIGHT)}
+        for i, j in rs.edges
+    ]
+
+
 _SYMBOLIC = {
     "A": (
         "a_j > 0",
@@ -264,6 +274,10 @@ def cmd_rays(args) -> int:
     rays = faces.extremal_rays(rs)
     out = args.out
     anomalies = [(str(r.orientation), a) for r in rays for a in r.anomalies]
+    texts = _equality_texts(rs)
+
+    def equalities(r) -> list:
+        return [t[s] for t, s in zip(texts, r.orientation.states)]
 
     if args.format == "json":
         payload = {
@@ -276,10 +290,7 @@ def cmd_rays(args) -> int:
                 {
                     "orientation": str(r.orientation),
                     "vector": _json_vec(r.vector) if r.vector is not None else None,
-                    "equalities": [
-                        _equality_text(rs, i, j, s)
-                        for (i, j), s in zip(r.orientation.edges, r.orientation.states)
-                    ],
+                    "equalities": equalities(r),
                     "anomalies": list(r.anomalies),
                 }
                 for r in rays
@@ -290,10 +301,7 @@ def cmd_rays(args) -> int:
         print(f"% extremal rays for {label}", file=out)
         print("\\begin{enumerate}", file=out)
         for r in rays:
-            eqs = ", ".join(
-                f"${_equality_text(rs, i, j, s)}$"
-                for (i, j), s in zip(r.orientation.edges, r.orientation.states)
-            )
+            eqs = ", ".join(f"${t}$" for t in equalities(r))
             vec = _point_latex(r.vector) if r.vector is not None else "\\text{degenerate}"
             tail = f" with {eqs}" if eqs else ""
             print(f"\\item ${vec}${tail}.", file=out)
@@ -302,10 +310,7 @@ def cmd_rays(args) -> int:
         print(f"type {label}", file=out)
         print(f"rays {len(rays)}", file=out)
         for r in rays:
-            eqs = ", ".join(
-                _equality_text(rs, i, j, s)
-                for (i, j), s in zip(r.orientation.edges, r.orientation.states)
-            )
+            eqs = ", ".join(equalities(r))
             vec = _point_text(r.vector) if r.vector is not None else "degenerate"
             suffix = f"  [{eqs}]" if eqs else ""
             print(f"  {str(r.orientation) or '(no edges)'}  {vec}{suffix}", file=out)
