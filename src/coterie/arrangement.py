@@ -53,6 +53,15 @@ class OrientedHyperplane:
         return exactla.vec_dot(exactla.vec(self.functional), exactla.vec(x))
 
 
+def _trusted_hyperplane(functional: tuple) -> OrientedHyperplane:
+    """An OrientedHyperplane built without __post_init__, for a nonzero
+    integer tuple known to be valid: the image of a validated functional
+    under an integer involution."""
+    h = object.__new__(OrientedHyperplane)
+    object.__setattr__(h, "functional", functional)
+    return h
+
+
 @dataclass(frozen=True)
 class Arrangement:
     """Fundamental-domain members plus (optionally) their full Weyl orbit.
@@ -205,7 +214,8 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
     (orbit_size), without enumerating: if it does, the returned Arrangement
     carries the IMPLICIT marker and partial_size = cap, the number of
     members an enumeration would hold when it hit the cap. An orbit that
-    fits is enumerated in full.
+    fits is enumerated in full, and its members skip the validation of
+    OrientedHyperplane: each is a nonzero integer tuple by construction.
     """
     updates = _reflection_updates(arr.rs)
     seen = {kernels._reduce_row(h.functional, 0)[0] for h in arr.fundamental}
@@ -231,7 +241,7 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
                     )
                 seen.add(g)
                 queue.append(g)
-    full = tuple(OrientedHyperplane(f) for f in sorted(seen))
+    full = tuple(map(_trusted_hyperplane, sorted(seen)))
     return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=full)
 
 
