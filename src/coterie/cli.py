@@ -167,14 +167,6 @@ def _equality_text(rs, i, j, state) -> str:
     return f"{_term(lhs[0], lhs[1])} = {_term(rhs[0], rhs[1])}"
 
 
-def _equality_texts(rs) -> list:
-    """Per edge, its two equalities as text, keyed by the edge's state."""
-    return [
-        {s: _equality_text(rs, i, j, s) for s in (faces.LEFT, faces.RIGHT)}
-        for i, j in rs.edges
-    ]
-
-
 _SYMBOLIC = {
     "A": (
         "a_j > 0",
@@ -274,7 +266,10 @@ def cmd_rays(args) -> int:
     rays = faces.extremal_rays(rs)
     out = args.out
     anomalies = [(str(r.orientation), a) for r in rays for a in r.anomalies]
-    texts = _equality_texts(rs)
+    # each edge's two equalities, rendered once and looked up by state
+    texts = [
+        {s: _equality_text(rs, i, j, s) for s in (faces.LEFT, faces.RIGHT)} for i, j in rs.edges
+    ]
 
     def equalities(r) -> list:
         return [t[s] for t, s in zip(texts, r.orientation.states)]
