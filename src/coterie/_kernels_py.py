@@ -10,14 +10,16 @@ Functions:
   rank_of       matrix rank through eliminate
   _reduce_row   gcd normalisation of a (coeffs, bound) row
   fm_step       one Fourier-Motzkin elimination step
-  eval_rows     evaluation of (coeffs, bound, rel) rows at an integer point
+  eval_rows     evaluation of sparse (terms, bound, rel) rows at an integer point
   order_pairs_disagree  first disagreement of two partial orders (the test
                 oracles compare the face order with it)
 
 Row encodings:
-  inequality rows for fm_step: (coeffs tuple, bound, strict flag)
-  evaluation rows:             (coeffs tuple, bound, rel code) with
-                               rel code 0 = ">", 1 = ">=", 2 = "="
+  inequality rows for fm_step: (coeffs tuple, bound, strict flag), dense
+  evaluation rows:             (terms, bound, rel code), sparse: terms is a
+                               tuple of the row's nonzero (index, coeff)
+                               pairs, so a cone row costs at most two
+                               products; rel code 0 = ">", 1 = ">=", 2 = "="
 """
 
 from math import gcd
@@ -122,9 +124,12 @@ def fm_step(rows, col):
 
 
 def eval_rows(rows, x):
-    """True iff the integer point x satisfies every (coeffs, bound, rel) row."""
-    for coeffs, bound, rel in rows:
-        v = idot(coeffs, x)
+    """True iff the integer point x satisfies every (terms, bound, rel) row.
+    x may be longer than the rows' dimension; only indexed entries count."""
+    for terms, bound, rel in rows:
+        v = 0
+        for i, c in terms:
+            v += c * x[i]
         if rel == REL_GT:
             if not v > bound:
                 return False

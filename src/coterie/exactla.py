@@ -4,8 +4,10 @@ Entries are ints or fractions.Fraction, vectors are tuples, matrices tuples
 of row tuples; no floating point anywhere. The Fraction vector helpers
 (vec, vec_dot, mat_vec, ...) serve the constraint API and the
 general-instance route; clear_row turns a rational vector into integers
-for everything else. Constraint systems are stored as cleared integer rows
-and evaluated at a cleared integer point. Solving, inversion and
+for everything else. Constraint systems are stored once, as cleared
+integer rows in sparse form (the nonzero (index, coeff) terms), evaluated
+at a cleared integer point and expanded to dense rows for elimination.
+Solving, inversion and
 rank clear each row to integers and run one fraction-free elimination,
 kernels.eliminate; Fraction appears only in what they return. Feasibility
 of systems mixing strict/weak inequalities and equalities is decided by
@@ -71,7 +73,11 @@ def mat_transpose(m) -> tuple:
 
 
 def clear_row(coords) -> tuple:
-    """Scale a rational vector by the positive lcm of denominators: integer entries."""
+    """Scale a rational vector by the positive lcm of denominators: integer
+    entries.  A vector of ints comes back as it is, as a tuple."""
+    coords = tuple(coords)
+    if all(type(c) is int for c in coords):
+        return coords
     coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
     d = lcm(*(c.denominator for c in coords))
     return tuple(c.numerator * (d // c.denominator) for c in coords)
@@ -185,8 +191,10 @@ class ConeSystem:
         for c in self.constraints:
             if len(c.functional) != self.dim:
                 raise ValueError("constraint length does not match system dimension")
+        # sparse rows: the nonzero (index, coeff) terms, then bound and relation
         rows = tuple(
-            (ints, bound, _REL_CODE[rel]) for ints, bound, rel in (c.cleared() for c in self.constraints)
+            (tuple((i, c) for i, c in enumerate(ints) if c), bound, _REL_CODE[rel])
+            for ints, bound, rel in (c.cleared() for c in self.constraints)
         )
         object.__setattr__(self, "_rows", rows)
 
@@ -195,9 +203,11 @@ class ConeSystem:
         x = tuple(x)
         if len(x) != self.dim:
             raise ValueError(f"point has length {len(x)}, system dimension is {self.dim}")
-        # the appended 1 clears to the common denominator d
-        *ints, d = clear_row(x + (1,))
-        rows = self._rows if d == 1 else tuple((f, b * d, r) for f, b, r in self._rows)
+        # the appended 1 clears to the common denominator d, which the rows
+        # never index
+        ints = clear_row(x + (1,))
+        d = ints[-1]
+        rows = self._rows if d == 1 else tuple((t, b * d, r) for t, b, r in self._rows)
         return kernels.eval_rows(rows, ints)
 
 
@@ -213,8 +223,11 @@ class Feasibility:
 def _initial_rows(system: ConeSystem):
     eq_rows = []
     ineq_rows = []
-    for coeffs, bound, rel in system._rows:
-        coeffs, bound = kernels._reduce_row(coeffs, bound)
+    for terms, bound, rel in system._rows:
+        coeffs = [0] * system.dim
+        for i, c in terms:
+            coeffs[i] = c
+        coeffs, bound = kernels._reduce_row(tuple(coeffs), bound)
         if rel == kernels.REL_EQ:
             eq_rows.append((coeffs, bound))
         else:

@@ -27,9 +27,12 @@ built face by face from the recurrence point(g) = point(g with its first
 neutral edge '<') + point(g with it '>'), and its tight edge inequalities
 must reproduce the orientation exactly.
 
-Each extremal ray is built in O(n) by propagating its edge ratios from
-node 0 along the Dynkin tree, then checked in integers against its
-equality rows, and against the closed and the open cone.
+All extremal rays come from one depth-first pass over the Dynkin tree
+from node 0: each edge ratio extends the partial integer vector once for
+every orientation below it.  Each ray is then checked, as a positive
+integer multiple, against its equality rows in two-term form and against
+the closed and the open cone.  extremal_rays reports the rays as Fraction
+vectors; the cube certificate sums the integer multiples themselves.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, mul
+from operator import add
 from typing import Optional
 
 from . import cone, exactla, rootsys
@@ -104,6 +107,17 @@ def _edge_rows(rs: rootsys.RootSystem, i: int, j: int) -> tuple:
     return rootsys.pair_row(rs, i, j), rootsys.pair_row(rs, j, i)
 
 
+@lru_cache(maxsize=None)
+def _edge_terms(rs: rootsys.RootSystem) -> tuple:
+    """Per edge (i, j), its two rows in two-term form (i, j, fi, fj, bi, bj):
+    the (i, j) row reads fi a_i + fj a_j, the (j, i) row bi a_i + bj a_j."""
+    out = []
+    for i, j in rs.edges:
+        fwd, bwd = _edge_rows(rs, i, j)
+        out.append((i, j, fwd[i], fwd[j], bwd[i], bwd[j]))
+    return tuple(out)
+
+
 def face_of(rs: rootsys.RootSystem, f: Orientation) -> Face:
     """The face cut out by f: the closed reduced system with the oriented
     edges' inequalities substituted by equalities."""
@@ -158,75 +172,106 @@ def _tree_steps(rs: rootsys.RootSystem) -> tuple:
     return tuple(steps)
 
 
-def _propagate_ray(rs: rootsys.RootSystem, states) -> tuple:
-    """(integer vector, anomaly) for a full orientation: a_0 = 1, then
-    every oriented edge fixes its child from its parent, the vector kept in
-    integers by rescaling it whenever a ratio has a denominator.  The
-    equalities form a tree with nonzero coefficients, so they cut out
-    exactly this line; a zero ratio breaks the chain and comes back as an
-    anomaly instead."""
+def _propagated_rays(rs: rootsys.RootSystem) -> list:
+    """(integer vector, anomaly) per full orientation, in the order of
+    product((LEFT, RIGHT)): a_0 = 1, then every step of _tree_steps fixes
+    its child from its parent, the vector kept in integers by rescaling it
+    whenever a ratio has a denominator.  The steps are walked depth first,
+    so each partial vector is computed once for all the orientations that
+    extend it.  The equalities form a tree with nonzero coefficients, so
+    they cut out exactly this line; a zero ratio breaks the chain, and every
+    orientation below it gets an anomaly instead of a vector."""
     ratios = _edge_ratios(rs)
-    x = [0] * rs.rank
-    x[0] = 1
-    for parent, child, pos in _tree_steps(rs):
+    steps = _tree_steps(rs)
+    m = len(rs.edges)
+    out = [None] * (1 << m)
+
+    def walk(depth, x, index):
+        # x is the partial vector, or the anomaly of a broken chain
+        if depth == len(steps):
+            out[index] = (None, x) if isinstance(x, str) else (x, None)
+            return
+        parent, child, pos = steps[depth]
         i, j = rs.edges[pos]
-        # a_big = q a_small on this edge's equality
-        big, q = (i, ratios[pos][0]) if states[pos] == RIGHT else (j, ratios[pos][1])
-        if child == big:
-            num, den = q.numerator, q.denominator
-        elif q == 0:
-            return None, f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {child + 1} free"
-        else:
-            num, den = q.denominator, q.numerator
-        # a_child = a_parent num / den
-        value = x[parent] * num
-        if den != 1:
-            x = [c * den for c in x]
-        x[child] = value
-    return x, None
+        # '<' sets no bit of the product index, '>' the edge's bit
+        for q, big, bit in ((ratios[pos][1], j, 0), (ratios[pos][0], i, 1 << (m - 1 - pos))):
+            # a_big = q a_small on this edge's equality
+            if isinstance(x, str):
+                y = x
+            elif child != big and q == 0:
+                y = f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {child + 1} free"
+            else:
+                # a_child = a_parent num / den
+                num, den = (q.numerator, q.denominator) if child == big else (q.denominator, q.numerator)
+                y = [c * den for c in x] if den != 1 else list(x)
+                y[child] = x[parent] * num
+            walk(depth + 1, y, index | bit)
+
+    walk(0, [1] + [0] * (rs.rank - 1), 0)
+    return out
 
 
-def _normalize_ray(k) -> tuple:
-    """(v, ints) for a nonzero integer vector k: v is k with its last
-    coordinate scaled to 1 when possible, else primitive with positive
-    leading entry; ints is a positive integer multiple of v."""
+def _ray_multiple(k) -> tuple:
+    """The positive integer multiple of the nonzero integer vector k that
+    the checks run on: k with its last coordinate made positive, or, when
+    that coordinate is zero, primitive with positive leading entry."""
     if k[-1] < 0:
-        k = [-c for c in k]
+        return tuple(-c for c in k)
     if k[-1] != 0:
-        return tuple(Fraction(c, k[-1]) for c in k), tuple(k)
-    v = exactla.primitive(k)
-    return v, v
+        return tuple(k)
+    return exactla.primitive(k)
+
+
+def _ray_vector(ints) -> tuple:
+    """The reported ray of a _ray_multiple: its last coordinate scaled to 1
+    when possible, else the primitive vector itself."""
+    d = ints[-1]
+    return tuple(Fraction(c, d) for c in ints) if d else ints
+
+
+def _checked_rays(rs: rootsys.RootSystem):
+    """Yield (states, ints, problems) per full orientation, in the
+    enumeration order of all_orientations: ints is a positive integer
+    multiple of the ray, or None when a zero ratio leaves it undetermined
+    (problems then holds that anomaly alone); otherwise problems are the
+    violated expectations, each to be read after "ray <vector> ".  The
+    checks run on ints, which has the ray's signs and, the cone being
+    invariant under positive scaling, its memberships."""
+    n = rs.rank
+    terms = _edge_terms(rs)
+    orders = product((LEFT, RIGHT), repeat=len(rs.edges))
+    for states, (k, broken) in zip(orders, _propagated_rays(rs), strict=True):
+        if k is None:
+            yield states, None, (broken,)
+            continue
+        ints = _ray_multiple(k)
+        problems = []
+        for (i, j, fi, fj, bi, bj), state in zip(terms, states):
+            v = fi * ints[i] + fj * ints[j] if state == RIGHT else bi * ints[i] + bj * ints[j]
+            if v != 0:
+                problems.append(f"violates the equality on edge ({i + 1}, {j + 1})")
+        if any(c <= 0 for c in ints):
+            problems.append("leaves the positive orthant")
+        if not cone.member(rs, ints, "closed", "edges"):
+            problems.append("is outside the closed cone")
+        if n > 1 and cone.member(rs, ints, "open", "edges"):
+            # rank 1 is the degenerate case where the only ray is interior
+            problems.append("is interior, expected boundary")
+        yield states, ints, tuple(problems)
 
 
 def extremal_rays(rs: rootsys.RootSystem) -> tuple:
     """One ray per fully oriented diagram, in the enumeration order of
     all_orientations; violations of the expected geometry are attached as
-    anomalies, never dropped.  The checks run on a positive integer
-    multiple of the ray, which has the same signs and, the cone being
-    invariant under positive scaling, the same memberships."""
-    n = rs.rank
-    rows = [_edge_rows(rs, i, j) for i, j in rs.edges]
+    anomalies, never dropped."""
     out = []
-    for states in product((LEFT, RIGHT), repeat=len(rs.edges)):
+    for states, ints, problems in _checked_rays(rs):
         f = Orientation(edges=rs.edges, states=states)
-        ints, broken = _propagate_ray(rs, states)
         if ints is None:
-            out.append(ExtremalRay(orientation=f, vector=None, anomalies=(broken,)))
+            out.append(ExtremalRay(orientation=f, vector=None, anomalies=problems))
             continue
-        v, ints = _normalize_ray(ints)
-        anomalies = []
-        for (i, j), (fwd, bwd), state in zip(rs.edges, rows, states):
-            row = fwd if state == RIGHT else bwd
-            if sum(map(mul, row, ints)) != 0:
-                anomalies.append(f"ray {v} violates the equality on edge ({i + 1}, {j + 1})")
-        if any(c <= 0 for c in ints):
-            anomalies.append(f"ray {v} leaves the positive orthant")
-        if not cone.member(rs, ints, "closed", "edges"):
-            anomalies.append(f"ray {v} is outside the closed cone")
-        if n > 1 and cone.member(rs, ints, "open", "edges"):
-            # rank 1 is the degenerate case where the only ray is interior
-            anomalies.append(f"ray {v} is interior, expected boundary")
-        out.append(ExtremalRay(orientation=f, vector=v, anomalies=tuple(anomalies)))
+        v = _ray_vector(ints)
+        out.append(ExtremalRay(orientation=f, vector=v, anomalies=tuple(f"ray {v} {p}" for p in problems)))
     return tuple(out)
 
 
@@ -369,16 +414,16 @@ def _interior_points(rays_by_states, orients) -> dict:
     return points
 
 
-def _tight_states(edge_rows, point) -> Optional[tuple]:
-    """Which edge inequalities the integer point makes tight, given the
-    (forward, backward) rows of every edge; None if the point is not
-    strictly positive or is tight in both directions of one edge."""
+def _tight_states(edge_terms, point) -> Optional[tuple]:
+    """Which edge inequalities the integer point makes tight, given every
+    edge's rows in the two-term form of _edge_terms; None if the point is
+    not strictly positive or is tight in both directions of one edge."""
     if any(c <= 0 for c in point):
         return None
     states = []
-    for fwd, bwd in edge_rows:
-        vf = sum(map(mul, fwd, point))
-        vb = sum(map(mul, bwd, point))
+    for i, j, fi, fj, bi, bj in edge_terms:
+        vf = fi * point[i] + fj * point[j]
+        vb = bi * point[i] + bj * point[j]
         if vf < 0 or vb < 0:
             return None
         if vf == 0 and vb == 0:
@@ -430,10 +475,10 @@ def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND)
                     return False
 
     rays_by_states = {}
-    for ray in extremal_rays(rs):
-        if ray.anomalies or ray.vector is None:
+    for states, ints, problems in _checked_rays(rs):
+        if problems:
             return False
-        rays_by_states[ray.orientation.states] = exactla.clear_row(ray.vector)
+        rays_by_states[states] = ints
     points = _interior_points(rays_by_states, orients)
-    edge_rows = [_edge_rows(rs, i, j) for i, j in rs.edges]
-    return all(_tight_states(edge_rows, points[o.states]) == o.states for o in orients)
+    terms = _edge_terms(rs)
+    return all(_tight_states(terms, points[o.states]) == o.states for o in orients)

@@ -10,8 +10,9 @@ The second half keeps the slower, direct routes that the library replaced
 by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
 the pairwise comparison of the face order with the cube order, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
-time, extremal rays as Fraction nullspace solves, the Weyl orbit closed by dense matrix
-products, the geometric membership test on Fraction vectors, and the
+time, extremal rays as Fraction nullspace solves and as one propagation
+per ray, rows evaluated as dense dot products, the Weyl orbit closed by
+dense matrix products, the geometric membership test on Fraction vectors, and the
 general-instance ray points solved over the form, with the wall rows
 built from them.  They run on the package's own data, so they check the
 faster algorithms, not the data; the membership test reads only the Cartan
@@ -319,7 +320,7 @@ def extremal_rays_by_solve(rs) -> tuple:
             anomalies.append(f"equality system has kernel dimension {len(kernel)}")
             out.append(ExtremalRay(orientation=f, vector=None, anomalies=tuple(anomalies)))
             continue
-        v = faces._normalize_ray(kernel[0])[0]
+        v = faces._ray_vector(faces._ray_multiple(kernel[0]))
         if any(c <= 0 for c in v):
             anomalies.append(f"ray {v} leaves the positive orthant")
         if not cone.member(rs, v, "closed", "edges"):
@@ -328,6 +329,66 @@ def extremal_rays_by_solve(rs) -> tuple:
             anomalies.append(f"ray {v} is interior, expected boundary")
         out.append(ExtremalRay(orientation=f, vector=v, anomalies=tuple(anomalies)))
     return tuple(out)
+
+
+def propagate_ray(rs, states) -> tuple:
+    """(integer vector, anomaly) for one full orientation, propagated on its
+    own from a_0 = 1 along faces._tree_steps: every oriented edge fixes its
+    child from its parent, the vector kept in integers by rescaling it
+    whenever a ratio has a denominator; a zero ratio breaks the chain and
+    comes back as an anomaly instead.  The ratios are read from rootsys, not
+    from faces._edge_ratios."""
+    x = [0] * rs.rank
+    x[0] = 1
+    for parent, child, pos in faces._tree_steps(rs):
+        i, j = rs.edges[pos]
+        # a_big = q a_small on this edge's equality
+        big, q = (i, rootsys.ratio(rs, i, j)) if states[pos] == RIGHT else (j, rootsys.ratio(rs, j, i))
+        if child == big:
+            num, den = q.numerator, q.denominator
+        elif q == 0:
+            return None, f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {child + 1} free"
+        else:
+            num, den = q.denominator, q.numerator
+        # a_child = a_parent num / den
+        value = x[parent] * num
+        if den != 1:
+            x = [c * den for c in x]
+        x[child] = value
+    return x, None
+
+
+# ---------------------------------------------------------------------------
+# constraint rows evaluated densely
+
+
+def dense_rows(sparse_rows, dim: int) -> list:
+    """ConeSystem-style sparse (terms, bound, rel) rows as dense
+    (coeffs, bound, rel) rows of length dim."""
+    out = []
+    for terms, bound, rel in sparse_rows:
+        coeffs = [0] * dim
+        for i, c in terms:
+            coeffs[i] = c
+        out.append((tuple(coeffs), bound, rel))
+    return out
+
+
+def eval_rows_dense(rows, x) -> bool:
+    """kernels.eval_rows on dense (coeffs, bound, rel) rows, each evaluated
+    as a full dot product."""
+    for coeffs, bound, rel in rows:
+        v = sum(map(mul, coeffs, x))
+        if rel == _kernels_py.REL_GT:
+            if not v > bound:
+                return False
+        elif rel == _kernels_py.REL_GE:
+            if not v >= bound:
+                return False
+        else:
+            if v != bound:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ polytopes, and pulled-back instances."""
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from pathlib import Path
 
@@ -213,13 +214,14 @@ def oracle_points(rs, seed) -> list:
         points.append((-x[0],) + x[1:])
         points.append(support.rand_vec(rng, n))
     m = len(rs.edges)
+    rays = dict(zip(product((faces.LEFT, faces.RIGHT), repeat=m), faces._propagated_rays(rs)))
     for _ in range(4 if m else 0):
         s = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]
         t = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]
         pos = rng.randrange(m)
         t[pos] = s[pos]
-        u, _ = faces._propagate_ray(rs, s)
-        v, _ = faces._propagate_ray(rs, t)
+        u, _ = rays[tuple(s)]
+        v, _ = rays[tuple(t)]
         scale = F(rng.randint(1, 9), rng.randint(1, 9))
         points.append(tuple(scale * c for c in u))
         points.append(tuple(scale * (a + b) for a, b in zip(u, v)))

@@ -182,11 +182,51 @@ class TestExtremalRays:
             assert len(extremal_rays(rs)) == 2 ** len(rs.edges)
 
 
+def per_ray_mismatches(rs) -> list:
+    """Orientations where the depth-first pass differs from propagating
+    that ray on its own, vector and anomaly alike."""
+    full = product((LEFT, RIGHT), repeat=len(rs.edges))
+    return [
+        "".join(states)
+        for states, got in zip(full, faces._propagated_rays(rs), strict=True)
+        if got != oracles.propagate_ray(rs, states)
+    ]
+
+
 class TestRayPropagation:
     @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
     def test_matches_solve_oracle(self, label):
         rs = rootsys.build(label)
         assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_depth_first_matches_per_ray_oracle(self, label):
+        assert per_ray_mismatches(rootsys.build(label)) == []
+
+    def test_certificate_sums_the_checked_multiples(self):
+        rs = rootsys.build("D5")
+        rays = list(faces._checked_rays(rs))
+        assert [s for s, _, _ in rays] == [o.states for o in all_orientations(rs) if o.fully_oriented]
+        for (states, ints, problems), ray in zip(rays, extremal_rays(rs), strict=True):
+            assert problems == () and ray.anomalies == ()
+            assert all(isinstance(c, int) and c > 0 for c in ints)
+            # the reported vector is the multiple scaled to last entry 1
+            assert ray.vector == tuple(Fraction(c, ints[-1]) for c in ints)
+
+    @pytest.mark.parametrize("label", ["A4", "D5", "E6", "B7"])
+    def test_planted_wrong_branch_ratio_is_caught(self, monkeypatch, label):
+        """The '<' branch of one edge takes the edge's '>' ratio: only the
+        orientations below that branch change, and both oracles see them."""
+        rs = rootsys.build(label)
+        ratios = [list(r) for r in faces._edge_ratios(rs)]
+        # the last edge whose two ratios differ
+        pos = max(p for p, (q, r) in enumerate(ratios) if q != r)
+        ratios[pos][1] = ratios[pos][0]
+        monkeypatch.setattr(faces, "_edge_ratios", lambda _: tuple(map(tuple, ratios)))
+        wrong = per_ray_mismatches(rs)
+        assert wrong and all(s[pos] == LEFT for s in wrong)
+        assert extremal_rays(rs) != oracles.extremal_rays_by_solve(rs)
+        assert not cube_isomorphism_check(rs)
 
     @staticmethod
     def corrupt(monkeypatch, rs, pos, which, value):
@@ -353,9 +393,9 @@ class TestCubeIsomorphism:
         by_states = rays_by_states(rs)
         orients = all_orientations(rs)
         points = faces._interior_points(by_states, orients)
-        edge_rows = [faces._edge_rows(rs, i, j) for i, j in rs.edges]
+        terms = faces._edge_terms(rs)
         for o in orients:
-            assert faces._tight_states(edge_rows, points[o.states]) == o.states
+            assert faces._tight_states(terms, points[o.states]) == o.states
 
     def test_rank_bound(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,20 @@
-"""The integer kernels against independent routes: sympy for rank, direct
-evaluation for rows, and lifted grid points for Fourier-Motzkin steps."""
+"""The integer kernels against independent routes: sympy for rank, dense
+and Fraction evaluation for sparse rows, and lifted grid points for
+Fourier-Motzkin steps."""
 
 import random
 from fractions import Fraction
 
+import oracles
+import support
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coterie import _kernels_py as kernels
-from coterie import exactla
+from coterie import cone, exactla, faces, rootsys
 from coterie._backend import BACKEND
+from coterie.exactla import EQ, GE, GT, ConeSystem, constraint
 
 
 def rand_int_rows(rng, m, n, lo=-6, hi=6):
@@ -35,6 +41,11 @@ def rand_eval_rows(rng, m, n):
         )
         for _ in range(m)
     ]
+
+
+def sparse(rows) -> list:
+    """Dense (coeffs, bound, rel) rows as eval_rows' sparse (terms, bound, rel) rows."""
+    return [(tuple((i, c) for i, c in enumerate(coeffs) if c), bound, rel) for coeffs, bound, rel in rows]
 
 
 def test_backend_marker():
@@ -86,7 +97,7 @@ class TestAgainstFractionRoute:
                 else:
                     ok = v == bound
                 want = want and ok
-            assert kernels.eval_rows(rows, x) == want
+            assert kernels.eval_rows(sparse(rows), x) == want
 
     def test_fm_step_preserves_solutions(self):
         """Grid points of a projection: x solves the stepped system iff some
@@ -118,3 +129,125 @@ class TestAgainstFractionRoute:
                 )
                 if lifted:
                     assert holds(stepped, point)
+
+
+# ---------------------------------------------------------------------------
+# sparse evaluation against the dense oracle and the Fraction route
+
+REL_NAMES = (GT, GE, EQ)
+
+# mostly small entries, with zeros and 40-digit ints mixed in
+ENTRIES = st.one_of(st.integers(-6, 6), st.just(0), st.integers(-(10**40), 10**40))
+
+
+@st.composite
+def eval_cases(draw):
+    """(dense rows, integer point, denominator) with whole rows sometimes
+    zero, so that empty term lists are evaluated too."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        if draw(st.booleans()) and draw(st.booleans()):
+            coeffs = [0] * n
+        rows.append((tuple(coeffs), draw(ENTRIES), draw(st.integers(0, 2))))
+    x = tuple(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+    d = draw(st.one_of(st.just(1), st.integers(2, 10**20)))
+    return rows, x, d
+
+
+def fraction_verdict(rows, x, d) -> bool:
+    """Every row checked by LinearConstraint.holds at the rational point x / d."""
+    point = tuple(Fraction(c, d) for c in x)
+    return all(constraint(coeffs, REL_NAMES[rel], bound).holds(point) for coeffs, bound, rel in rows)
+
+
+class TestSparseEvaluation:
+    @given(case=eval_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle_and_fraction_route(self, case):
+        rows, x, d = case
+        want = fraction_verdict(rows, x, d)
+        if d == 1:
+            assert kernels.eval_rows(sparse(rows), x) == want
+            assert oracles.eval_rows_dense(rows, x) == want
+        # satisfies clears x / d itself and evaluates the system's sparse rows
+        n = len(x)
+        system = ConeSystem(n, tuple(constraint(c, REL_NAMES[r], b) for c, b, r in rows))
+        assert system.satisfies(tuple(Fraction(c, d) for c in x)) == want
+
+    def test_all_zero_and_empty_rows(self):
+        assert kernels.eval_rows([], (5,)) is True
+        assert kernels.eval_rows([((), 0, kernels.REL_GE)], (5,)) is True
+        assert kernels.eval_rows([((), 0, kernels.REL_GT)], (5,)) is False
+        assert kernels.eval_rows([((), 0, kernels.REL_EQ)], (5,)) is True
+        assert kernels.eval_rows([((), -1, kernels.REL_GT)], (5,)) is True
+
+    def test_rows_hold_only_nonzero_terms(self):
+        system = ConeSystem(3, (constraint((0, 2, 0), GT, 1), constraint((0, 0, 0), GE, 0)))
+        assert system._rows == ((((1, 2),), 1, kernels.REL_GT), ((), 0, kernels.REL_GE))
+        # Fourier-Motzkin still sees dense, gcd-reduced rows
+        assert exactla._initial_rows(system) == ([], [((0, 2, 0), 1, True), ((0, 0, 0), 0, False)])
+
+
+def cone_disagreements(points_by_type) -> list:
+    """(type, mode, point) wherever the reduced system's sparse evaluation
+    differs from the dense oracle on rows cleared afresh from its
+    constraints, or from the Fraction route over those constraints."""
+    out = []
+    for label, points in points_by_type.items():
+        desc = cone.inequalities(rootsys.build(label))
+        for mode, system in (("open", desc.open_system), ("closed", desc.closed_system)):
+            dense = [(f, b, exactla._REL_CODE[r]) for f, b, r in (c.cleared() for c in system.constraints)]
+            for x in points:
+                verdicts = {
+                    system.satisfies(x),
+                    oracles.eval_rows_dense(dense, exactla.clear_row(x)),
+                    all(c.holds(x) for c in system.constraints),
+                }
+                if len(verdicts) != 1:
+                    out.append((label, mode, x))
+    return out
+
+
+def cone_points() -> dict:
+    """Per type up to rank 5: its extremal rays, interior samples, and
+    points just outside."""
+    rng = random.Random(111)
+    out = {}
+    for t in rootsys.all_types(5):
+        rs = rootsys.build(str(t))
+        points = [r.vector for r in faces.extremal_rays(rs)]
+        points += [support.sample_member(rs, rng) for _ in range(4)]
+        points += [support.rand_vec(rng, rs.rank) for _ in range(4)]
+        out[str(t)] = points
+    return out
+
+
+class TestSparseRowsInTheCone:
+    def test_cone_rows_agree(self):
+        assert cone_disagreements(cone_points()) == []
+
+    def test_planted_dropped_term_is_caught(self):
+        """Drop the positive term of the first pair row of every reduced
+        system, leaving -c a_alpha > 0 (or >= 0): interior points now fail
+        the sparse row, and the comparison reports every type of rank >= 2."""
+        points = cone_points()
+        saved = []
+        try:
+            for label in points:
+                desc = cone.inequalities(rootsys.build(label))
+                for system in (desc.open_system, desc.closed_system):
+                    rows = list(system._rows)
+                    k = next((k for k, (terms, _, _) in enumerate(rows) if len(terms) == 2), None)
+                    if k is None:  # A1 has no pair rows
+                        continue
+                    terms, bound, rel = rows[k]
+                    rows[k] = (tuple(t for t in terms if t[1] < 0), bound, rel)
+                    saved.append((system, system._rows))
+                    object.__setattr__(system, "_rows", tuple(rows))
+            broken = {label for label, _, _ in cone_disagreements(points)}
+        finally:
+            for system, rows in saved:
+                object.__setattr__(system, "_rows", rows)
+        assert broken == {label for label in points if label != "A1"}
