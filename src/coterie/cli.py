@@ -75,10 +75,15 @@ def _parse_vector(text: str, rank: int) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
         raise ValueError(f"expected {rank} comma-separated entries, got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad vector entry: {exc}") from None
+    entries = []
+    for p in parts:
+        try:
+            entries.append(Fraction(p))
+        except ValueError as exc:
+            raise ValueError(f"bad vector entry: {exc}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"bad vector entry {p!r}: zero denominator") from None
+    return tuple(entries)
 
 
 def _linear_text(functional, rel, bound) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 import oracles
 import pytest
 
-from coterie import cli
+from coterie import cli, cone, faces, rootsys
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -161,6 +161,17 @@ class TestRays:
         assert "\\begin{enumerate}" in out
         assert "\\frac{3}{2}" in out
 
+    def test_flipped_membership_fails_the_command(self, capsys, monkeypatch):
+        """Every ray is checked against the closed and the open cone through
+        cone.member, so a wrong verdict there must surface as exit 3 and
+        must fail the cube certificate, which checks the same rays."""
+        member = cone.member
+        monkeypatch.setattr(cone, "member", lambda *args, **kwargs: not member(*args, **kwargs))
+        code, out, _ = run_cli(capsys, "rays", "A3")
+        assert code == cli.EXIT_INVARIANT == 3
+        assert "anomalies: none" not in out
+        assert faces.cube_isomorphism_check(rootsys.build("A3")) is False
+
 
 class TestFaces:
     def test_a4(self, capsys):
@@ -296,6 +307,19 @@ class TestUsageErrors:
     def test_bad_vector(self, capsys):
         code, _, _ = run_cli(capsys, "member", "A2", "1,2,3")
         assert code == 2
+
+    @pytest.mark.parametrize("token", ["1/0", " -3/0 "])
+    def test_zero_denominator_names_the_token(self, capsys, token):
+        code, out, err = run_cli(capsys, "member", "A2", f"{token},2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad vector entry {token.strip()!r}: zero denominator\n"
+
+    def test_malformed_entry_names_the_token(self, capsys):
+        code, out, err = run_cli(capsys, "member", "A2", "1,x/2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad vector entry: Invalid literal for Fraction: 'x/2'\n"
 
     def test_missing_command(self, capsys):
         assert run_cli(capsys)[0] == 2
