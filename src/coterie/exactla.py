@@ -174,6 +174,16 @@ class LinearConstraint:
         ints = clear_row(tuple(self.functional) + (self.bound,))
         return ints[:-1], ints[-1], self.rel
 
+    def cleared_terms(self) -> tuple:
+        """cleared() in sparse form (terms, bound, rel): terms lists the
+        nonzero (index, coeff) pairs.  Only nonzero entries are cleared;
+        zeros have denominator 1, so the lcm is the same."""
+        terms = [(i, q) for i, q in enumerate(self.functional) if q]
+        b = self.bound
+        d = lcm(b.denominator, *(q.denominator for _, q in terms))
+        ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
+        return ints, b.numerator * (d // b.denominator), self.rel
+
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:
     return LinearConstraint(functional, rel, bound)
@@ -191,11 +201,7 @@ class ConeSystem:
         for c in self.constraints:
             if len(c.functional) != self.dim:
                 raise ValueError("constraint length does not match system dimension")
-        # sparse rows: the nonzero (index, coeff) terms, then bound and relation
-        rows = tuple(
-            (tuple((i, c) for i, c in enumerate(ints) if c), bound, _REL_CODE[rel])
-            for ints, bound, rel in (c.cleared() for c in self.constraints)
-        )
+        rows = tuple((t, b, _REL_CODE[r]) for t, b, r in (c.cleared_terms() for c in self.constraints))
         object.__setattr__(self, "_rows", rows)
 
     def satisfies(self, x) -> bool:

@@ -362,18 +362,6 @@ def propagate_ray(rs, states) -> tuple:
 # constraint rows evaluated densely
 
 
-def dense_rows(sparse_rows, dim: int) -> list:
-    """ConeSystem-style sparse (terms, bound, rel) rows as dense
-    (coeffs, bound, rel) rows of length dim."""
-    out = []
-    for terms, bound, rel in sparse_rows:
-        coeffs = [0] * dim
-        for i, c in terms:
-            coeffs[i] = c
-        out.append((tuple(coeffs), bound, rel))
-    return out
-
-
 def eval_rows_dense(rows, x) -> bool:
     """kernels.eval_rows on dense (coeffs, bound, rel) rows, each evaluated
     as a full dot product."""

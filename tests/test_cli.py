@@ -163,13 +163,26 @@ class TestRays:
 
     def test_flipped_membership_fails_the_command(self, capsys, monkeypatch):
         """Every ray is checked against the closed and the open cone through
-        cone.member, so a wrong verdict there must surface as exit 3 and
+        cone.member, so wrong verdicts there must surface as exit 3 and
         must fail the cube certificate, which checks the same rays."""
         member = cone.member
         monkeypatch.setattr(cone, "member", lambda *args, **kwargs: not member(*args, **kwargs))
         code, out, _ = run_cli(capsys, "rays", "A3")
         assert code == cli.EXIT_INVARIANT == 3
-        assert "anomalies: none" not in out
+        assert out.count("is outside the closed cone") == out.count("is interior, expected boundary") == 4
+        assert faces.cube_isomorphism_check(rootsys.build("A3")) is False
+
+    @pytest.mark.parametrize("flipped", ["closed", "open"])
+    def test_each_membership_check_is_kept(self, capsys, monkeypatch, flipped):
+        """A wrong verdict in one mode alone is still caught, by rays and by
+        the cube certificate: neither may drop either check."""
+        member = cone.member
+
+        def wrong(rs, x, mode="open", method="edges"):
+            return member(rs, x, mode, method) != (mode == flipped)
+
+        monkeypatch.setattr(cone, "member", wrong)
+        assert run_cli(capsys, "rays", "A3")[0] == 3
         assert faces.cube_isomorphism_check(rootsys.build("A3")) is False
 
 

@@ -176,6 +176,16 @@ class TestSparseEvaluation:
         system = ConeSystem(n, tuple(constraint(c, REL_NAMES[r], b) for c, b, r in rows))
         assert system.satisfies(tuple(Fraction(c, d) for c in x)) == want
 
+    @given(
+        row=st.lists(st.fractions(max_denominator=10**6) | st.just(Fraction(0)), min_size=1, max_size=6),
+        bound=st.fractions(max_denominator=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_clearing_matches_dense_clearing(self, row, bound):
+        c = constraint(row, GE, bound)
+        coeffs, b, rel = c.cleared()
+        assert c.cleared_terms() == (sparse([(coeffs, b, rel)])[0][0], b, rel)
+
     def test_all_zero_and_empty_rows(self):
         assert kernels.eval_rows([], (5,)) is True
         assert kernels.eval_rows([((), 0, kernels.REL_GE)], (5,)) is True
