@@ -7,12 +7,12 @@ general-instance route; clear_row turns a rational vector into integers
 for everything else. Constraint systems are stored once, as cleared
 integer rows in sparse form (the nonzero (index, coeff) terms), evaluated
 at a cleared integer point and expanded to dense rows for elimination.
-Solving, inversion and
-rank clear each row to integers and run one fraction-free elimination,
-kernels.eliminate; Fraction appears only in what they return. Feasibility
-of systems mixing strict/weak inequalities and equalities is decided by
-Fourier-Motzkin elimination with strictness tracking over the same cleared
-integer rows, returning an exact rational witness on success.
+Solving, inversion and rank clear each row to integers and run one
+fraction-free elimination, kernels.eliminate; Fraction appears only in
+what they return. Feasibility of systems mixing strict/weak inequalities
+and equalities is decided by Fourier-Motzkin elimination with strictness
+tracking over the same cleared integer rows, returning an exact rational
+witness on success.
 """
 
 from __future__ import annotations
