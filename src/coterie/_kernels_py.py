@@ -10,7 +10,7 @@ Functions:
   rank_of       matrix rank through eliminate
   _reduce_row   gcd normalisation of a (coeffs, bound) row
   fm_step       one Fourier-Motzkin elimination step
-  eval_rows     evaluation of sparse (terms, bound, rel) rows at an integer point
+  eval_rows     evaluation of sparse (terms, bound, rel) rows at a cleared point
   order_pairs_disagree  first disagreement of two partial orders (the test
                 oracles compare the face order with it)
 
@@ -123,13 +123,15 @@ def fm_step(rows, col):
     return [(coeffs, bound, strict) for coeffs, (bound, strict) in merged.items()]
 
 
-def eval_rows(rows, x):
-    """True iff the integer point x satisfies every (terms, bound, rel) row.
+def eval_rows(rows, x, d=1):
+    """True iff the rational point x / d (x integer, d > 0) satisfies every
+    (terms, bound, rel) row, compared as terms . x against bound * d.
     x may be longer than the rows' dimension; only indexed entries count."""
     for terms, bound, rel in rows:
         v = 0
         for i, c in terms:
             v += c * x[i]
+        bound *= d
         if rel == REL_GT:
             if not v > bound:
                 return False

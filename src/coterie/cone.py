@@ -323,10 +323,11 @@ def canonical_instance(rs: rootsys.RootSystem) -> GeneralCoterieInstance:
 
 
 def nu_of(inst: GeneralCoterieInstance, i: int, delta) -> Fraction:
-    delta = exactla.vec(delta)
+    """nu_i(delta) for a shift of ints or Fractions; inst.nu is stored as
+    Fractions, so nothing is boxed again."""
     if len(delta) != inst.shift_dim:
         raise ValueError(f"shift has length {len(delta)}, expected {inst.shift_dim}")
-    return exactla.vec_dot(exactla.vec(inst.nu[i]), delta)
+    return sum(map(mul, inst.nu[i], delta), Fraction(0))
 
 
 def r_i_general(inst: GeneralCoterieInstance, i: int, delta) -> tuple:
@@ -395,14 +396,14 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     walls = [
         _wall_row(h.functional, nu_of(inst, j, delta)) for j, h in enumerate(inst.arr.fundamental)
     ]
-    ct = exactla.mat_transpose(inst.rs.cartan)
-    systems = []
-    for i in range(len(walls)):
-        cons = [constraint(row, GT, 0) for row in ct]
-        for j, (f, bound) in enumerate(walls):
-            cons.append(constraint(f, EQ if j == i else GT, bound))
-        systems.append(ConeSystem(n, tuple(cons)))
-    return tuple(systems)
+    # each row is built once; the systems share the frozen constraints
+    dominance = tuple(constraint(row, GT, 0) for row in exactla.mat_transpose(inst.rs.cartan))
+    inside = [constraint(f, GT, bound) for f, bound in walls]
+    on = [constraint(f, EQ, bound) for f, bound in walls]
+    return tuple(
+        ConeSystem(n, dominance + tuple(on[i] if j == i else row for j, row in enumerate(inside)))
+        for i in range(len(walls))
+    )
 
 
 def general_member(inst: GeneralCoterieInstance, delta, max_rows: int = 10**6) -> bool:

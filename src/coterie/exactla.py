@@ -11,15 +11,16 @@ Solving, inversion and rank clear each row to integers and run one
 fraction-free elimination, kernels.eliminate; Fraction appears only in
 what they return. Feasibility of systems mixing strict/weak inequalities
 and equalities is decided by Fourier-Motzkin elimination with strictness
-tracking over the same cleared integer rows, returning an exact rational
-witness on success.
+tracking over the same cleared integer rows. On success the witness is
+rebuilt in integers over one positive common denominator, and Fraction
+appears only in the exact rational witness returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from ._backend import kernels
@@ -161,14 +162,6 @@ class LinearConstraint:
         object.__setattr__(self, "functional", vec(self.functional))
         object.__setattr__(self, "bound", Fraction(self.bound))
 
-    def holds(self, x) -> bool:
-        v = vec_dot(self.functional, x)
-        if self.rel == GT:
-            return v > self.bound
-        if self.rel == GE:
-            return v >= self.bound
-        return v == self.bound
-
     def cleared(self) -> tuple:
         """Integer form (coeffs, bound, rel) scaled by the positive lcm of denominators."""
         ints = clear_row(tuple(self.functional) + (self.bound,))
@@ -212,9 +205,7 @@ class ConeSystem:
         # the appended 1 clears to the common denominator d, which the rows
         # never index
         ints = clear_row(x + (1,))
-        d = ints[-1]
-        rows = self._rows if d == 1 else tuple((t, b * d, r) for t, b, r in self._rows)
-        return kernels.eval_rows(rows, ints)
+        return kernels.eval_rows(self._rows, ints, ints[-1])
 
 
 @dataclass(frozen=True)
@@ -257,43 +248,72 @@ def _verdict(eq_rows, ineq_rows) -> bool:
     return True
 
 
+def _interval_point(lo, hi, den: int) -> tuple:
+    """The value back-substitution gives a Fourier-Motzkin variable, from
+    its tightest lower and upper bounds: the midpoint of the interval, or
+    bound +/- 1 on an unbounded side, or 0 when both sides are open.
+
+    lo and hi are None or integer pairs (p, q), q > 0, each standing for
+    p / (q * den); so is the result."""
+    # If lo == hi, both bounds are weak: a strict pair at equal value
+    # combines to an unsatisfiable verdict row, caught earlier.
+    if lo is None and hi is None:
+        return 0, 1
+    if hi is None:
+        return lo[0] + lo[1] * den, lo[1]
+    if lo is None:
+        return hi[0] - hi[1] * den, hi[1]
+    return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+
+
+def _assign(witness: list, den: int, var: int, p: int, q: int) -> int:
+    """Set witness[var] to p / (q * den), the witness being integers over
+    the common denominator den > 0: rescale the coordinates already
+    assigned by q, and return the new common denominator."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if q > 1:
+        witness[:] = [w * q for w in witness]
+        den *= q
+    witness[var] = p
+    return den
+
+
 def _back_substitute(steps, dim: int) -> tuple:
     """Rebuild a witness from feasible's elimination steps, last step first:
-    an equality pivot fixes its variable, a Fourier-Motzkin step picks the
-    midpoint of the variable's interval, or bound +/- 1 on an unbounded side."""
-    witness = [Fraction(0)] * dim
-    assigned = []
+    an equality pivot fixes its variable, a Fourier-Motzkin step picks a
+    point of the variable's interval (_interval_point).
+
+    The witness is kept as integers over one positive common denominator
+    den, unassigned coordinates 0, so a row's remaining terms are one
+    integer dot product.  A row c x >= b bounds the variable by
+    (b den - rest) / (c den), held as the pair (b den - rest, c) in units
+    of 1 / den (sign moved so that the second entry is positive), and pairs
+    are compared by cross-multiplication."""
+    witness = [0] * dim
+    den = 1
     for var, kind, payload in reversed(steps):
         if kind == "eq":
             coeffs, bound = payload
-            rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
-            witness[var] = (Fraction(bound) - rest) / coeffs[var]
+            # feasible made the pivot coefficient positive
+            p, q = bound * den - kernels.idot(coeffs, witness), coeffs[var]
         else:
-            # If lo == hi below, both bounds are weak: a strict pair at equal
-            # value combines to an unsatisfiable verdict row, caught earlier.
             lo = hi = None
-            for coeffs, bound, strict in payload:
+            for coeffs, bound, _ in payload:
                 c = coeffs[var]
                 if c == 0:
                     continue
-                rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
-                value = (Fraction(bound) - rest) / c
+                v = bound * den - kernels.idot(coeffs, witness)
                 if c > 0:
-                    if lo is None or value > lo:
-                        lo = value
+                    if lo is None or v * lo[1] > lo[0] * c:
+                        lo = (v, c)
                 else:
-                    if hi is None or value < hi:
-                        hi = value
-            if lo is None and hi is None:
-                witness[var] = Fraction(0)
-            elif hi is None:
-                witness[var] = lo + 1
-            elif lo is None:
-                witness[var] = hi - 1
-            else:
-                witness[var] = (lo + hi) / 2
-        assigned.append(var)
-    return tuple(witness)
+                    v, c = -v, -c
+                    if hi is None or v * hi[1] < hi[0] * c:
+                        hi = (v, c)
+            p, q = _interval_point(lo, hi, den)
+        den = _assign(witness, den, var, p, q)
+    return tuple(Fraction(w, den) for w in witness)
 
 
 def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Optional[Sequence[int]] = None) -> Feasibility:

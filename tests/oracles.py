@@ -11,7 +11,8 @@ by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
 the pairwise comparison of the face order with the cube order, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
 time, extremal rays as Fraction nullspace solves and as one propagation
-per ray, rows evaluated as dense dot products, the Weyl orbit closed by
+per ray, Fourier-Motzkin witnesses rebuilt over Fractions, rows
+evaluated as dense dot products, the Weyl orbit closed by
 dense matrix products, the geometric membership test on Fraction vectors, and the
 general-instance ray points solved over the form, with the wall rows
 built from them.  They run on the package's own data, so they check the
@@ -25,6 +26,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add, mul
 
+import pytest
 import sympy
 
 import support
@@ -356,6 +358,76 @@ def propagate_ray(rs, states) -> tuple:
             x = [c * den for c in x]
         x[child] = value
     return x, None
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin witnesses rebuilt over Fractions
+
+
+def back_substitute_by_fractions(steps, dim: int) -> tuple:
+    """exactla._back_substitute over Fractions.
+
+    Rebuilds a witness from feasible's elimination steps, last step first:
+    an equality pivot fixes its variable, a Fourier-Motzkin step picks the
+    midpoint of the variable's interval, or bound +/- 1 on an unbounded side."""
+    witness = [Fraction(0)] * dim
+    assigned = []
+    for var, kind, payload in reversed(steps):
+        if kind == "eq":
+            coeffs, bound = payload
+            rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
+            witness[var] = (Fraction(bound) - rest) / coeffs[var]
+        else:
+            # If lo == hi below, both bounds are weak: a strict pair at equal
+            # value combines to an unsatisfiable verdict row, caught earlier.
+            lo = hi = None
+            for coeffs, bound, strict in payload:
+                c = coeffs[var]
+                if c == 0:
+                    continue
+                rest = sum((Fraction(coeffs[k]) * witness[k] for k in assigned), Fraction(0))
+                value = (Fraction(bound) - rest) / c
+                if c > 0:
+                    if lo is None or value > lo:
+                        lo = value
+                else:
+                    if hi is None or value < hi:
+                        hi = value
+            if lo is None and hi is None:
+                witness[var] = Fraction(0)
+            elif hi is None:
+                witness[var] = lo + 1
+            elif lo is None:
+                witness[var] = hi - 1
+            else:
+                witness[var] = (lo + hi) / 2
+        assigned.append(var)
+    return tuple(witness)
+
+
+def rebuilt_witnesses(system, **kwargs):
+    """Run exactla.feasible(system, **kwargs) and rebuild its witness twice
+    from the same elimination steps: (the library's witness, this oracle's
+    witness, whether feasible's own re-check rejected the library's), or
+    None when feasible decided infeasible before back-substitution."""
+    seen = []
+    library = exactla._back_substitute
+
+    def both(steps, dim):
+        witness = library(steps, dim)
+        seen.append((witness, back_substitute_by_fractions(steps, dim)))
+        return witness
+
+    rejected = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_back_substitute", both)
+        try:
+            exactla.feasible(system, **kwargs)
+        except AssertionError as exc:
+            if "witness fails its own system" not in str(exc):
+                raise
+            rejected = True
+    return seen[0] + (rejected,) if seen else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: seeded exact samplers and the small
-Fraction vector and matrix helpers the library no longer needs.
+"""Shared helpers for the test suite: seeded exact samplers, the small
+Fraction vector and matrix helpers the library no longer needs, and the
+Fraction evaluation of one constraint.
 
 All sampling is driven by random.Random instances with fixed seeds recorded
 in the tests, and produces Fractions with bounded denominators so every
@@ -26,6 +27,18 @@ def vec_scale(c, a) -> tuple:
 
 def mat_mul(a, b) -> tuple:
     return tuple(tuple(exactla.vec_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def holds(c, x) -> bool:
+    """Whether the rational point x meets the constraint c, evaluated over
+    Fractions: the direct route the library's cleared integer rows are
+    checked against."""
+    v = exactla.vec_dot(c.functional, x)
+    if c.rel == exactla.GT:
+        return v > c.bound
+    if c.rel == exactla.GE:
+        return v >= c.bound
+    return v == c.bound
 
 
 def rand_fraction(rng, lo=-2, hi=4, max_den=60) -> Fraction:

@@ -5,6 +5,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import mul
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import support
+from coterie import _kernels_py as kernels
 from coterie import arrangement as arrmod
 from coterie import cone, exactla, faces, rootsys
 from coterie.cone import (
@@ -503,6 +505,15 @@ class TestGeneralMember:
             rels = [c.rel for c in sys_i.constraints]
             assert rels.count(EQ) == 1
 
+    def test_rows_are_built_once(self):
+        """The dominance rows, and each wall's strict row, are one object
+        shared by every system that holds them."""
+        inst = canonical_instance(rootsys.build("A3"))
+        systems = general_member_systems(inst, (1, 2, 1))
+        for k in range(6):
+            shared = {id(s.constraints[k]) for i, s in enumerate(systems) if k != 3 + i}
+            assert len(shared) == 1
+
 
 def single_wall_instance(label, functional, theta_star, nu):
     rs = rootsys.build(label)
@@ -542,18 +553,24 @@ class TestBoundaryRules:
 # closed-form ray points and u-identity wall rows against the solve oracle
 
 
+def reduced_constraints(system) -> list:
+    """Each constraint in order as its relation and gcd-reduced integer row,
+    which a positive multiple of the row leaves unchanged."""
+    return [(c.rel, kernels._reduce_row(*c.cleared()[:2])) for c in system.constraints]
+
+
 def oracle_mismatches(inst, shifts) -> list:
-    """(kind, wall, shift) wherever r_i_general, or the initial elimination
-    rows of a wall system, differ from the solve-over-the-form oracle."""
+    """(kind, wall, shift) wherever r_i_general, or a wall system constraint
+    for constraint, differs from the solve-over-the-form oracle."""
     out = []
     for delta in shifts:
         for i in range(len(inst.nu)):
             if r_i_general(inst, i, delta) != oracles.r_i_general_by_solve(inst, i, delta):
                 out.append(("ray", i, delta))
-        got = general_member_systems(inst, delta)
+        got = cone.general_member_systems(inst, delta)
         want = oracles.general_member_systems_by_rays(inst, delta)
         for i, (g, w) in enumerate(zip(got, want, strict=True)):
-            if exactla._initial_rows(g) != exactla._initial_rows(w):
+            if reduced_constraints(g) != reduced_constraints(w):
                 out.append(("rows", i, delta))
     return out
 
@@ -632,6 +649,15 @@ def generated_instances(labels=GENERATED_LABELS, count=5):
             yield label, generated_instance(rng, label, walls, extra)
 
 
+def a2_file_shifts():
+    """(instance, shifts) for tests/data/instance_a2.txt."""
+    inst = parse_instance((DATA / "instance_a2.txt").read_text())
+    rng = random.Random(12)
+    shifts = [(1, 1, 1), (0, 1, 1), (1, 0, 1), (2, 1, 3)]
+    shifts += [support.rand_vec(rng, 3, 0, 3, 9) for _ in range(12)]
+    return inst, shifts
+
+
 def mixes_root_lengths(inst) -> bool:
     """Some wall functional is supported on both short and long roots,
     the only case where the symmetrizers do not cancel."""
@@ -649,11 +675,7 @@ class TestRaysAndWallRowsAgainstSolveOracle:
         assert oracle_mismatches(canonical_instance(rs), shifts) == []
 
     def test_a2_shift_file(self):
-        inst = parse_instance((DATA / "instance_a2.txt").read_text())
-        rng = random.Random(12)
-        shifts = [(1, 1, 1), (0, 1, 1), (1, 0, 1), (2, 1, 3)]
-        shifts += [support.rand_vec(rng, 3, 0, 3, 9) for _ in range(12)]
-        assert oracle_mismatches(inst, shifts) == []
+        assert oracle_mismatches(*a2_file_shifts()) == []
 
     def test_generated_instances(self):
         for label, (inst, shifts) in generated_instances():
@@ -720,3 +742,96 @@ class TestRaysAndWallRowsAgainstSolveOracle:
             assert len(oracle_mismatches(inst, shifts[1:])) >= len(inst.nu), label
         inst = single_wall_instance("A1", (-1,), ((1,), (1,)), (1, 0))
         assert general_member(inst, (0, 5)) is False
+
+    def test_planted_shared_equality_row_is_caught(self, monkeypatch):
+        """System 0 holding wall 1's equality row in place of its own, the
+        slip the shared rows invite, differs from the oracle in system 0
+        alone, on every instance with two or more walls."""
+        honest = cone.general_member_systems
+
+        def swapped(inst, delta):
+            systems = honest(inst, delta)
+            n = inst.rs.rank
+            cons = list(systems[0].constraints)
+            cons[n] = systems[1].constraints[n + 1]
+            return (exactla.ConeSystem(n, tuple(cons)),) + systems[1:]
+
+        monkeypatch.setattr(cone, "general_member_systems", swapped)
+        caught = 0
+        for label in ("A2", "B3", "G2", "E6"):
+            rs = rootsys.build(label)
+            positive = canonical_shifts(rs, random.Random(4))[0]
+            assert oracle_mismatches(canonical_instance(rs), [positive]) == [("rows", 0, positive)]
+            caught += 1
+        for label, (inst, shifts) in generated_instances(count=2):
+            if len(inst.nu) >= 2:
+                assert {(kind, i) for kind, i, _ in oracle_mismatches(inst, shifts[:1])} == {("rows", 0)}
+                caught += 1
+        assert caught > 10
+
+
+# ---------------------------------------------------------------------------
+# integer back-substitution against the Fraction oracle on wall systems
+
+
+def wall_systems():
+    """Every wall system of the canonical instances of all 49 types at their
+    canonical_shifts, of the A2 shift file, and of generated_instances()."""
+    for t in rootsys.all_types():
+        rs = rootsys.build(str(t))
+        for delta in canonical_shifts(rs, random.Random(str(t))):
+            yield from general_member_systems(canonical_instance(rs), delta)
+    inst, shifts = a2_file_shifts()
+    for delta in shifts:
+        yield from general_member_systems(inst, delta)
+    for _, (inst, shifts) in generated_instances():
+        for delta in shifts:
+            yield from general_member_systems(inst, delta)
+
+
+def witness_disagreements() -> tuple:
+    """(rebuilt, mismatched, rejected) over wall_systems(): how many witnesses
+    were rebuilt, how many differ from the Fraction oracle's, and how many
+    feasible's own re-check rejected."""
+    rebuilt = mismatched = rejected = 0
+    for system in wall_systems():
+        pair = oracles.rebuilt_witnesses(system)
+        if pair is not None:
+            got, want, refused = pair
+            rebuilt += 1
+            mismatched += got != want
+            rejected += refused
+    return rebuilt, mismatched, rejected
+
+
+class TestBackSubstitutionOnWallSystems:
+    def test_witnesses_match_fraction_oracle(self):
+        rebuilt, mismatched, rejected = witness_disagreements()
+        assert (mismatched, rejected) == (0, 0)
+        assert rebuilt > 200
+
+    def test_planted_midpoint_replaced_by_lo_is_caught(self, monkeypatch):
+        honest = exactla._interval_point
+
+        def low_end(lo, hi, den):
+            return lo if lo is not None and hi is not None else honest(lo, hi, den)
+
+        monkeypatch.setattr(exactla, "_interval_point", low_end)
+        _, mismatched, rejected = witness_disagreements()
+        assert mismatched > 0 and rejected > 0
+
+    def test_planted_skipped_rescaling_is_caught(self, monkeypatch):
+        """The last variable assigned (the first eliminated) is set without
+        rescaling the coordinates assigned before it."""
+        honest = exactla._assign
+
+        def skipping(witness, den, var, p, q):
+            if var != len(witness) - 1:
+                return honest(witness, den, var, p, q)
+            g = gcd(p, q)
+            witness[var] = p // g
+            return den * (q // g)
+
+        monkeypatch.setattr(exactla, "_assign", skipping)
+        _, mismatched, rejected = witness_disagreements()
+        assert mismatched > 0 and rejected > 0

@@ -412,7 +412,7 @@ class TestFeasible:
         """Any feasible verdict comes with an exactly satisfying witness."""
         res = feasible(system)
         if res.feasible:
-            assert all(c.holds(res.witness) for c in system.constraints)
+            assert all(support.holds(c, res.witness) for c in system.constraints)
 
     @given(system=small_system())
     @settings(max_examples=60)
@@ -431,7 +431,40 @@ class TestFeasible:
         dens = (1, 2, 3, 4) if system.dim <= 2 else (1, 2)
         values = sorted({Fraction(p, q) for q in dens for p in range(-3 * q, 3 * q + 1)})
         for point in itertools.product(values, repeat=system.dim):
-            assert not all(c.holds(point) for c in system.constraints)
+            assert not all(support.holds(c, point) for c in system.constraints)
+
+
+class TestBackSubstitution:
+    """The witness rebuilt in integers over one denominator against the
+    Fraction back-substitution on the same elimination steps."""
+
+    @given(system=small_system())
+    @settings(max_examples=200)
+    def test_matches_fraction_oracle(self, system):
+        rebuilt = oracles.rebuilt_witnesses(system)
+        if rebuilt is not None:
+            got, want, rejected = rebuilt
+            assert got == want and not rejected
+
+    @given(system=small_system(), data=st.data())
+    @settings(max_examples=60)
+    def test_matches_fraction_oracle_in_any_order(self, system, data):
+        order = data.draw(st.permutations(range(system.dim)))
+        rebuilt = oracles.rebuilt_witnesses(system, order=order)
+        if rebuilt is not None:
+            assert rebuilt[0] == rebuilt[1]
+
+    def test_interval_points(self):
+        """Pairs (p, q) stand for p / (q den): here den = 3."""
+        assert exactla._interval_point(None, None, 3) == (0, 1)
+        assert exactla._interval_point((1, 2), None, 3) == (7, 2)  # 1/6 + 1
+        assert exactla._interval_point(None, (1, 2), 3) == (-5, 2)  # 1/6 - 1
+        assert exactla._interval_point((1, 2), (5, 4), 3) == (14, 16)  # (1/6 + 5/12) / 2
+
+    def test_assign_rescales_assigned_coordinates(self):
+        witness = [0, 3, 0]  # (0, 3/2, 0) over den = 2
+        assert exactla._assign(witness, 2, 2, 10, 4) == 4
+        assert witness == [0, 6, 5]  # (0, 3/2, 5/4): 10/4 reduced to 5/2
 
 
 class TestConeSystem:
@@ -452,7 +485,7 @@ class TestConeSystem:
     def test_satisfies_matches_direct_evaluation(self, system, point):
         if len(point) != system.dim:
             point = (list(point) * 3)[: system.dim]
-        direct = all(c.holds(vec(point)) for c in system.constraints)
+        direct = all(support.holds(c, vec(point)) for c in system.constraints)
         assert system.satisfies(vec(point)) is direct
 
 

@@ -157,9 +157,14 @@ def eval_cases(draw):
 
 
 def fraction_verdict(rows, x, d) -> bool:
-    """Every row checked by LinearConstraint.holds at the rational point x / d."""
+    """Every row checked by support.holds at the rational point x / d."""
     point = tuple(Fraction(c, d) for c in x)
-    return all(constraint(coeffs, REL_NAMES[rel], bound).holds(point) for coeffs, bound, rel in rows)
+    return all(support.holds(constraint(coeffs, REL_NAMES[rel], bound), point) for coeffs, bound, rel in rows)
+
+
+def system_of(rows, n) -> ConeSystem:
+    """A ConeSystem holding dense (coeffs, bound, rel code) rows."""
+    return ConeSystem(n, tuple(constraint(c, REL_NAMES[r], b) for c, b, r in rows))
 
 
 class TestSparseEvaluation:
@@ -168,13 +173,30 @@ class TestSparseEvaluation:
     def test_matches_dense_oracle_and_fraction_route(self, case):
         rows, x, d = case
         want = fraction_verdict(rows, x, d)
-        if d == 1:
-            assert kernels.eval_rows(sparse(rows), x) == want
-            assert oracles.eval_rows_dense(rows, x) == want
+        assert kernels.eval_rows(sparse(rows), x, d) == want
+        # the dense oracle evaluates x against the bounds scaled by d
+        assert oracles.eval_rows_dense([(c, b * d, r) for c, b, r in rows], x) == want
         # satisfies clears x / d itself and evaluates the system's sparse rows
-        n = len(x)
-        system = ConeSystem(n, tuple(constraint(c, REL_NAMES[r], b) for c, b, r in rows))
-        assert system.satisfies(tuple(Fraction(c, d) for c in x)) == want
+        assert system_of(rows, len(x)).satisfies(tuple(Fraction(c, d) for c in x)) == want
+
+    def test_planted_unscaled_bound_is_caught(self, monkeypatch):
+        """satisfies passing the cleared point but comparing against the
+        unscaled bound: x > 1 then holds at x = 3/4 (3 > 1, not 3 > 4), and
+        seeded rows at points with denominators d > 1 disagree with the
+        Fraction route, while d = 1 cannot show it."""
+        honest = kernels.eval_rows
+        monkeypatch.setattr(kernels, "eval_rows", lambda rows, x, d=1: honest(rows, x))
+        assert system_of([((1,), 1, kernels.REL_GT)], 1).satisfies((Fraction(3, 4),)) is True
+        rng = random.Random(109)
+        wrong = {1: 0, 2: 0}
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rows = rand_eval_rows(rng, rng.randint(1, 5), n)
+            x = tuple(rng.randint(-5, 5) for _ in range(n))
+            d = rng.choice((1, rng.randint(2, 9)))
+            got = system_of(rows, n).satisfies(tuple(Fraction(c, d) for c in x))
+            wrong[min(d, 2)] += got != fraction_verdict(rows, x, d)
+        assert wrong[1] == 0 and wrong[2] > 0
 
     @given(
         row=st.lists(st.fractions(max_denominator=10**6) | st.just(Fraction(0)), min_size=1, max_size=6),
@@ -213,7 +235,7 @@ def cone_disagreements(points_by_type) -> list:
                 verdicts = {
                     system.satisfies(x),
                     oracles.eval_rows_dense(dense, exactla.clear_row(x)),
-                    all(c.holds(x) for c in system.constraints),
+                    all(support.holds(c, x) for c in system.constraints),
                 }
                 if len(verdicts) != 1:
                     out.append((label, mode, x))
