@@ -16,6 +16,23 @@ DATA = Path(__file__).parent / "data"
 
 TABLE_TYPES = ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"]
 
+# golden file <stem>_<format>.txt holds the output of argv in that format
+GOLDEN_RUNS = {
+    "inequalities_F4": (["inequalities", "F4"], ("json",)),
+    "inequalities_B3_full": (["inequalities", "B3", "--full"], ("plain", "json", "latex")),
+    "inequalities_C4_symbolic": (["inequalities", "C4", "--symbolic"], ("plain", "json", "latex")),
+    "inequalities_F4_symbolic": (["inequalities", "F4", "--symbolic"], ("plain", "json")),
+    "member_G2_all": (["member", "G2", "7,4"], ("plain", "json")),
+    "member_A3_all_closed": (["member", "A3", "1,0,1", "--mode", "closed"], ("plain", "json")),
+    "member_B3_full": (["member", "B3", "1/2,-2,3", "--method", "full"], ("plain", "json")),
+    "member_A2_geometric": (["member", "A2", "7/2,4", "--method", "geometric"], ("plain", "json")),
+    "polytope_A2": (["polytope", "A2", "1/2,1"], ("plain", "json")),
+    "polytope_B3": (["polytope", "B3", "1,2,0"], ("plain", "json")),
+    "arrangement_A3": (["arrangement", "A3"], ("plain", "json")),
+    "arrangement_a2_file": (["arrangement", "--file", str(DATA / "arrangement_a2.txt")], ("plain", "json")),
+    "arrangement_B3_capped": (["arrangement", "B3", "--orbit-cap", "4"], ("plain", "json")),
+}
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -49,6 +66,14 @@ class TestGolden:
         code, out, _ = run_cli(capsys, "faces", label, "--format", fmt)
         assert code == 0
         assert out == (GOLDEN / f"faces_{label}_{fmt}.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "stem, fmt", [(stem, fmt) for stem, (_, fmts) in GOLDEN_RUNS.items() for fmt in fmts]
+    )
+    def test_command(self, capsys, stem, fmt):
+        code, out, _ = run_cli(capsys, *GOLDEN_RUNS[stem][0], "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"{stem}_{fmt}.txt").read_text()
 
 
 class TestInequalities:
