@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -167,10 +168,12 @@ class LinearConstraint:
         ints = clear_row(tuple(self.functional) + (self.bound,))
         return ints[:-1], ints[-1], self.rel
 
+    @cached_property
     def cleared_terms(self) -> tuple:
         """cleared() in sparse form (terms, bound, rel): terms lists the
         nonzero (index, coeff) pairs.  Only nonzero entries are cleared;
-        zeros have denominator 1, so the lcm is the same."""
+        zeros have denominator 1, so the lcm is the same.  Computed once per
+        constraint, however many systems hold it."""
         terms = [(i, q) for i, q in enumerate(self.functional) if q]
         b = self.bound
         d = lcm(b.denominator, *(q.denominator for _, q in terms))
@@ -194,7 +197,7 @@ class ConeSystem:
         for c in self.constraints:
             if len(c.functional) != self.dim:
                 raise ValueError("constraint length does not match system dimension")
-        rows = tuple((t, b, _REL_CODE[r]) for t, b, r in (c.cleared_terms() for c in self.constraints))
+        rows = tuple((t, b, _REL_CODE[r]) for t, b, r in (c.cleared_terms for c in self.constraints))
         object.__setattr__(self, "_rows", rows)
 
     def satisfies(self, x) -> bool:

@@ -482,6 +482,13 @@ class TestConeSystem:
         direct = all(support.holds(c, vec(point)) for c in system.constraints)
         assert system.satisfies(vec(point)) is direct
 
+    def test_shared_constraint_is_cleared_once(self):
+        shared = constraint(["1/2", "-2/3"], GT, 0)
+        first = ConeSystem(2, (shared, constraint([1, 0], GE, 0)))
+        second = ConeSystem(2, (constraint([0, 1], GT, 0), shared))
+        assert first._rows[0][0] == ((0, 3), (1, -4))
+        assert first._rows[0][0] is second._rows[1][0] is shared.cleared_terms[0]
+
 
 if __name__ == "__main__":
     import sys
