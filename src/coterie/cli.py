@@ -1,9 +1,13 @@
 """Command line front end.
 
 Six subcommands: ``inequalities``, ``rays``, ``member``, ``faces``,
-``polytope``, ``arrangement``.  Output formats are plain text (default),
-JSON with a ``"schema": 1`` marker, and LaTeX.  LaTeX layouts exist for
-``inequalities`` and ``rays``; the other commands fall back to plain.
+``polytope``, ``arrangement``.  Each ``cmd_*`` computes its result once, as
+the JSON payload (with a ``"schema": 1`` marker), and ``main`` is the only
+place that prints: JSON as it stands, plain text and LaTeX through the
+command's renderers in ``RENDERERS``.  A renderer reads the payload and the
+parsed options, never a library object, so the three formats agree.  LaTeX
+layouts exist for ``inequalities`` (without the ``--symbolic`` block) and
+``rays``; the other commands render LaTeX as plain text.
 
 Exit codes: 0 success, 2 usage or domain error, 3 invariant violation,
 4 resource cap exceeded.
@@ -15,8 +19,9 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import arrangement as arrmod
 from . import cone, faces, rootsys
@@ -31,44 +36,36 @@ SCHEMA = 1
 
 
 # ---------------------------------------------------------------------------
-# formatting helpers
+# payload numbers: rationals as "p" or "p/q" strings
 
 
-def _fmt_q(q) -> str:
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _json_vec(vec) -> list:
+    # str of an int or a Fraction is "p" or "p/q"
+    return [str(q) for q in vec]
 
 
-def _latex_q(q) -> str:
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-
-
-def _point_text(vec) -> str:
-    return "(" + ", ".join(_fmt_q(q) for q in vec) + ")"
+def _latex_q(q: str) -> str:
+    num, slash, den = q.partition("/")
+    if not slash:
+        return num
+    sign = "-" if num.startswith("-") else ""
+    return f"{sign}\\frac{{{num.lstrip('-')}}}{{{den}}}"
 
 
 def _point_latex(vec) -> str:
     return "\\left(" + ", ".join(_latex_q(q) for q in vec) + "\\right)"
 
 
-def _json_vec(vec) -> list:
-    return [_fmt_q(q) for q in vec]
+def _cleared(entries) -> list:
+    """Payload rationals scaled to integers by the lcm of their denominators."""
+    parts = [q.partition("/") for q in entries]
+    d = lcm(*(int(den or 1) for _, _, den in parts))
+    return [int(num) * (d // int(den or 1)) for num, _, den in parts]
 
 
-def _term(coeff, idx) -> str:
-    # idx is 0-based internally, displayed 1-based; unit coefficients drop
-    name = f"a_{idx + 1}"
-    if coeff == 1:
-        return name
-    return f"{_fmt_q(coeff)}{name}"
+def _term(coeff: str, node: int) -> str:
+    # node is 1-based as displayed; unit coefficients drop
+    return f"a_{node}" if coeff == "1" else f"{coeff}a_{node}"
 
 
 def _parse_vector(text: str, rank: int) -> tuple:
@@ -86,30 +83,11 @@ def _parse_vector(text: str, rank: int) -> tuple:
     return tuple(entries)
 
 
-def _linear_text(functional, rel, bound) -> str:
-    terms = []
-    for k, q in enumerate(functional):
-        if q == 0:
-            continue
-        t = _term(abs(q), k)
-        if not terms:
-            terms.append(t if q > 0 else f"-{t}")
-        else:
-            terms.append(f"+ {t}" if q > 0 else f"- {t}")
-    lhs = " ".join(terms) if terms else "0"
-    return f"{lhs} {rel} {_fmt_q(bound)}"
-
-
-def _constraint_text(c) -> str:
-    coeffs, bound, rel = c.cleared()
-    return _linear_text(coeffs, rel, bound)
-
-
 def _constraint_json(c) -> dict:
     return {
         "functional": _json_vec(c.functional),
         "rel": c.rel,
-        "bound": _fmt_q(c.bound),
+        "bound": str(c.bound),
     }
 
 
@@ -117,8 +95,9 @@ def _constraint_json(c) -> dict:
 # three-term chain presentation of the per-edge conditions
 
 
-def _chain(rs, i, j):
-    """Side node, middle node, integer coefficients (r, s, t) for edge (i, j).
+def _chain_json(rs, i, j) -> dict:
+    """Payload of edge (i, j): 1-based side and middle nodes, and the
+    integer coefficients (r, s, t) as strings.
 
     The chain "r a_side > s a_mid > t a_side" packages the two directed
     conditions of the edge; r - t = 1 before integer scaling.  The middle
@@ -137,39 +116,19 @@ def _chain(rs, i, j):
 
     mid_hi, k_hi = triple(i, j)
     mid_lo, k_lo = triple(j, i)
-    if k_lo == 1 and k_hi != 1:
-        return j, i, mid_lo
-    return i, j, mid_hi
-
-
-def _chain_text(rs, i, j) -> str:
-    o, m, (r, s, t) = _chain(rs, i, j)
-    return f"{_term(r, o)} > {_term(s, m)} > {_term(t, o)}"
-
-
-def _chain_json(rs, i, j) -> dict:
-    o, m, (r, s, t) = _chain(rs, i, j)
+    o, m, mid = (j, i, mid_lo) if k_lo == 1 and k_hi != 1 else (i, j, mid_hi)
     return {
         "edge": [i + 1, j + 1],
         "side": o + 1,
         "middle": m + 1,
-        "coefficients": [str(r), str(s), str(t)],
+        "coefficients": [str(c) for c in mid],
     }
-
-
-def _pair_text(rs, b, a) -> str:
-    # directed condition for the ordered pair (b, a), cleared to integers
-    row = rootsys.pair_row(rs, b, a)
-    return f"{_term(row[b], b)} > {_term(-row[a], a)}"
 
 
 def _equality_text(rs, i, j, state) -> str:
     b, a = (i, j) if state == faces.RIGHT else (j, i)
     row = rootsys.pair_row(rs, b, a)
-    lhs, rhs = (row[b], b), (-row[a], a)
-    if lhs[1] > rhs[1]:
-        lhs, rhs = rhs, lhs
-    return f"{_term(lhs[0], lhs[1])} = {_term(rhs[0], rhs[1])}"
+    return " = ".join(_term(str(c), k + 1) for k, c in sorted([(b, row[b]), (a, -row[a])]))
 
 
 _SYMBOLIC = {
@@ -203,293 +162,282 @@ _SYMBOLIC = {
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, error), error naming a failed invariant
 
 
-def cmd_inequalities(args) -> int:
+def cmd_inequalities(args) -> tuple:
     rs = rootsys.build(args.type)
-    label = str(rs.stype)
     reduced = not args.full
     desc = cone.inequalities(rs, reduced=reduced)
-    out = args.out
-
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "inequalities",
-            "type": label,
-            "rank": rs.rank,
-            "reduced": reduced,
-            "constraints": [_constraint_json(c) for c in desc.open_system.constraints],
-        }
-        if reduced:
-            payload["chains"] = [_chain_json(rs, i, j) for i, j in rs.edges]
-        if args.symbolic and rs.stype.family in _SYMBOLIC:
-            payload["symbolic"] = list(_SYMBOLIC[rs.stype.family])
-        print(json.dumps(payload, indent=2), file=out)
-        return EXIT_OK
-
-    if args.format == "latex":
-        kind = "reduced" if reduced else "full"
-        print(f"% conditions for {label} ({kind})", file=out)
-        print("\\begin{enumerate}", file=out)
-        print("\\item $a_j > 0$.", file=out)
-        if reduced:
-            for i, j in rs.edges:
-                print(f"\\item ${_chain_text(rs, i, j)}$.", file=out)
-        else:
-            for b, a in desc.pairs:
-                print(f"\\item ${_pair_text(rs, b, a)}$.", file=out)
-        print("\\end{enumerate}", file=out)
-        return EXIT_OK
-
-    kind = "reduced" if reduced else "full"
-    print(f"type {label}", file=out)
-    print(f"rank {rs.rank}", file=out)
-    print(f"conditions ({kind}):", file=out)
-    print("  a_j > 0", file=out)
+    payload = {
+        "schema": SCHEMA,
+        "command": "inequalities",
+        "type": str(rs.stype),
+        "rank": rs.rank,
+        "reduced": reduced,
+        "constraints": [_constraint_json(c) for c in desc.open_system.constraints],
+    }
     if reduced:
-        for i, j in rs.edges:
-            print(f"  {_chain_text(rs, i, j)}", file=out)
-    else:
-        for b, a in desc.pairs:
-            print(f"  {_pair_text(rs, b, a)}", file=out)
-    if args.symbolic:
-        fam = rs.stype.family
-        if fam in _SYMBOLIC:
-            print(f"symbolic pattern ({fam} family, rank n):", file=out)
-            for line in _SYMBOLIC[fam]:
-                print(f"  {line}", file=out)
-        else:
-            print(f"symbolic pattern: none for family {fam}", file=out)
-    return EXIT_OK
+        payload["chains"] = [_chain_json(rs, i, j) for i, j in rs.edges]
+    if args.symbolic and rs.stype.family in _SYMBOLIC:
+        payload["symbolic"] = list(_SYMBOLIC[rs.stype.family])
+    return payload, None
 
 
-def cmd_rays(args) -> int:
+def cmd_rays(args) -> tuple:
     rs = rootsys.build(args.type)
-    label = str(rs.stype)
     rays = faces.extremal_rays(rs)
-    out = args.out
-    anomalies = [(str(r.orientation), a) for r in rays for a in r.anomalies]
     # each edge's two equalities, rendered once and looked up by state
     texts = [
         {s: _equality_text(rs, i, j, s) for s in (faces.LEFT, faces.RIGHT)} for i, j in rs.edges
     ]
-
-    def equalities(r) -> list:
-        return [t[s] for t, s in zip(texts, r.orientation.states)]
-
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "rays",
-            "type": label,
-            "rank": rs.rank,
-            "count": len(rays),
-            "rays": [
-                {
-                    "orientation": str(r.orientation),
-                    "vector": _json_vec(r.vector) if r.vector is not None else None,
-                    "equalities": equalities(r),
-                    "anomalies": list(r.anomalies),
-                }
-                for r in rays
-            ],
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    elif args.format == "latex":
-        print(f"% extremal rays for {label}", file=out)
-        print("\\begin{enumerate}", file=out)
-        for r in rays:
-            eqs = ", ".join(f"${t}$" for t in equalities(r))
-            vec = _point_latex(r.vector) if r.vector is not None else "\\text{degenerate}"
-            tail = f" with {eqs}" if eqs else ""
-            print(f"\\item ${vec}${tail}.", file=out)
-        print("\\end{enumerate}", file=out)
-    else:
-        print(f"type {label}", file=out)
-        print(f"rays {len(rays)}", file=out)
-        for r in rays:
-            eqs = ", ".join(equalities(r))
-            vec = _point_text(r.vector) if r.vector is not None else "degenerate"
-            suffix = f"  [{eqs}]" if eqs else ""
-            print(f"  {str(r.orientation) or '(no edges)'}  {vec}{suffix}", file=out)
-        if anomalies:
-            print("anomalies:", file=out)
-            for orient, note in anomalies:
-                print(f"  {orient}: {note}", file=out)
-        else:
-            print("anomalies: none", file=out)
-
-    if anomalies:
-        print("error: extremal ray anomalies detected", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    payload = {
+        "schema": SCHEMA,
+        "command": "rays",
+        "type": str(rs.stype),
+        "rank": rs.rank,
+        "count": len(rays),
+        "rays": [
+            {
+                "orientation": str(r.orientation),
+                "vector": _json_vec(r.vector) if r.vector is not None else None,
+                "equalities": [t[s] for t, s in zip(texts, r.orientation.states)],
+                "anomalies": list(r.anomalies),
+            }
+            for r in rays
+        ],
+    }
+    return payload, "extremal ray anomalies detected" if any(r.anomalies for r in rays) else None
 
 
-def cmd_member(args) -> int:
+def cmd_member(args) -> tuple:
     rs = rootsys.build(args.type)
-    label = str(rs.stype)
     x = _parse_vector(args.point, rs.rank)
-    out = args.out
-
     if args.method == "all":
         results = cone.member_all(rs, x, mode=args.mode)
-        verdicts = set(results.values())
-        agreement = len(verdicts) == 1
-        member = results["edges"]
     else:
         results = {args.method: cone.member(rs, x, mode=args.mode, method=args.method)}
-        agreement = True
-        member = results[args.method]
-
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "member",
-            "type": label,
-            "point": _json_vec(x),
-            "mode": args.mode,
-            "results": results,
-            "agreement": agreement,
-            "member": member,
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"type {label}", file=out)
-        print(f"point {_point_text(x)}", file=out)
-        print(f"mode {args.mode}", file=out)
-        for name in ("edges", "full", "geometric"):
-            if name in results:
-                print(f"{name}: {'true' if results[name] else 'false'}", file=out)
-        if args.method == "all":
-            print(f"agreement: {'yes' if agreement else 'NO'}", file=out)
-        print(f"member: {'true' if member else 'false'}", file=out)
-
-    if not agreement:
-        print("error: membership methods disagree", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    agreement = len(set(results.values())) == 1
+    payload = {
+        "schema": SCHEMA,
+        "command": "member",
+        "type": str(rs.stype),
+        "point": _json_vec(x),
+        "mode": args.mode,
+        "results": results,
+        "agreement": agreement,
+        "member": results["edges" if args.method == "all" else args.method],
+    }
+    return payload, None if agreement else "membership methods disagree"
 
 
-def cmd_faces(args) -> int:
+def cmd_faces(args) -> tuple:
     rs = rootsys.build(args.type)
-    label = str(rs.stype)
     if rs.rank > faces.CUBE_RANK_BOUND:
         raise ValueError(
             f"face lattice enumeration is bounded at rank {faces.CUBE_RANK_BOUND}"
         )
-    out = args.out
     dims = faces.face_dimensions(rs)
-    hist = {}
-    for d in dims:
-        hist[d] = hist.get(d, 0) + 1
+    hist = Counter(dims)
     iso = faces.cube_isomorphism_check(rs)
-
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "faces",
-            "type": label,
-            "rank": rs.rank,
-            "count": len(dims),
-            "dimensions": {str(d): hist[d] for d in sorted(hist)},
-            "cube_isomorphic": iso,
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"type {label}", file=out)
-        print(f"faces {len(dims)}", file=out)
-        print(
-            "dimensions: "
-            + " ".join(f"{d}:{hist[d]}" for d in sorted(hist)),
-            file=out,
-        )
-        print(f"cube order isomorphism: {'yes' if iso else 'NO'}", file=out)
-
-    if not iso:
-        print("error: face order does not match the cube order", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    payload = {
+        "schema": SCHEMA,
+        "command": "faces",
+        "type": str(rs.stype),
+        "rank": rs.rank,
+        "count": len(dims),
+        "dimensions": {str(d): hist[d] for d in sorted(hist)},
+        "cube_isomorphic": iso,
+    }
+    return payload, None if iso else "face order does not match the cube order"
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args) -> tuple:
     rs = rootsys.build(args.type)
-    label = str(rs.stype)
     y = _parse_vector(args.bound, rs.rank)
     cs = cone.cross_section(rs, y)
     vertices = cone.polytope_vertices(cs)
-    out = args.out
-
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "polytope",
-            "type": label,
-            "bound": _json_vec(y),
-            "constraints": [_constraint_json(c) for c in cs.system.constraints],
-            "vertices": [_json_vec(v) for v in vertices],
-            "empty": not vertices,
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"type {label}", file=out)
-        print(f"bound {_point_text(y)}", file=out)
-        print("constraints:", file=out)
-        for c in cs.system.constraints:
-            print(f"  {_constraint_text(c)}", file=out)
-        print(f"vertices {len(vertices)}:", file=out)
-        for v in vertices:
-            print(f"  {_point_text(v)}", file=out)
-        print(f"empty: {'true' if not vertices else 'false'}", file=out)
-    return EXIT_OK
+    payload = {
+        "schema": SCHEMA,
+        "command": "polytope",
+        "type": str(rs.stype),
+        "bound": _json_vec(y),
+        "constraints": [_constraint_json(c) for c in cs.system.constraints],
+        "vertices": [_json_vec(v) for v in vertices],
+        "empty": not vertices,
+    }
+    return payload, None
 
 
-def cmd_arrangement(args) -> int:
-    if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            arr = arrmod.parse_arrangement(fh.read())
-    else:
+def cmd_arrangement(args) -> tuple:
+    if args.file is None:
         if args.type is None:
             raise ValueError("give a type label or --file")
         arr = arrmod.canonical_arrangement(rootsys.build(args.type))
-    rs = arr.rs
-    label = str(rs.stype)
-    orbit = arrmod.weyl_orbit(arr, cap=args.orbit_cap)
-    capped = orbit.full == arrmod.IMPLICIT
-    cm = arrmod.classifying_map(arr)
-    out = args.out
-
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "arrangement",
-            "type": label,
-            "rank": rs.rank,
-            "fundamental": [[str(v) for v in h.functional] for h in arr.fundamental],
-            "orbit": (
-                {"capped": True, "explored": orbit.partial_size}
-                if capped
-                else {"capped": False, "size": len(orbit.full)}
-            ),
-            "classifying_matrix": [[str(v) for v in row] for row in cm.a_star],
-            "k": [str(v) for v in cm.k],
-        }
-        print(json.dumps(payload, indent=2), file=out)
+    elif args.type is not None:
+        raise ValueError("give a type label or --file, not both")
     else:
-        print(f"type {label}", file=out)
-        print(f"fundamental {len(arr.fundamental)}:", file=out)
-        for h in arr.fundamental:
-            print("  " + " ".join(str(v) for v in h.functional), file=out)
-        if capped:
-            print(f"orbit: capped (explored {orbit.partial_size})", file=out)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            arr = arrmod.parse_arrangement(fh.read())
+    rs = arr.rs
+    orbit = arrmod.weyl_orbit(arr, cap=args.orbit_cap)
+    cm = arrmod.classifying_map(arr)
+    payload = {
+        "schema": SCHEMA,
+        "command": "arrangement",
+        "type": str(rs.stype),
+        "rank": rs.rank,
+        "fundamental": [[str(v) for v in h.functional] for h in arr.fundamental],
+        "orbit": (
+            {"capped": True, "explored": orbit.partial_size}
+            if orbit.full == arrmod.IMPLICIT
+            else {"capped": False, "size": len(orbit.full)}
+        ),
+        "classifying_matrix": [[str(v) for v in row] for row in cm.a_star],
+        "k": [str(v) for v in cm.k],
+    }
+    return payload, None
+
+
+# ---------------------------------------------------------------------------
+# renderers: payload and parsed options in, output lines out
+
+
+def _conditions(payload) -> list:
+    """The inequality lines after a_j > 0: one chain per edge when reduced,
+    else one cleared pair row per ordered pair (the rows after the rank
+    positivity rows, +1 at b and -ratio at a)."""
+    lines = []
+    if payload["reduced"]:
+        for chain in payload["chains"]:
+            r, s, t = chain["coefficients"]
+            o, m = chain["side"], chain["middle"]
+            lines.append(f"{_term(r, o)} > {_term(s, m)} > {_term(t, o)}")
+        return lines
+    for c in payload["constraints"][payload["rank"] :]:
+        row = _cleared(c["functional"])
+        b = next(k for k, v in enumerate(row) if v > 0)
+        a = next(k for k, v in enumerate(row) if v < 0)
+        lines.append(f"{_term(str(row[b]), b + 1)} > {_term(str(-row[a]), a + 1)}")
+    return lines
+
+
+def _inequalities_plain(payload, args) -> list:
+    kind = "reduced" if payload["reduced"] else "full"
+    lines = [f"type {payload['type']}", f"rank {payload['rank']}", f"conditions ({kind}):", "  a_j > 0"]
+    lines += [f"  {c}" for c in _conditions(payload)]
+    if args.symbolic:
+        fam = payload["type"][0]
+        if "symbolic" in payload:
+            lines.append(f"symbolic pattern ({fam} family, rank n):")
+            lines += [f"  {line}" for line in payload["symbolic"]]
         else:
-            print(f"orbit size {len(orbit.full)}", file=out)
-        print("classifying matrix:", file=out)
-        for row in cm.a_star:
-            print("  " + " ".join(str(v) for v in row), file=out)
-        print("k: " + " ".join(str(v) for v in cm.k), file=out)
-    return EXIT_OK
+            lines.append(f"symbolic pattern: none for family {fam}")
+    return lines
+
+
+def _inequalities_latex(payload, args) -> list:
+    kind = "reduced" if payload["reduced"] else "full"
+    lines = [f"% conditions for {payload['type']} ({kind})", "\\begin{enumerate}", "\\item $a_j > 0$."]
+    lines += [f"\\item ${c}$." for c in _conditions(payload)]
+    lines.append("\\end{enumerate}")
+    return lines
+
+
+def _rays_plain(payload, args) -> list:
+    lines = [f"type {payload['type']}", f"rays {payload['count']}"]
+    anomalies = []
+    for r in payload["rays"]:
+        vec = f"({', '.join(r['vector'])})" if r["vector"] is not None else "degenerate"
+        eqs = ", ".join(r["equalities"])
+        suffix = f"  [{eqs}]" if eqs else ""
+        lines.append(f"  {r['orientation'] or '(no edges)'}  {vec}{suffix}")
+        anomalies += [f"  {r['orientation']}: {note}" for note in r["anomalies"]]
+    if anomalies:
+        return lines + ["anomalies:"] + anomalies
+    return lines + ["anomalies: none"]
+
+
+def _rays_latex(payload, args) -> list:
+    lines = [f"% extremal rays for {payload['type']}", "\\begin{enumerate}"]
+    for r in payload["rays"]:
+        eqs = ", ".join(f"${t}$" for t in r["equalities"])
+        vec = _point_latex(r["vector"]) if r["vector"] is not None else "\\text{degenerate}"
+        tail = f" with {eqs}" if eqs else ""
+        lines.append(f"\\item ${vec}${tail}.")
+    lines.append("\\end{enumerate}")
+    return lines
+
+
+def _member_plain(payload, args) -> list:
+    results = payload["results"]
+    lines = [f"type {payload['type']}", f"point ({', '.join(payload['point'])})", f"mode {payload['mode']}"]
+    for name in ("edges", "full", "geometric"):
+        if name in results:
+            lines.append(f"{name}: {'true' if results[name] else 'false'}")
+    if args.method == "all":
+        lines.append(f"agreement: {'yes' if payload['agreement'] else 'NO'}")
+    lines.append(f"member: {'true' if payload['member'] else 'false'}")
+    return lines
+
+
+def _faces_plain(payload, args) -> list:
+    return [
+        f"type {payload['type']}",
+        f"faces {payload['count']}",
+        "dimensions: " + " ".join(f"{d}:{k}" for d, k in payload["dimensions"].items()),
+        f"cube order isomorphism: {'yes' if payload['cube_isomorphic'] else 'NO'}",
+    ]
+
+
+def _linear_text(coeffs, rel, bound) -> str:
+    terms = []
+    for k, q in enumerate(coeffs):
+        if q == 0:
+            continue
+        t = _term(str(abs(q)), k + 1)
+        if not terms:
+            terms.append(t if q > 0 else f"-{t}")
+        else:
+            terms.append(f"+ {t}" if q > 0 else f"- {t}")
+    lhs = " ".join(terms) if terms else "0"
+    return f"{lhs} {rel} {bound}"
+
+
+def _polytope_plain(payload, args) -> list:
+    lines = [f"type {payload['type']}", f"bound ({', '.join(payload['bound'])})", "constraints:"]
+    for c in payload["constraints"]:
+        *coeffs, bound = _cleared(c["functional"] + [c["bound"]])
+        lines.append(f"  {_linear_text(coeffs, c['rel'], bound)}")
+    lines.append(f"vertices {len(payload['vertices'])}:")
+    lines += [f"  ({', '.join(v)})" for v in payload["vertices"]]
+    lines.append(f"empty: {'true' if payload['empty'] else 'false'}")
+    return lines
+
+
+def _arrangement_plain(payload, args) -> list:
+    orbit = payload["orbit"]
+    lines = [f"type {payload['type']}", f"fundamental {len(payload['fundamental'])}:"]
+    lines += ["  " + " ".join(h) for h in payload["fundamental"]]
+    if orbit["capped"]:
+        lines.append(f"orbit: capped (explored {orbit['explored']})")
+    else:
+        lines.append(f"orbit size {orbit['size']}")
+    lines.append("classifying matrix:")
+    lines += ["  " + " ".join(row) for row in payload["classifying_matrix"]]
+    lines.append("k: " + " ".join(payload["k"]))
+    return lines
+
+
+# command -> (plain renderer, LaTeX renderer)
+RENDERERS = {
+    "inequalities": (_inequalities_plain, _inequalities_latex),
+    "rays": (_rays_plain, _rays_latex),
+    "member": (_member_plain, _member_plain),
+    "faces": (_faces_plain, _faces_plain),
+    "polytope": (_polytope_plain, _polytope_plain),
+    "arrangement": (_arrangement_plain, _arrangement_plain),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inequalities", help="defining conditions of the cone")
     p.add_argument("type", help="type label such as A4, D5, E8, G2")
-    p.add_argument("--full", action="store_true", help="all ordered pairs, not just edges")
-    p.add_argument(
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--full", action="store_true", help="all ordered pairs, not just edges")
+    form.add_argument(
         "--reduced",
         action="store_true",
         help="edge conditions only (the default; kept for symmetry with --full)",
@@ -611,24 +560,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(_protect_negative_entries(list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    args.out = sys.stdout
     try:
-        return args.func(args)
+        payload, error = args.func(args)
     except ResourceCapError as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        ValueError,
-        OSError,
-        rootsys.UnsupportedTypeError,
-        arrmod.ArrangementFormatError,
-        arrmod.DegenerateArrangementError,
-        cone.MembershipPreconditionError,
-        cone.InstanceFormatError,
-        cone.DegenerateInstanceError,
-    ) as exc:
+    # every domain error of the library subclasses ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        plain, latex = RENDERERS[args.command]
+        print("\n".join((latex if args.format == "latex" else plain)(payload, args)))
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_INVARIANT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

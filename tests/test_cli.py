@@ -1,18 +1,25 @@
 """Tests for the command line interface: golden output, JSON schema,
 exit codes, and the installed entry point."""
 
+import contextlib
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coterie import cli, cone, faces, rootsys
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TABLE_TYPES = ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"]
 
@@ -38,6 +45,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list:
+    """(argv, shown output) for each `$ coterie ...` example in the README's
+    Command line section."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", section, re.S):
+        for example in re.split(r"^\$ coterie ", block, flags=re.M)[1:]:
+            command, _, shown = example.partition("\n")
+            examples.append(pytest.param(shlex.split(command), shown.rstrip("\n") + "\n", id=command))
+    return examples
 
 
 class TestGolden:
@@ -74,6 +93,10 @@ class TestGolden:
         code, out, _ = run_cli(capsys, *GOLDEN_RUNS[stem][0], "--format", fmt)
         assert code == 0
         assert out == (GOLDEN / f"{stem}_{fmt}.txt").read_text()
+
+    @pytest.mark.parametrize("argv, shown", readme_examples())
+    def test_readme_example(self, capsys, argv, shown):
+        assert run_cli(capsys, *argv) == (0, shown, "")
 
 
 class TestInequalities:
@@ -364,6 +387,102 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "rays", "A2", "--wat")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["inequalities", "A3", "--full", "--reduced"],
+                "coterie inequalities: error: argument --reduced: not allowed with argument --full",
+            ),
+            (
+                ["arrangement", "A2", "--file", str(DATA / "arrangement_a2.txt")],
+                "error: give a type label or --file, not both",
+            ),
+        ],
+    )
+    def test_contradictory_input(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == message
+
+
+def quick_token(token: str) -> bool:
+    """False for a valid type label above rank 4, so each example stays fast."""
+    try:
+        return rootsys.parse_type(token).rank <= 4
+    except (rootsys.UnsupportedTypeError, ValueError):
+        return True
+
+
+TOKENS = (
+    st.sampled_from(
+        ["A1", "a2", " B3", "C4", "D4", "F4", "G2", "Z9", "A0", "D2", "E6x", "", "-", "--", "--full", "-h",
+         "x", "0", "-1", "1/0", "1,2", "-1,2", "1/2,-3/4,0", "0,0,0,0", "1,2,3,4,5", "1,,2"]
+    )
+    | st.text(alphabet="ABCDEFGadg0123456789,/-.+ =x", max_size=10).filter(quick_token)
+    | st.text(max_size=4).filter(quick_token)
+)
+FORMATS = ["plain", "json", "latex"]
+FILES = [
+    str(DATA / name)
+    for name in ("arrangement_a2.txt", "arrangement_degenerate.txt", "instance_a2.txt", "missing.txt")
+]
+# command -> (positional slots, flags, {option: valid values})
+GRAMMAR = {
+    "inequalities": (1, ["--full", "--reduced", "--symbolic"], {"--format": FORMATS}),
+    "rays": (1, [], {"--format": FORMATS}),
+    "member": (
+        2,
+        [],
+        {"--mode": ["open", "closed"], "--method": ["all", "edges", "full", "geometric"], "--format": FORMATS},
+    ),
+    "faces": (1, [], {"--format": FORMATS}),
+    "polytope": (2, [], {"--format": FORMATS}),
+    "arrangement": (
+        1,
+        [],
+        {"--file": FILES + [str(DATA)], "--orbit-cap": ["1", "7", "240", "0", "-3"], "--format": FORMATS},
+    ),
+}
+
+
+@st.composite
+def command_lines(draw) -> list:
+    """A command name, then its positional slots (one too few to one too
+    many), flags and options with valid or random values, in random order."""
+    name = draw(st.sampled_from(sorted(GRAMMAR)))
+    slots, flags, options = GRAMMAR[name]
+    groups = [[draw(TOKENS)] for _ in range(draw(st.integers(max(0, slots - 1), slots + 1)))]
+    groups += [[flag] for flag in flags if draw(st.booleans())]
+    for option, values in options.items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(values) | TOKENS)
+            groups.append([f"{option}={value}"] if draw(st.booleans()) else [option, value])
+    return [name] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+def grammar_faults(argv) -> list:
+    """What breaks the CLI's contract on argv: an exception, an exit code
+    other than 0, 2, 3 or 4, or an exit 2 without exactly one error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except Exception as exc:
+        return [f"raised {exc!r}"]
+    faults = [] if code in (0, 2, 3, 4) else [f"exit {code}"]
+    if code == 2 and sum("error:" in line for line in err.getvalue().splitlines()) != 1:
+        faults.append(f"stderr {err.getvalue()!r}")
+    return faults
+
+
+class TestGrammar:
+    @given(argv=command_lines())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_random_tokens_in_every_slot(self, argv):
+        assert grammar_faults(argv) == []
 
 
 class TestEntryPoint:
