@@ -412,7 +412,7 @@ def quick_token(token: str) -> bool:
     """False for a valid type label above rank 4, so each example stays fast."""
     try:
         return rootsys.parse_type(token).rank <= 4
-    except (rootsys.UnsupportedTypeError, ValueError):
+    except ValueError:  # UnsupportedTypeError included
         return True
 
 
