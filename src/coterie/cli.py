@@ -44,6 +44,20 @@ def _json_vec(vec) -> list:
     return [str(q) for q in vec]
 
 
+def _ray_json(ints) -> list:
+    """A ray's entries, each str(Fraction(c, d)) for d = ints[-1] > 0,
+    written from the integers; d == 0 marks a primitive vector, written as
+    it stands."""
+    d = ints[-1]
+    if not d:
+        return [str(c) for c in ints]
+    out = []
+    for c in ints:
+        g = gcd(c, d)
+        out.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+    return out
+
+
 def _latex_q(q: str) -> str:
     num, slash, den = q.partition("/")
     if not slash:
@@ -200,7 +214,7 @@ def cmd_rays(args) -> tuple:
         "rays": [
             {
                 "orientation": str(r.orientation),
-                "vector": _json_vec(r.vector) if r.vector is not None else None,
+                "vector": _ray_json(r.ints) if r.ints is not None else None,
                 "equalities": [t[s] for t, s in zip(texts, r.orientation.states)],
                 "anomalies": list(r.anomalies),
             }

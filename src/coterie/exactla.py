@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -160,25 +159,23 @@ class LinearConstraint:
     def __post_init__(self):
         if self.rel not in _REL_CODE:
             raise ValueError(f"unknown relation {self.rel!r}")
-        object.__setattr__(self, "functional", vec(self.functional))
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        functional = vec(self.functional)
+        b = Fraction(self.bound)
+        object.__setattr__(self, "functional", functional)
+        object.__setattr__(self, "bound", b)
+        # cleared() in sparse form (terms, bound, rel), computed once per
+        # constraint however many systems hold it: terms lists the nonzero
+        # (index, coeff) pairs.  Only nonzero entries are cleared; zeros
+        # have denominator 1, so the lcm is the same.
+        terms = [(i, q) for i, q in enumerate(functional) if q]
+        d = lcm(b.denominator, *(q.denominator for _, q in terms))
+        ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
+        object.__setattr__(self, "cleared_terms", (ints, b.numerator * (d // b.denominator), self.rel))
 
     def cleared(self) -> tuple:
         """Integer form (coeffs, bound, rel) scaled by the positive lcm of denominators."""
         ints = clear_row(tuple(self.functional) + (self.bound,))
         return ints[:-1], ints[-1], self.rel
-
-    @cached_property
-    def cleared_terms(self) -> tuple:
-        """cleared() in sparse form (terms, bound, rel): terms lists the
-        nonzero (index, coeff) pairs.  Only nonzero entries are cleared;
-        zeros have denominator 1, so the lcm is the same.  Computed once per
-        constraint, however many systems hold it."""
-        terms = [(i, q) for i, q in enumerate(self.functional) if q]
-        b = self.bound
-        d = lcm(b.denominator, *(q.denominator for _, q in terms))
-        ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
-        return ints, b.numerator * (d // b.denominator), self.rel
 
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:

@@ -15,13 +15,17 @@ arrow erasure the faces below f are those that agree with f on each edge f
 orients, the AND of one per-edge state mask per oriented edge; under
 inclusion they are those that avoid every cube vertex f misses, the
 complement of the OR over those vertices of the faces containing the
-vertex.  That OR is read four vertices at a time from 16-entry tables, one
-per 4-bit chunk of the vertex mask (the "four Russians" trick).  Nothing
-assumes the product structure of the cube.
+vertex.  That OR is read NIBBLE = 6 vertices at a time from 64-entry
+tables, one per 6-bit chunk of the vertex mask (the "four Russians"
+trick).  The state masks and the per-vertex face sets are filled bit by
+bit in one bytearray each and turned into ints once.  Nothing assumes the
+product structure of the cube.
 
 The orientation-to-face map is then certified geometrically through
 exact integer ranks and per-face interior points; that rank pass also
-yields the face dimensions (face_dimensions).  The interior point of a
+yields the face dimensions (face_dimensions).  Each face must have
+dimension rank minus its oriented count, which also makes every cover
+drop the dimension by exactly one.  The interior point of a
 face is the sum of the rays of all full orientings of its neutral edges,
 built face by face from the recurrence point(g) = point(g with its first
 neutral edge '<') + point(g with it '>'), and its tight edge inequalities
@@ -31,8 +35,10 @@ All extremal rays come from one depth-first pass over the Dynkin tree
 from node 0: each edge ratio extends the partial integer vector once for
 every orientation below it.  Each ray is then checked, as a positive
 integer multiple, against its equality rows in two-term form and against
-the closed and the open cone.  extremal_rays reports the rays as Fraction
-vectors; the cube certificate sums the integer multiples themselves.
+the closed and the open cone.  extremal_rays keeps those integer
+multiples and builds a ray's Fraction vector only when it is asked for;
+the rays command writes the entries from the integers, and the cube
+certificate sums them.
 """
 
 from __future__ import annotations
@@ -54,28 +60,23 @@ RIGHT = ">"
 STATES = (LEFT, NEUTRAL, RIGHT)
 
 CUBE_RANK_BOUND = 9
-NIBBLE = 4  # vertices per down-set table chunk: 16 entries a table
+NIBBLE = 6  # vertices per down-set table chunk: 64 entries a table
 
 
 @dataclass(frozen=True)
 class Orientation:
-    """One state per Dynkin edge, edges in canonical (min, max) order."""
+    """One state per Dynkin edge, edges in canonical (min, max) order.
+    Built unchecked; orientation() validates states given from outside."""
 
     edges: tuple
     states: tuple
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.states):
-            raise ValueError("one state per edge required")
-        if any(s not in STATES for s in self.states):
-            raise ValueError(f"states must be drawn from {STATES}")
 
     def __str__(self) -> str:
         return "".join(self.states)
 
     @property
     def oriented_count(self) -> int:
-        return sum(1 for s in self.states if s != NEUTRAL)
+        return len(self.states) - self.states.count(NEUTRAL)
 
     @property
     def fully_oriented(self) -> bool:
@@ -84,14 +85,17 @@ class Orientation:
 
 def orientation(rs: rootsys.RootSystem, states) -> Orientation:
     """Build an Orientation from a string like '>><' or a state sequence."""
-    return Orientation(edges=rs.edges, states=tuple(states))
+    states = tuple(states)
+    if len(states) != len(rs.edges):
+        raise ValueError("one state per edge required")
+    if any(s not in STATES for s in states):
+        raise ValueError(f"states must be drawn from {STATES}")
+    return Orientation(edges=rs.edges, states=states)
 
 
 def all_orientations(rs: rootsys.RootSystem) -> tuple:
-    return tuple(
-        Orientation(edges=rs.edges, states=s)
-        for s in product(STATES, repeat=len(rs.edges))
-    )
+    edges = rs.edges
+    return tuple(Orientation(edges, s) for s in product(STATES, repeat=len(edges)))
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,16 @@ def face_of(rs: rootsys.RootSystem, f: Orientation) -> Face:
 
 @dataclass(frozen=True)
 class ExtremalRay:
+    """ints is the checked positive integer multiple of the ray, None when
+    the ray is undetermined; vector is the reported form, built on demand."""
+
     orientation: Orientation
-    vector: Optional[tuple]
+    ints: Optional[tuple]
     anomalies: tuple = ()
+
+    @property
+    def vector(self) -> Optional[tuple]:
+        return None if self.ints is None else _ray_vector(self.ints)
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +261,7 @@ def _checked_rays(rs: rootsys.RootSystem):
             v = fi * ints[i] + fj * ints[j] if state == RIGHT else bi * ints[i] + bj * ints[j]
             if v != 0:
                 problems.append(f"violates the equality on edge ({i + 1}, {j + 1})")
-        if any(c <= 0 for c in ints):
+        if min(ints) <= 0:
             problems.append("leaves the positive orthant")
         if not cone.member(rs, ints, "closed", "edges"):
             problems.append("is outside the closed cone")
@@ -266,12 +277,10 @@ def extremal_rays(rs: rootsys.RootSystem) -> tuple:
     anomalies, never dropped."""
     out = []
     for states, ints, problems in _checked_rays(rs):
-        f = Orientation(edges=rs.edges, states=states)
-        if ints is None:
-            out.append(ExtremalRay(orientation=f, vector=None, anomalies=problems))
-            continue
-        v = _ray_vector(ints)
-        out.append(ExtremalRay(orientation=f, vector=v, anomalies=tuple(f"ray {v} {p}" for p in problems)))
+        if ints is not None and problems:
+            v = _ray_vector(ints)
+            problems = tuple(f"ray {v} {p}" for p in problems)
+        out.append(ExtremalRay(Orientation(rs.edges, states), ints, problems))
     return tuple(out)
 
 
@@ -316,16 +325,37 @@ def _cube_vertex_sets(m: int) -> list:
     return sets
 
 
+def _index_sets(keys_per_index, size: int) -> dict:
+    """key -> bitset of the indices whose keys include it, for the key
+    collections of indices 0 .. size - 1: the bits are set in one bytearray
+    per key, which becomes an int once, so no big int grows bit by bit."""
+    rows = {}
+    for index, keys in enumerate(keys_per_index):
+        byte, bit = index >> 3, 1 << (index & 7)
+        for key in keys:
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = bytearray((size + 7) >> 3)
+            row[byte] |= bit
+    return {key: int.from_bytes(row, "little") for key, row in rows.items()}
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first, each as a power of two."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def _rule_downsets(orients) -> list:
     """Per orientation f, the bitset of orientations g with f >= g under
     arrow erasure: g agrees with f on every edge f orients, so the set is
     the AND of one state mask per oriented edge of f."""
     size = len(orients)
     everything = (1 << size) - 1
-    masks = {}  # (edge position, state) -> orientations in that state there
-    for index, o in enumerate(orients):
-        for key in enumerate(o.states):
-            masks[key] = masks.get(key, 0) | (1 << index)
+    # (edge position, state) -> orientations in that state there
+    masks = _index_sets((enumerate(o.states) for o in orients), size)
     out = []
     for o in orients:
         down = everything
@@ -359,15 +389,11 @@ def _cube_downsets(vertex_sets) -> list:
     Russians" trick of Arlazarov, Dinic, Kronrod and Faradzev 1970)."""
     size = len(vertex_sets)
     everything = (1 << size) - 1
-    containing = {}  # vertex bit -> faces containing the vertex
+    # vertex bit -> faces containing the vertex
+    containing = _index_sets((_bits(vs) for vs in vertex_sets), size)
     cube = 0
-    for index, vs in enumerate(vertex_sets):
+    for vs in vertex_sets:
         cube |= vs
-        bit = 1 << index
-        while vs:
-            low = vs & -vs
-            containing[low] = containing.get(low, 0) | bit
-            vs ^= low
     tables = _vertex_tables(containing, cube.bit_length())
     chunk = (1 << NIBBLE) - 1
     out = []
@@ -418,7 +444,7 @@ def _tight_states(edge_terms, point) -> Optional[tuple]:
     """Which edge inequalities the integer point makes tight, given every
     edge's rows in the two-term form of _edge_terms; None if the point is
     not strictly positive or is tight in both directions of one edge."""
-    if any(c <= 0 for c in point):
+    if min(point) <= 0:
         return None
     states = []
     for i, j, fi, fj, bi, bj in edge_terms:
@@ -447,8 +473,10 @@ def face_dimensions(rs: rootsys.RootSystem) -> tuple:
 def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND) -> bool:
     """Verify that orientations, ordered by arrow erasure, form the face
     lattice of the (rank-1)-cube, and that the geometry agrees: exact face
-    dimensions, covers dropping dimension by one, and an interior point per
-    face whose tight set reproduces the orientation exactly."""
+    dimensions, and an interior point per face whose tight set reproduces
+    the orientation exactly.  Every face f must have dimension rank minus
+    its oriented count; a cover g of f orients one more edge, so dim g =
+    dim f - 1 follows, and covers need no check of their own."""
     if rs.rank > bound:
         raise ValueError(f"rank {rs.rank} exceeds the bound {bound}")
     m = len(rs.edges)
@@ -459,20 +487,9 @@ def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND)
         return False
 
     # geometric half; stays in integer arithmetic throughout
-    by_states = {}
     for o, d in zip(orients, face_dimensions(rs), strict=True):
         if d != rs.rank - o.oriented_count:
             return False
-        by_states[o.states] = d
-    for o in orients:
-        for pos, s in enumerate(o.states):
-            if s != NEUTRAL:
-                continue
-            for t in (LEFT, RIGHT):
-                below = list(o.states)
-                below[pos] = t
-                if by_states[tuple(below)] != by_states[o.states] - 1:
-                    return False
 
     rays_by_states = {}
     for states, ints, problems in _checked_rays(rs):

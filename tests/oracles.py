@@ -301,7 +301,8 @@ def interior_point_by_sum(rays_by_states, g: Orientation):
 def extremal_rays_by_solve(rs) -> tuple:
     """One ray per fully oriented diagram from a Fraction nullspace solve
     of its equality rows, with the same anomaly checks and normalisation
-    as faces.extremal_rays."""
+    as faces.extremal_rays.  Its ints are the solve's primitive multiples,
+    so compare the two routes by orientation, vector and anomalies."""
     n = rs.rank
     out = []
     for states in product(faces.STATES, repeat=len(rs.edges)):
@@ -320,16 +321,17 @@ def extremal_rays_by_solve(rs) -> tuple:
         anomalies = []
         if len(kernel) != 1:
             anomalies.append(f"equality system has kernel dimension {len(kernel)}")
-            out.append(ExtremalRay(orientation=f, vector=None, anomalies=tuple(anomalies)))
+            out.append(ExtremalRay(orientation=f, ints=None, anomalies=tuple(anomalies)))
             continue
-        v = faces._ray_vector(faces._ray_multiple(kernel[0]))
+        ints = faces._ray_multiple(kernel[0])
+        v = faces._ray_vector(ints)
         if any(c <= 0 for c in v):
             anomalies.append(f"ray {v} leaves the positive orthant")
         if not cone.member(rs, v, "closed", "edges"):
             anomalies.append(f"ray {v} is outside the closed cone")
         if n > 1 and cone.member(rs, v, "open", "edges"):
             anomalies.append(f"ray {v} is interior, expected boundary")
-        out.append(ExtremalRay(orientation=f, vector=v, anomalies=tuple(anomalies)))
+        out.append(ExtremalRay(orientation=f, ints=ints, anomalies=tuple(anomalies)))
     return tuple(out)
 
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import oracles
@@ -208,6 +209,22 @@ class TestRays:
         assert code == 0
         assert "\\begin{enumerate}" in out
         assert "\\frac{3}{2}" in out
+
+    @given(
+        entries=st.lists(st.one_of(st.integers(-99, 99), st.integers(-(10**40), 10**40)), max_size=6),
+        last=st.one_of(st.sampled_from([0, 1]), st.integers(1, 99), st.integers(1, 10**40)),
+        scale=st.integers(1, 10**6),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_integer_text_is_fraction_text(self, entries, last, scale):
+        """A ray's entries are written from its integer multiple: each is
+        str(Fraction(c, d)) for the last entry d > 0, and the integer
+        itself on the primitive path d == 0.  The common scale makes every
+        entry share a factor with d, which the text must cancel."""
+        ints = tuple(c * scale for c in entries) + (last * scale,)
+        d = ints[-1]
+        want = [str(Fraction(c, d)) for c in ints] if d else [str(c) for c in ints]
+        assert cli._ray_json(ints) == want
 
     def test_flipped_membership_fails_the_command(self, capsys, monkeypatch):
         """Every ray is checked against the closed and the open cone through

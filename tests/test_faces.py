@@ -44,6 +44,11 @@ def rays_by_states(rs):
     return {r.orientation.states: r.vector for r in extremal_rays(rs)}
 
 
+def reported(rays) -> list:
+    """What a ray reports, whatever integer multiple it holds."""
+    return [(r.orientation, r.vector, r.anomalies) for r in rays]
+
+
 class TestOrientation:
     def test_str_and_count(self):
         rs = rootsys.build("A4")
@@ -58,6 +63,14 @@ class TestOrientation:
             orientation(rs, ">>")
         with pytest.raises(ValueError):
             orientation(rs, ">>x")
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types(6)])
+    def test_enumerated_states_pass_validation(self, label):
+        """all_orientations and extremal_rays build their orientations
+        unchecked; each equals the one orientation() builds from its text."""
+        rs = rootsys.build(label)
+        built = list(all_orientations(rs)) + [r.orientation for r in extremal_rays(rs)]
+        assert all(o == orientation(rs, str(o)) for o in built)
 
     def test_census_sizes(self):
         assert len(all_orientations(rootsys.build("G2"))) == 3
@@ -197,7 +210,7 @@ class TestRayPropagation:
     @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
     def test_matches_solve_oracle(self, label):
         rs = rootsys.build(label)
-        assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
+        assert reported(extremal_rays(rs)) == reported(oracles.extremal_rays_by_solve(rs))
 
     @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
     def test_depth_first_matches_per_ray_oracle(self, label):
@@ -225,7 +238,7 @@ class TestRayPropagation:
         monkeypatch.setattr(faces, "_edge_ratios", lambda _: tuple(map(tuple, ratios)))
         wrong = per_ray_mismatches(rs)
         assert wrong and all(s[pos] == LEFT for s in wrong)
-        assert extremal_rays(rs) != oracles.extremal_rays_by_solve(rs)
+        assert reported(extremal_rays(rs)) != reported(oracles.extremal_rays_by_solve(rs))
         assert not cube_isomorphism_check(rs)
 
     @staticmethod
@@ -285,6 +298,22 @@ class TestFaceDimensions:
         dims[4] += 1
         monkeypatch.setattr(faces, "face_dimensions", lambda _rs: tuple(dims))
         assert not cube_isomorphism_check(rs)
+
+    @pytest.mark.parametrize("label", ["A4", "D5", "E6", "B7"])
+    def test_any_moved_dimension_fails_the_check(self, monkeypatch, label):
+        """The certificate checks dim = rank - oriented count per face and
+        no covers; one face moved by one either way must still fail it."""
+        rs = rootsys.build(label)
+        real = faces.face_dimensions(rs)
+        size = len(real)
+        for index in (0, size // 3, size // 2, size - 1):
+            for delta in (-1, 1):
+                dims = list(real)
+                dims[index] += delta
+                monkeypatch.setattr(faces, "face_dimensions", lambda _rs, d=tuple(dims): d)
+                assert not cube_isomorphism_check(rs), (index, delta)
+        monkeypatch.setattr(faces, "face_dimensions", lambda _rs: real)
+        assert cube_isomorphism_check(rs)
 
 
 class TestCubeEncoding:
@@ -465,13 +494,17 @@ class TestCubeRoutinesAgainstOracles:
         assert cube_isomorphism_check(rs)
 
     def test_tables_hold_unions_of_containing(self):
-        containing = {1 << v: 1 << (3 * v) for v in range(6)}
-        tables = faces._vertex_tables(containing, 6)
+        # a width that leaves the second chunk part empty
+        nibble = faces.NIBBLE
+        width = nibble + nibble // 2
+        containing = {1 << v: 1 << (3 * v) for v in range(width)}
+        tables = faces._vertex_tables(containing, width)
         assert len(tables) == 2
-        for base, table in zip((0, 4), tables):
-            for t in range(16):
+        for base, table in zip((0, nibble), tables):
+            assert len(table) == 1 << nibble
+            for t in range(1 << nibble):
                 want = 0
-                for b in range(4):
+                for b in range(nibble):
                     if t >> b & 1:
                         want |= containing.get(1 << (base + b), 0)
                 assert table[t] == want
@@ -504,7 +537,7 @@ class TestCubeRoutinePlantedDefects:
         # meets the vertices it misses in the last chunk drops it from its
         # own down-set
         last = ((1 << m) - 1) // faces.NIBBLE
-        entry = ((1 << (1 << m)) - 2) >> (last * faces.NIBBLE) & 15
+        entry = ((1 << (1 << m)) - 2) >> (last * faces.NIBBLE) & ((1 << faces.NIBBLE) - 1)
 
         def corrupt(tables):
             tables[last][entry] ^= 1
