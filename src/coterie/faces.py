@@ -219,6 +219,10 @@ def _propagated_rays(rs: rootsys.RootSystem) -> list:
             walk(depth + 1, y, index | bit)
 
     walk(0, [1] + [0] * (rs.rank - 1), 0)
+    # walk reaches itself through its closure; emptying that cell breaks the
+    # cycle, so out is freed with its last caller, not at a later full
+    # garbage collection
+    del walk
     return out
 
 

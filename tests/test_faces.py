@@ -1,6 +1,7 @@
 """Tests for edge orientations, the face census, extremal rays, and the
 cube-order comparison."""
 
+import gc
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -188,6 +189,18 @@ class TestExtremalRays:
         for t in rootsys.all_types(6):
             for r in extremal_rays(rootsys.build(str(t))):
                 assert r.anomalies == ()
+
+    def test_ray_pass_leaves_no_cyclic_garbage(self):
+        """The depth-first pass frees its partial vectors by reference
+        counting, so they do not pile up between garbage collections."""
+        rs = rootsys.build("D5")
+        gc.collect()
+        gc.disable()
+        try:
+            extremal_rays(rs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ray_count_is_two_to_the_edges(self):
         for label in ("A5", "D5", "E6"):
