@@ -21,6 +21,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from . import arrangement as arrmod
@@ -494,7 +495,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coterie",
         description="Exact rational computations with dominance-order cones "

@@ -88,22 +88,19 @@ def inequalities(rs: rootsys.RootSystem, reduced: bool = True) -> CoterieDescrip
 def _inequalities(rs: rootsys.RootSystem, reduced: bool) -> CoterieDescription:
     n = rs.rank
     pairs = ordered_pairs(rs, reduced)
-
-    def rows(rel):
-        cons = [constraint(exactla.unit(n, a), rel, 0) for a in range(n)]
-        for b, a in pairs:
-            f = [0] * n
-            f[b] = 1
-            f[a] = -ratio(rs, b, a)
-            cons.append(constraint(f, rel, 0))
-        return tuple(cons)
-
+    # one functional per row, shared by the open and the closed system
+    functionals = [exactla.unit(n, a) for a in range(n)]
+    for b, a in pairs:
+        f = [0] * n
+        f[b] = 1
+        f[a] = -ratio(rs, b, a)
+        functionals.append(tuple(f))
     return CoterieDescription(
         rs=rs,
         reduced=reduced,
         pairs=pairs,
-        open_system=ConeSystem(n, rows(GT)),
-        closed_system=ConeSystem(n, rows(GE)),
+        open_system=ConeSystem(n, tuple(constraint(f, GT) for f in functionals)),
+        closed_system=ConeSystem(n, tuple(constraint(f, GE) for f in functionals)),
     )
 
 
@@ -205,8 +202,8 @@ def cross_section(rs: rootsys.RootSystem, y) -> CrossSection:
     ct = exactla.mat_transpose(rs.cartan)
     cons = [constraint(row, GE, 0) for row in ct]
     for k in range(n):
-        f = [Fraction(0)] * n
-        f[k] = Fraction(-1)
+        f = [0] * n
+        f[k] = -1
         cons.append(constraint(f, GE, -y[k]))
     return CrossSection(rs=rs, y=y, system=ConeSystem(n, tuple(cons)))
 
@@ -318,7 +315,7 @@ def canonical_instance(rs: rootsys.RootSystem) -> GeneralCoterieInstance:
     return GeneralCoterieInstance(
         arr=arrmod.canonical_arrangement(rs),
         theta_star=exactla.identity(n),
-        nu=tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)),
+        nu=exactla.identity(n),
     )
 
 

@@ -1,19 +1,20 @@
 """Exact rational linear algebra and feasibility of mixed linear systems.
 
 Entries are ints or fractions.Fraction, vectors are tuples, matrices tuples
-of row tuples; no floating point anywhere. The Fraction vector helpers
-(vec, vec_dot, mat_vec, ...) serve the constraint API and the
-general-instance route; clear_row turns a rational vector into integers
-for everything else. Constraint systems are stored once, as cleared
-integer rows in sparse form (the nonzero (index, coeff) terms), evaluated
-at a cleared integer point and expanded to dense rows for elimination.
-Solving, inversion and rank clear each row to integers and run one
-fraction-free elimination, kernels.eliminate; Fraction appears only in
-what they return. Feasibility of systems mixing strict/weak inequalities
-and equalities is decided by Fourier-Motzkin elimination with strictness
-tracking over the same cleared integer rows. On success the witness is
-rebuilt in integers over one positive common denominator, and Fraction
-appears only in the exact rational witness returned.
+of row tuples; no floating point anywhere. A LinearConstraint keeps int
+and Fraction entries as given and boxes other input (str, bool, ...) with
+Fraction. The Fraction vector helpers (vec, vec_dot, mat_vec, ...) serve
+the general-instance route; clear_row turns a rational vector into
+integers for everything else. Constraint systems are stored once, as
+cleared integer rows in sparse form (the nonzero (index, coeff) terms),
+evaluated at a cleared integer point and expanded to dense rows for
+elimination. Solving, inversion and rank clear each row to integers and
+run one fraction-free elimination, kernels.eliminate; Fraction appears
+only in what they return. Feasibility of systems mixing strict/weak
+inequalities and equalities is decided by Fourier-Motzkin elimination
+with strictness tracking over the same cleared integer rows. On success
+the witness is rebuilt in integers over one positive common denominator,
+and Fraction appears only in the exact rational witness returned.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EQ = "="
 _REL_CODE = {GT: kernels.REL_GT, GE: kernels.REL_GE, EQ: kernels.REL_EQ}
 
 DEFAULT_ROW_CAP = 10**6
+_EXACT = (int, Fraction)  # entry types a constraint keeps unboxed; bool is boxed
 
 
 class InconsistentSystemError(ValueError):
@@ -50,7 +52,7 @@ def vec(coords) -> tuple:
 
 
 def unit(n: int, i: int) -> tuple:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    return tuple(int(j == i) for j in range(n))
 
 
 def identity(n: int) -> tuple:
@@ -150,32 +152,30 @@ def solve_linear(a, b) -> LinearSolution:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """functional . x  REL  bound, with REL one of >, >=, =."""
+    """functional . x  REL  bound, with REL one of >, >=, =.  int and
+    Fraction entries (and bound) are kept as given, others boxed by Fraction."""
 
     functional: tuple
     rel: str
-    bound: Fraction = Fraction(0)
+    bound: int | Fraction = 0
 
     def __post_init__(self):
         if self.rel not in _REL_CODE:
             raise ValueError(f"unknown relation {self.rel!r}")
-        functional = vec(self.functional)
-        b = Fraction(self.bound)
+        functional = tuple(self.functional)
+        if not all(type(c) in _EXACT for c in functional):  # else shared as given
+            functional = tuple(c if type(c) in _EXACT else Fraction(c) for c in functional)
+        b = self.bound if type(self.bound) in _EXACT else Fraction(self.bound)
         object.__setattr__(self, "functional", functional)
         object.__setattr__(self, "bound", b)
-        # cleared() in sparse form (terms, bound, rel), computed once per
-        # constraint however many systems hold it: terms lists the nonzero
-        # (index, coeff) pairs.  Only nonzero entries are cleared; zeros
-        # have denominator 1, so the lcm is the same.
+        # (terms, bound, rel) scaled by the positive lcm of denominators,
+        # computed once per constraint however many systems hold it: terms
+        # lists the nonzero (index, coeff) pairs.  Only nonzero entries are
+        # cleared; zeros have denominator 1, so the lcm is the same.
         terms = [(i, q) for i, q in enumerate(functional) if q]
         d = lcm(b.denominator, *(q.denominator for _, q in terms))
         ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
         object.__setattr__(self, "cleared_terms", (ints, b.numerator * (d // b.denominator), self.rel))
-
-    def cleared(self) -> tuple:
-        """Integer form (coeffs, bound, rel) scaled by the positive lcm of denominators."""
-        ints = clear_row(tuple(self.functional) + (self.bound,))
-        return ints[:-1], ints[-1], self.rel
 
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:

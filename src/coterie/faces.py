@@ -33,7 +33,7 @@ must reproduce the orientation exactly.
 
 All extremal rays come from one depth-first pass over the Dynkin tree
 from node 0: each edge ratio extends the partial integer vector once for
-every orientation below it.  Each ray is then checked, as a positive
+every orientation below it.  Each ray is then checked, as its primitive
 integer multiple, against its equality rows in two-term form and against
 the closed and the open cone.  extremal_rays keeps those integer
 multiples and builds a ray's Fraction vector only when it is asked for;
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from operator import add
 from typing import Optional
 
@@ -144,7 +145,7 @@ def face_of(rs: rootsys.RootSystem, f: Orientation) -> Face:
 
 @dataclass(frozen=True)
 class ExtremalRay:
-    """ints is the checked positive integer multiple of the ray, None when
+    """ints is the checked primitive integer multiple of the ray, None when
     the ray is undetermined; vector is the reported form, built on demand."""
 
     orientation: Orientation
@@ -227,14 +228,13 @@ def _propagated_rays(rs: rootsys.RootSystem) -> list:
 
 
 def _ray_multiple(k) -> tuple:
-    """The positive integer multiple of the nonzero integer vector k that
-    the checks run on: k with its last coordinate made positive, or, when
-    that coordinate is zero, primitive with positive leading entry."""
-    if k[-1] < 0:
-        return tuple(-c for c in k)
-    if k[-1] != 0:
-        return tuple(k)
-    return exactla.primitive(k)
+    """The primitive integer multiple of the nonzero integer vector k that
+    the checks run on, whatever route built k: its last coordinate made
+    positive, or, when that coordinate is zero, its leading entry."""
+    g = gcd(*k)
+    if (k[-1] or next(c for c in k if c)) < 0:
+        g = -g
+    return tuple(c // g for c in k)
 
 
 def _ray_vector(ints) -> tuple:
@@ -246,8 +246,8 @@ def _ray_vector(ints) -> tuple:
 
 def _checked_rays(rs: rootsys.RootSystem):
     """Yield (states, ints, problems) per full orientation, in the
-    enumeration order of all_orientations: ints is a positive integer
-    multiple of the ray, or None when a zero ratio leaves it undetermined
+    enumeration order of all_orientations: ints is the primitive integer
+    multiple of the ray (_ray_multiple), or None when a zero ratio leaves it undetermined
     (problems then holds that anomaly alone); otherwise problems are the
     violated expectations, each to be read after "ray <vector> ".  The
     checks run on ints, which has the ray's signs and, the cone being

@@ -12,9 +12,10 @@ the pairwise comparison of the face order with the cube order, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
 time, extremal rays as Fraction nullspace solves and as one propagation
 per ray, Fourier-Motzkin witnesses rebuilt over Fractions, rows
-evaluated as dense dot products, the Weyl orbit closed by
-dense matrix products, the geometric membership test on Fraction vectors, and the
-general-instance ray points solved over the form, with the wall rows
+evaluated as dense dot products, the Weyl orbit closed by dense matrix
+products, the cone's inequality rows built once per system with every
+entry a Fraction, the geometric membership test on Fraction vectors, and
+the general-instance ray points solved over the form, with the wall rows
 built from them.  They run on the package's own data, so they check the
 faster algorithms, not the data; the membership test reads only the Cartan
 matrix, inverted here over Fractions, so it also checks the integer
@@ -35,6 +36,7 @@ from coterie.arrangement import IMPLICIT, Arrangement, OrientedHyperplane
 from coterie.cone import DegenerateInstanceError, nu_of
 from coterie.exactla import (
     EQ,
+    GE,
     GT,
     ConeSystem,
     InconsistentSystemError,
@@ -301,8 +303,8 @@ def interior_point_by_sum(rays_by_states, g: Orientation):
 def extremal_rays_by_solve(rs) -> tuple:
     """One ray per fully oriented diagram from a Fraction nullspace solve
     of its equality rows, with the same anomaly checks and normalisation
-    as faces.extremal_rays.  Its ints are the solve's primitive multiples,
-    so compare the two routes by orientation, vector and anomalies."""
+    as faces.extremal_rays; both routes hold primitive integer multiples,
+    so their records compare equal as they stand."""
     n = rs.rank
     out = []
     for states in product(faces.STATES, repeat=len(rs.edges)):
@@ -482,6 +484,29 @@ def weyl_orbit_dense(arr, cap: int = arrangement.ORBIT_CAP):
                 queue.append(g)
     full = tuple(OrientedHyperplane(f) for f in sorted(seen))
     return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=full)
+
+
+# ---------------------------------------------------------------------------
+# the cone's rows as dense Fractions
+
+
+def inequalities_by_fractions(rs, reduced: bool) -> tuple:
+    """(open system, closed system) of cone.inequalities, built as the
+    library built them before its rows were shared and left unboxed: every
+    row built once per system, every entry and bound a Fraction."""
+    n = rs.rank
+    pairs = cone.ordered_pairs(rs, reduced)
+
+    def rows(rel):
+        cons = [constraint(vec(unit(n, a)), rel, Fraction(0)) for a in range(n)]
+        for b, a in pairs:
+            f = [0] * n
+            f[b] = 1
+            f[a] = -rootsys.ratio(rs, b, a)
+            cons.append(constraint(vec(f), rel, Fraction(0)))
+        return tuple(cons)
+
+    return ConeSystem(n, rows(GT)), ConeSystem(n, rows(GE))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: seeded exact samplers, the small
 Fraction vector and matrix helpers the library no longer needs, and the
-Fraction evaluation of one constraint.
+Fraction evaluation and dense clearing of one constraint.
 
 All sampling is driven by random.Random instances with fixed seeds recorded
 in the tests, and produces Fractions with bounded denominators so every
@@ -39,6 +39,14 @@ def holds(c, x) -> bool:
     if c.rel == exactla.GE:
         return v >= c.bound
     return v == c.bound
+
+
+def cleared(c) -> tuple:
+    """The dense integer form (coeffs, bound, rel) of the constraint c,
+    scaled by the positive lcm of denominators: the clearing that its
+    sparse cleared_terms are checked against."""
+    ints = exactla.clear_row(tuple(c.functional) + (c.bound,))
+    return ints[:-1], ints[-1], c.rel
 
 
 def rand_fraction(rng, lo=-2, hi=4, max_den=60) -> Fraction:

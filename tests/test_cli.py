@@ -425,6 +425,34 @@ class TestUsageErrors:
         assert err.splitlines()[-1] == message
 
 
+# commands of every kind, usage errors and --help among them, run in turn
+# through one process
+PARSER_RUNS = [
+    ["inequalities", "A3", "--full", "--format", "latex"],
+    ["--help"],
+    ["member", "G2", "-1,4", "--method", "edges"],
+    ["inequalities", "A3", "--full", "--reduced"],
+    ["rays", "G2", "--format", "json"],
+    ["polytope", "--help"],
+    [],
+    ["member", "A2", "1,x/2"],
+    ["faces", "A4"],
+    ["arrangement", "A2", "--orbit-cap", "0"],
+    ["rays", "A2", "--wat"],
+    ["member", "G2", "7,4", "--mode", "closed"],
+]
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        reused = [run_cli(capsys, *argv) for argv in PARSER_RUNS * 2]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in PARSER_RUNS]
+        assert reused == fresh * 2
+        assert {code for code, _, _ in fresh} == {0, 2}
+
+
 def quick_token(token: str) -> bool:
     """False for a valid type label above rank 4, so each example stays fast."""
     try:

@@ -44,7 +44,7 @@ from coterie.cone import (
     u_identity_check,
     u_value,
 )
-from coterie.exactla import EQ, GE, GT, ResourceCapError
+from coterie.exactla import EQ, GE, GT, ConeSystem, ResourceCapError
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,6 +269,65 @@ class TestRoutesAgainstFractionOracle:
         rs = rootsys.build("E6")
         caught = {method for _, _, method in route_disagreements(rs, oracle_points(rs, "E6"))}
         assert caught == {"geometric"}
+
+
+def description_mismatches(desc) -> list:
+    """(mode, row index) wherever a description's row differs from the
+    dense Fraction build of oracles.inequalities_by_fractions in its
+    relation, its bound, its functional as rationals or the text of its
+    entries, and (mode, "rows") where ConeSystem's cleared rows differ."""
+    out = []
+    systems = (desc.open_system, desc.closed_system)
+    for mode, got, want in zip(("open", "closed"), systems, oracles.inequalities_by_fractions(desc.rs, desc.reduced)):
+        assert got.dim == want.dim and len(got.constraints) == len(want.constraints)
+        if got._rows != want._rows:
+            out.append((mode, "rows"))
+        for k, (c, w) in enumerate(zip(got.constraints, want.constraints)):
+            if (c.functional, c.rel, c.bound) != (w.functional, w.rel, w.bound) or list(
+                map(str, c.functional)
+            ) != list(map(str, w.functional)):
+                out.append((mode, k))
+    return out
+
+
+class TestDescriptionAgainstFractionOracle:
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_matches_dense_fraction_build(self, label):
+        rs = rootsys.build(label)
+        for reduced in (True, False):
+            assert description_mismatches(inequalities(rs, reduced)) == []
+
+    def test_rows_are_shared_and_hold_one_fraction(self):
+        """Each functional is built once for both systems: positivity rows
+        are int unit rows, pair rows hold -ratio as their only Fraction."""
+        rs = rootsys.build("E8")
+        desc = inequalities(rs, reduced=False)
+        for c, d in zip(desc.open_system.constraints, desc.closed_system.constraints, strict=True):
+            assert c.functional is d.functional and type(c.bound) is type(d.bound) is int
+        for k, c in enumerate(desc.open_system.constraints):
+            kinds = [type(q) for q in c.functional]
+            assert kinds.count(Fraction) == (0 if k < rs.rank else 1)
+
+    @pytest.mark.parametrize("label", ["A4", "B3", "D5", "E7", "G2"])
+    def test_planted_open_row_in_closed_system_is_caught(self, label):
+        desc = inequalities(rootsys.build(label), reduced=False)
+        cons = list(desc.closed_system.constraints)
+        cons[-1] = dataclasses.replace(cons[-1], rel=GT)
+        planted = dataclasses.replace(desc, closed_system=ConeSystem(desc.rs.rank, tuple(cons)))
+        assert description_mismatches(planted) == [("closed", "rows"), ("closed", len(cons) - 1)]
+
+    @pytest.mark.parametrize("label", ["A4", "B3", "D5", "E7", "G2"])
+    def test_planted_inverted_ratio_is_caught(self, monkeypatch, label):
+        rs = rootsys.build(label)
+        pairs = ordered_pairs(rs)
+        wrong = next(p for p in pairs if ratio(rs, *p) != 1)
+        monkeypatch.setattr(
+            cone, "ratio", lambda rs, b, a: 1 / rootsys.ratio(rs, b, a) if (b, a) == wrong else rootsys.ratio(rs, b, a)
+        )
+        # the uncached build, so the cached description stays as it is
+        planted = cone._inequalities.__wrapped__(rs, True)
+        k = rs.rank + pairs.index(wrong)
+        assert description_mismatches(planted) == [("open", "rows"), ("open", k), ("closed", "rows"), ("closed", k)]
 
 
 class TestAdditivity:
@@ -556,7 +615,7 @@ class TestBoundaryRules:
 def reduced_constraints(system) -> list:
     """Each constraint in order as its relation and gcd-reduced integer row,
     which a positive multiple of the row leaves unchanged."""
-    return [(c.rel, kernels._reduce_row(*c.cleared()[:2])) for c in system.constraints]
+    return [(c.rel, kernels._reduce_row(*support.cleared(c)[:2])) for c in system.constraints]
 
 
 def oracle_mismatches(inst, shifts) -> list:

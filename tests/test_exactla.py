@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import oracles
 import pytest
@@ -35,6 +36,14 @@ from coterie.exactla import (
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 big_integers = st.integers(min_value=-(10**12), max_value=10**12)
 dims = st.integers(min_value=1, max_value=4)
+# constraint entries: kept as given (int, Fraction) or boxed (str, bool)
+exact_or_boxed = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(max_denominator=10**9),
+    st.fractions(max_denominator=10**9).map(str),
+    st.integers(min_value=-50, max_value=50).map(str),
+    st.booleans(),
+)
 
 
 @st.composite
@@ -481,6 +490,28 @@ class TestConeSystem:
             point = (list(point) * 3)[: system.dim]
         direct = all(support.holds(c, vec(point)) for c in system.constraints)
         assert system.satisfies(vec(point)) is direct
+
+    @given(
+        entries=st.lists(exact_or_boxed, min_size=1, max_size=6),
+        bound=exact_or_boxed,
+        rel=st.sampled_from([GT, GE, EQ]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_entries_kept_or_boxed(self, entries, bound, rel):
+        """int and Fraction entries are kept as given, anything else is
+        boxed; the clearing equals that of the all-Fraction vector, and
+        each entry's text is that of its Fraction, as the CLI prints it."""
+        c = constraint(entries, rel, bound)
+        for got, raw in zip(c.functional + (c.bound,), entries + [bound], strict=True):
+            if type(raw) in (int, Fraction):
+                assert got is raw
+            else:
+                assert type(got) is Fraction and got == Fraction(raw)
+            assert str(got) == str(Fraction(raw))
+        f, b = vec(entries), Fraction(bound)
+        d = lcm(b.denominator, *(q.denominator for q in f))
+        terms = tuple((i, q.numerator * (d // q.denominator)) for i, q in enumerate(f) if q)
+        assert c.cleared_terms == (terms, b.numerator * (d // b.denominator), rel)
 
     def test_shared_constraint_is_cleared_once(self):
         shared = constraint(["1/2", "-2/3"], GT, 0)

@@ -205,7 +205,7 @@ class TestSparseEvaluation:
     @settings(max_examples=200, deadline=None)
     def test_sparse_clearing_matches_dense_clearing(self, row, bound):
         c = constraint(row, GE, bound)
-        coeffs, b, rel = c.cleared()
+        coeffs, b, rel = support.cleared(c)
         assert c.cleared_terms == (sparse([(coeffs, b, rel)])[0][0], b, rel)
 
     def test_all_zero_and_empty_rows(self):
@@ -230,7 +230,7 @@ def cone_disagreements(points_by_type) -> list:
     for label, points in points_by_type.items():
         desc = cone.inequalities(rootsys.build(label))
         for mode, system in (("open", desc.open_system), ("closed", desc.closed_system)):
-            dense = [(f, b, exactla._REL_CODE[r]) for f, b, r in (c.cleared() for c in system.constraints)]
+            dense = [(f, b, exactla._REL_CODE[r]) for f, b, r in (support.cleared(c) for c in system.constraints)]
             for x in points:
                 verdicts = {
                     system.satisfies(x),
