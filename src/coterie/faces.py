@@ -247,7 +247,7 @@ def _ray_vector(ints) -> tuple:
 def _checked_rays(rs: rootsys.RootSystem):
     """Yield (states, ints, problems) per full orientation, in the
     enumeration order of all_orientations: ints is the primitive integer
-    multiple of the ray (_ray_multiple), or None when a zero ratio leaves it undetermined
+    multiple of the ray, or None when a zero ratio leaves it undetermined
     (problems then holds that anomaly alone); otherwise problems are the
     violated expectations, each to be read after "ray <vector> ".  The
     checks run on ints, which has the ray's signs and, the cone being

@@ -283,9 +283,8 @@ def description_mismatches(desc) -> list:
         if got._rows != want._rows:
             out.append((mode, "rows"))
         for k, (c, w) in enumerate(zip(got.constraints, want.constraints)):
-            if (c.functional, c.rel, c.bound) != (w.functional, w.rel, w.bound) or list(
-                map(str, c.functional)
-            ) != list(map(str, w.functional)):
+            same_text = list(map(str, c.functional)) == list(map(str, w.functional))
+            if (c.functional, c.rel, c.bound) != (w.functional, w.rel, w.bound) or not same_text:
                 out.append((mode, k))
     return out
 
