@@ -197,8 +197,9 @@ def cross_section(rs: rootsys.RootSystem, y) -> CrossSection:
     n = rs.rank
     if len(y) != n:
         raise ValueError(f"bound vector has length {len(y)}, rank is {n}")
-    if any(v < 0 for v in y):
-        raise ValueError("bound vector must be coordinatewise nonnegative")
+    for k, v in enumerate(y):
+        if v < 0:
+            raise ValueError(f"bound vector must be coordinatewise nonnegative: node {k + 1} is {v}")
     ct = exactla.mat_transpose(rs.cartan)
     cons = [constraint(row, GE, 0) for row in ct]
     for k in range(n):
@@ -403,7 +404,7 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     )
 
 
-def general_member(inst: GeneralCoterieInstance, delta, max_rows: int = 10**6) -> bool:
+def general_member(inst: GeneralCoterieInstance, delta, max_rows: int = exactla.DEFAULT_ROW_CAP) -> bool:
     """Whether the shift delta lies in the general coterie set.
 
     Requires nu_i(delta) >= 0 for every i.  The zero shift is excluded:

@@ -7,19 +7,16 @@ there are 3^(n-1) orientations; the fully oriented ones cut out the
 2^(n-1) extremal rays.
 
 The lattice is compared against the face lattice of an (n-1)-cube built
-the blunt way, as explicit vertex subsets ordered by inclusion: each cube
-face is the set {pinned | s : s a subset of its free bits} over the 2^m
-vertices, m = n-1.  Both orders are compared as complete relations, one
-down-set bitset (a Python int over the 3^(n-1) faces) per face: under
-arrow erasure the faces below f are those that agree with f on each edge f
-orients, the AND of one per-edge state mask per oriented edge; under
-inclusion they are those that avoid every cube vertex f misses, the
-complement of the OR over those vertices of the faces containing the
-vertex.  That OR is read NIBBLE = 6 vertices at a time from 64-entry
-tables, one per 6-bit chunk of the vertex mask (the "four Russians"
-trick).  The state masks and the per-vertex face sets are filled bit by
-bit in one bytearray each and turned into ints once.  Nothing assumes the
-product structure of the cube.
+the blunt way, as explicit vertex lists ordered by inclusion: each cube
+face lists the vertices pinned | s for every subset s of its free bits,
+over the 2^m vertices, m = n-1.  Both orders are inclusion orders of small
+key sets, so one routine (_supersets) computes both as complete relations,
+one up-set bitset (a Python int over the 3^(n-1) faces) per face: the AND,
+over the face's keys, of the faces holding that key.  A cube face's keys
+are its vertices, so F >= G when F holds every vertex of G; an
+orientation's keys are the arrows it lacks, numbered 2*pos for '<' and
+2*pos + 1 for '>', so f >= g when f lacks every arrow that g lacks, which
+is arrow erasure.  Nothing assumes the product structure of the cube.
 
 The orientation-to-face map is then certified geometrically through
 exact integer ranks and per-face interior points; that rank pass also
@@ -61,7 +58,6 @@ RIGHT = ">"
 STATES = (LEFT, NEUTRAL, RIGHT)
 
 CUBE_RANK_BOUND = 9
-NIBBLE = 6  # vertices per down-set table chunk: 64 entries a table
 
 
 @dataclass(frozen=True)
@@ -288,29 +284,15 @@ def extremal_rays(rs: rootsys.RootSystem) -> tuple:
     return tuple(out)
 
 
-def poset_order(f: Orientation, g: Orientation) -> bool:
-    """f >= g: f is g with some arrows erased."""
-    if f.edges != g.edges:
-        raise ValueError("orientations live on different edge sets")
-    for a, b in zip(f.states, g.states):
-        if b == NEUTRAL and a != NEUTRAL:
-            return False
-        if a == RIGHT and b != RIGHT:
-            return False
-        if a == LEFT and b != LEFT:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # cube comparison
 
 
-def _cube_vertex_sets(m: int) -> list:
+def _cube_vertex_lists(m: int) -> list:
     """Faces of the m-cube in the enumeration order of all_orientations,
-    each as a bitmask over the 2^m vertices ('<' pins 0, '>' pins 1): the
-    vertices pinned | s for every subset s of the neutral positions."""
-    sets = []
+    each as the list of its vertices among the 2^m ('<' pins 0, '>' pins 1):
+    pinned | s for every subset s of the neutral positions."""
+    lists = []
     for states in product(STATES, repeat=m):
         free = pinned = 0
         for pos, s in enumerate(states):
@@ -318,15 +300,31 @@ def _cube_vertex_sets(m: int) -> list:
                 free |= 1 << pos
             elif s == RIGHT:
                 pinned |= 1 << pos
-        vs = 0
+        vertices = []
         sub = free
         while True:  # every subset of free, from free down to 0
-            vs |= 1 << (pinned | sub)
+            vertices.append(pinned | sub)
             if not sub:
                 break
             sub = (sub - 1) & free
-        sets.append(vs)
-    return sets
+        lists.append(vertices)
+    return lists
+
+
+def _lacked_arrows(orients) -> list:
+    """Per orientation, the arrows it lacks, each numbered 2*pos + arrow
+    ('<' is arrow 0, '>' arrow 1): both on a neutral edge, the opposite
+    one on an oriented edge."""
+    out = []
+    for o in orients:
+        keys = []
+        for pos, s in enumerate(o.states):
+            if s != LEFT:
+                keys.append(2 * pos)
+            if s != RIGHT:
+                keys.append(2 * pos + 1)
+        out.append(keys)
+    return out
 
 
 def _index_sets(keys_per_index, size: int) -> dict:
@@ -344,75 +342,23 @@ def _index_sets(keys_per_index, size: int) -> dict:
     return {key: int.from_bytes(row, "little") for key, row in rows.items()}
 
 
-def _bits(mask: int):
-    """The set bits of mask, lowest first, each as a power of two."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _rule_downsets(orients) -> list:
-    """Per orientation f, the bitset of orientations g with f >= g under
-    arrow erasure: g agrees with f on every edge f orients, so the set is
-    the AND of one state mask per oriented edge of f."""
-    size = len(orients)
+def _supersets(keysets) -> list:
+    """Per item, the up-set bitset of the items whose keys include all of
+    its own: the AND over its keys of the items holding that key."""
+    size = len(keysets)
+    holders = _index_sets(keysets, size)
     everything = (1 << size) - 1
-    # (edge position, state) -> orientations in that state there
-    masks = _index_sets((enumerate(o.states) for o in orients), size)
     out = []
-    for o in orients:
-        down = everything
-        for pos, s in enumerate(o.states):
-            if s != NEUTRAL:
-                down &= masks[(pos, s)]
-        out.append(down)
-    return out
-
-
-def _vertex_tables(containing, width: int) -> list:
-    """One table per NIBBLE-vertex chunk of a vertex mask of the given bit
-    width: entry t of chunk c is the OR of containing[v] over the vertices
-    v = NIBBLE c + b with bit b set in t.  Each entry extends the entry
-    without its lowest bit by one OR."""
-    tables = []
-    for base in range(0, width, NIBBLE):
-        table = [0] * (1 << NIBBLE)
-        for t in range(1, 1 << NIBBLE):
-            low = t & -t
-            table[t] = table[t ^ low] | containing.get(low << base, 0)
-        tables.append(table)
-    return tables
-
-
-def _cube_downsets(vertex_sets) -> list:
-    """Per face F, the bitset of faces G whose vertex set lies inside F's:
-    G must avoid every vertex F misses, so the set is the complement of the
-    OR over those vertices of the faces containing the vertex.  That OR is
-    read NIBBLE vertices at a time from precomputed tables (the "four
-    Russians" trick of Arlazarov, Dinic, Kronrod and Faradzev 1970)."""
-    size = len(vertex_sets)
-    everything = (1 << size) - 1
-    # vertex bit -> faces containing the vertex
-    containing = _index_sets((_bits(vs) for vs in vertex_sets), size)
-    cube = 0
-    for vs in vertex_sets:
-        cube |= vs
-    tables = _vertex_tables(containing, cube.bit_length())
-    chunk = (1 << NIBBLE) - 1
-    out = []
-    for vs in vertex_sets:
-        missing = cube & ~vs
-        meets_missing = 0
-        for table in tables:
-            meets_missing |= table[missing & chunk]
-            missing >>= NIBBLE
-        out.append(everything & ~meets_missing)
+    for keys in keysets:
+        up = everything
+        for key in keys:
+            up &= holders[key]
+        out.append(up)
     return out
 
 
 def _first_disagreement(a, b) -> int:
-    """First flattened pair index i * size + j where j lies in the down-set
+    """First flattened pair index i * size + j where j lies in the up-set
     of i under one order but not the other, or -1 when the orders agree."""
     size = len(a)
     for i, (x, y) in enumerate(zip(a, b, strict=True)):
@@ -478,16 +424,17 @@ def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND)
     """Verify that orientations, ordered by arrow erasure, form the face
     lattice of the (rank-1)-cube, and that the geometry agrees: exact face
     dimensions, and an interior point per face whose tight set reproduces
-    the orientation exactly.  Every face f must have dimension rank minus
-    its oriented count; a cover g of f orients one more edge, so dim g =
-    dim f - 1 follows, and covers need no check of their own."""
+    the orientation exactly.  The two orders are compared as complete
+    relations, one up-set per face.  Every face f must have dimension rank
+    minus its oriented count; a cover g of f orients one more edge, so
+    dim g = dim f - 1 follows, and covers need no check of their own."""
     if rs.rank > bound:
         raise ValueError(f"rank {rs.rank} exceeds the bound {bound}")
     m = len(rs.edges)
     orients = all_orientations(rs)
 
-    # combinatorial half: the two complete orders, one down-set per face
-    if _first_disagreement(_rule_downsets(orients), _cube_downsets(_cube_vertex_sets(m))) != -1:
+    # combinatorial half: the two complete orders, one up-set per face
+    if _first_disagreement(_supersets(_lacked_arrows(orients)), _supersets(_cube_vertex_lists(m))) != -1:
         return False
 
     # geometric half; stays in integer arithmetic throughout

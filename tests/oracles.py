@@ -8,7 +8,8 @@ data), so agreement is a genuine two-route check.
 
 The second half keeps the slower, direct routes that the library replaced
 by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
-the pairwise comparison of the face order with the cube order, the cube's
+the arrow-erasure order one pair of orientations at a time, the pairwise
+comparison of the face order with the cube order, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
 time, extremal rays as Fraction nullspace solves and as one propagation
 per ray, Fourier-Motzkin witnesses rebuilt over Fractions, rows
@@ -200,6 +201,20 @@ def mat_inverse_by_fractions(m) -> tuple:
 
 # ---------------------------------------------------------------------------
 # face order against the cube order, one ordered pair at a time
+
+
+def poset_order(f: Orientation, g: Orientation) -> bool:
+    """f >= g: f is g with some arrows erased."""
+    if f.edges != g.edges:
+        raise ValueError("orientations live on different edge sets")
+    for a, b in zip(f.states, g.states):
+        if b == NEUTRAL and a != NEUTRAL:
+            return False
+        if a == RIGHT and b != RIGHT:
+            return False
+        if a == LEFT and b != LEFT:
+            return False
+    return True
 
 
 def _rule_triples(orients) -> list:

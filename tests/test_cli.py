@@ -289,6 +289,10 @@ class TestPolytope:
         code, _, err = run_cli(capsys, "polytope", "A2", "--", "-1,1")
         assert code == 2
         assert "nonnegative" in err
+        assert "node 1 is -1" in err
+        code, _, err = run_cli(capsys, "polytope", "B3", "--", "1,2,-3/2")
+        assert code == 2
+        assert "node 3 is -3/2" in err
 
     def test_resource_cap(self, capsys):
         code, _, err = run_cli(

@@ -2,6 +2,7 @@
 polytopes, and pulled-back instances."""
 
 import dataclasses
+import inspect
 import random
 from fractions import Fraction
 from itertools import product
@@ -373,7 +374,7 @@ class TestCrossSection:
         assert polytope_vertices(cs) == ((F(0), F(0)),)
 
     def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="node 2 is -1$"):
             cross_section(rootsys.build("A2"), (1, -1))
 
     def test_subset_cap(self):
@@ -554,6 +555,11 @@ class TestGeneralMember:
         inst = canonical_instance(rootsys.build("A3"))
         with pytest.raises(ResourceCapError):
             general_member(inst, (1, 2, 1), max_rows=2)
+
+    def test_default_row_cap_is_shared(self):
+        # one source for the Fourier-Motzkin cap
+        caps = [inspect.signature(f).parameters["max_rows"].default for f in (general_member, exactla.feasible)]
+        assert caps == [exactla.DEFAULT_ROW_CAP] * 2
 
     def test_systems_shape(self):
         inst = canonical_instance(rootsys.build("A2"))

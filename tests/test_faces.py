@@ -24,8 +24,8 @@ from coterie.faces import (
     extremal_rays,
     face_of,
     orientation,
-    poset_order,
 )
+from oracles import poset_order
 
 F = Fraction
 
@@ -325,47 +325,86 @@ class TestFaceDimensions:
         assert cube_isomorphism_check(rs)
 
 
+def vertex_list(mask):
+    """The vertices of a vertex bitmask, as the list the library keys on."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def transpose(rows):
+    """Bitset rows of a relation read the other way: bit i of row j is bit j
+    of row i, set one related pair at a time."""
+    size = len(rows)
+    out = [bytearray((size + 7) >> 3) for _ in range(size)]
+    for j, row in enumerate(rows):
+        bits = bin(row)[:1:-1]  # bit i at position i
+        i = bits.find("1")
+        while i >= 0:
+            out[i][j >> 3] |= 1 << (j & 7)
+            i = bits.find("1", i + 1)
+    return [int.from_bytes(row, "little") for row in out]
+
+
+def rule_upsets(orients):
+    return faces._supersets(faces._lacked_arrows(orients))
+
+
 class TestCubeEncoding:
     def test_square_vertex_sets(self):
-        sets = dict(zip(product(faces.STATES, repeat=2), faces._cube_vertex_sets(2)))
-        assert sets[("-", "-")] == 0b1111
-        assert sets[(">", "-")] == (1 << 1) | (1 << 3)
-        assert sets[("<", ">")] == 1 << 2
-        assert sets[("<", "<")] == 1 << 0
+        lists = dict(zip(product(faces.STATES, repeat=2), faces._cube_vertex_lists(2)))
+        assert sorted(lists[("-", "-")]) == [0, 1, 2, 3]
+        assert sorted(lists[(">", "-")]) == [1, 3]
+        assert lists[("<", ">")] == [2]
+        assert lists[("<", "<")] == [0]
 
     def test_cube_order_is_vertex_subset(self):
         """The triple formula on cube encodings is literal set inclusion."""
         m = 3
-        sets = faces._cube_vertex_sets(m)
+        lists = faces._cube_vertex_lists(m)
         triples = oracles._cube_triples(m)
-        n = len(sets)
+        n = len(lists)
         for a in range(n):
             an, ar, al = triples[a]
             for b in range(n):
                 bn, br, bl = triples[b]
                 ge = (bn & ~an) == 0 and (ar & ~br) == 0 and (al & ~bl) == 0
-                assert ge == ((sets[b] & ~sets[a]) == 0)
+                assert ge == (set(lists[b]) <= set(lists[a]))
 
     def test_complement_encoding_same_order(self):
         """Vertex sets in the n slot and their complements in the r slot
         describe the same order, so the kernel reports agreement."""
         m = 3
-        sets = faces._cube_vertex_sets(m)
+        sets = oracles.cube_vertex_sets_by_scan(m)
         mask = (1 << (1 << m)) - 1
         family_n = [(vs, 0, 0) for vs in sets]
         family_r = [(0, mask ^ vs, 0) for vs in sets]
         assert oracles._order_pairs_disagree(family_n, family_r) == -1
 
+    def test_lacked_arrows(self):
+        rs = rootsys.build("A3")
+        keys = faces._lacked_arrows([orientation(rs, s) for s in ("<>", "-<", "--")])
+        assert [sorted(k) for k in keys] == [[1, 2], [0, 1, 3], [0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_rule_upsets_are_transposed_arrow_erasure(self, m):
+        orients = all_orientations(rootsys.build(f"A{m + 1}"))
+        pairwise = [sum(1 << j for j, g in enumerate(orients) if poset_order(f, g)) for f in orients]
+        assert rule_upsets(orients) == transpose(pairwise)
+
+    def test_supersets_of_key_lists(self):
+        # item 3 has no keys, so every item includes its keys
+        assert faces._supersets([[1], [1, 2], [2], []]) == [0b0011, 0b0010, 0b0110, 0b1111]
+        assert faces._supersets([]) == []
+
     def test_detects_planted_mismatch(self):
         rs = rootsys.build("A2")
-        rule = faces._rule_downsets(all_orientations(rs))
-        sets = faces._cube_vertex_sets(1)
-        assert faces._first_disagreement(rule, faces._cube_downsets(sets)) == -1
-        broken = list(sets)
+        rule = rule_upsets(all_orientations(rs))
+        lists = faces._cube_vertex_lists(1)
+        assert faces._first_disagreement(rule, faces._supersets(lists)) == -1
+        broken = list(lists)
         broken[0] = broken[1]
-        # duplicating the top face makes '<' compare above '-', which the
+        # duplicating the top face makes '-' compare below '<', which the
         # arrow-erasing order rejects
-        assert faces._first_disagreement(rule, faces._cube_downsets(broken)) >= 0
+        assert faces._first_disagreement(rule, faces._supersets(broken)) >= 0
 
 
 @lru_cache(maxsize=None)
@@ -376,10 +415,17 @@ def pairwise_verdict(m):
     return oracles._order_pairs_disagree(oracles._rule_triples(orients), oracles._cube_triples(m))
 
 
-def bitset_verdict(orients, vertex_sets):
-    return faces._first_disagreement(
-        faces._rule_downsets(orients), faces._cube_downsets(vertex_sets)
-    )
+def bitset_verdict(orients, vertex_lists):
+    return faces._first_disagreement(rule_upsets(orients), faces._supersets(vertex_lists))
+
+
+def reversed_rule_triples(orients):
+    """The kernels' (n, r, l) triples of the converse of arrow erasure, so
+    that the kernel's i >= j reads j >= i: f >= g asks n_g in n_f, r_f in
+    r_g and l_f in l_g, so r and l (shifted apart) take the n slot and n the
+    r slot."""
+    shift = len(orients[0].states)
+    return [(r | l << shift, n, 0) for n, r, l in oracles._rule_triples(orients)]
 
 
 class TestBitsetCertificate:
@@ -387,16 +433,18 @@ class TestBitsetCertificate:
     def test_agrees_with_pairwise_oracle(self, label):
         rs = rootsys.build(label)
         m = len(rs.edges)
-        verdict = bitset_verdict(all_orientations(rs), faces._cube_vertex_sets(m))
+        verdict = bitset_verdict(all_orientations(rs), faces._cube_vertex_lists(m))
         assert verdict == pairwise_verdict(m) == -1
 
     def test_same_first_disagreement_on_planted_defects(self):
-        """Corrupt one cube face or swap two orientations: both routes must
-        report the same first disagreeing pair."""
+        """Corrupt one cube face or swap two orientations: the up-set route
+        must find a disagreement exactly when the pairwise oracle does, the
+        same first one as the oracle on the converse orders (the up-sets
+        read the relation transposed), and that pair must really disagree."""
         rng = random.Random(31)
         for m in range(1, 6):
             orients = list(all_orientations(rootsys.build(f"A{m + 1}")))
-            sets = faces._cube_vertex_sets(m)
+            sets = oracles.cube_vertex_sets_by_scan(m)
             for _ in range(12):
                 o, vs = list(orients), list(sets)
                 a, b = rng.randrange(len(vs)), rng.randrange(len(vs))
@@ -404,18 +452,25 @@ class TestBitsetCertificate:
                     vs[a] = vs[b] if a != b else vs[a] ^ 1
                 else:
                     o[a], o[b] = o[b], o[a]
+                verdict = bitset_verdict(o, [vertex_list(v) for v in vs])
                 cube = [(v, 0, 0) for v in vs]  # the _cube_triples encoding
                 want = oracles._order_pairs_disagree(oracles._rule_triples(o), cube)
-                assert bitset_verdict(o, vs) == want
+                assert (verdict == -1) == (want == -1)
+                converse = [(0, v, 0) for v in vs]
+                assert verdict == oracles._order_pairs_disagree(reversed_rule_triples(o), converse)
+                if verdict >= 0:
+                    i, j = divmod(verdict, len(o))
+                    # j >= i under exactly one of the two orders
+                    assert poset_order(o[j], o[i]) != (vs[i] & ~vs[j] == 0)
 
     def test_every_single_face_corruption_is_caught(self):
         m = 3
         orients = all_orientations(rootsys.build("A4"))
-        sets = faces._cube_vertex_sets(m)
-        for index in range(len(sets)):
+        lists = faces._cube_vertex_lists(m)
+        for index in range(len(lists)):
             for v in range(1 << m):
-                broken = list(sets)
-                broken[index] ^= 1 << v
+                broken = list(lists)
+                broken[index] = sorted(set(lists[index]) ^ {v})
                 assert bitset_verdict(orients, broken) >= 0
 
 
@@ -443,9 +498,10 @@ class TestCubeIsomorphism:
 
 @lru_cache(maxsize=None)
 def oracle_cube(m):
-    """Vertex sets and down-sets of the m-cube, one vertex at a time."""
+    """Vertex sets and up-sets of the m-cube, one vertex at a time: the
+    oracle's down-sets read transposed."""
     sets = oracles.cube_vertex_sets_by_scan(m)
-    return sets, oracles.cube_downsets_by_vertex(sets)
+    return sets, transpose(oracles.cube_downsets_by_vertex(sets))
 
 
 def integer_rays(rs):
@@ -456,20 +512,22 @@ def oracle_interior_points(rays, orients):
     return {o.states: oracles.interior_point_by_sum(rays, o) for o in orients}
 
 
+def check_cube(m):
+    sets, upsets = oracle_cube(m)
+    lists = faces._cube_vertex_lists(m)
+    assert [set(vertex_list(vs)) for vs in sets] == [set(vl) for vl in lists]
+    assert faces._supersets(lists) == upsets
+
+
 class TestCubeRoutinesAgainstOracles:
     @pytest.mark.parametrize("m", range(9))
     def test_vertex_sets_and_downsets(self, m):
-        sets, downsets = oracle_cube(m)
-        assert faces._cube_vertex_sets(m) == sets
-        assert faces._cube_downsets(sets) == downsets
+        check_cube(m)
 
     @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types(9)])
     def test_every_type(self, label):
         rs = rootsys.build(label)
-        m = len(rs.edges)
-        sets, downsets = oracle_cube(m)
-        assert faces._cube_vertex_sets(m) == sets
-        assert faces._cube_downsets(sets) == downsets
+        check_cube(len(rs.edges))
         orients = all_orientations(rs)
         rays = integer_rays(rs)
         assert faces._interior_points(rays, orients) == oracle_interior_points(rays, orients)
@@ -481,12 +539,13 @@ class TestCubeRoutinesAgainstOracles:
         assert all(points[o] == v for o, v in rays.items())
 
     def test_rank_one_is_a_one_vertex_cube(self):
-        # m = 0: one face, one vertex, a vertex mask of width 1, one table
+        # m = 0: one face, no arrow to lack, one vertex
         rs = rootsys.build("A1")
-        assert faces._cube_vertex_sets(0) == [1]
-        assert faces._cube_downsets([1]) == [1]
-        assert len(faces._vertex_tables({1: 1}, 1)) == 1
+        assert faces._cube_vertex_lists(0) == [[0]]
+        assert faces._supersets([[0]]) == [1]
         (only,) = all_orientations(rs)
+        assert faces._lacked_arrows([only]) == [[]]
+        assert rule_upsets([only]) == [1]
         rays = integer_rays(rs)
         assert faces._interior_points(rays, [only]) == {(): (1,)}
         assert cube_isomorphism_check(rs)
@@ -494,70 +553,62 @@ class TestCubeRoutinesAgainstOracles:
     def test_rank_two_is_a_segment(self):
         # m = 1: faces '<', '-', '>' over the vertices 0 and 1
         rs = rootsys.build("A2")
-        sets = faces._cube_vertex_sets(1)
-        assert sets == [0b01, 0b11, 0b10]
-        assert faces._cube_downsets(sets) == [0b001, 0b111, 0b100]
+        lists = faces._cube_vertex_lists(1)
+        assert lists == [[0], [1, 0], [1]]
+        assert faces._supersets(lists) == [0b011, 0b010, 0b110]
+        assert rule_upsets(all_orientations(rs)) == [0b011, 0b010, 0b110]
         rays = integer_rays(rs)
         points = faces._interior_points(rays, all_orientations(rs))
         assert points[(NEUTRAL,)] == tuple(a + b for a, b in zip(rays[(LEFT,)], rays[(RIGHT,)]))
         assert cube_isomorphism_check(rs)
 
-    def test_tables_hold_unions_of_containing(self):
-        # a width that leaves the second chunk part empty
-        nibble = faces.NIBBLE
-        width = nibble + nibble // 2
-        containing = {1 << v: 1 << (3 * v) for v in range(width)}
-        tables = faces._vertex_tables(containing, width)
-        assert len(tables) == 2
-        for base, table in zip((0, nibble), tables):
-            assert len(table) == 1 << nibble
-            for t in range(1 << nibble):
-                want = 0
-                for b in range(nibble):
-                    if t >> b & 1:
-                        want |= containing.get(1 << (base + b), 0)
-                assert table[t] == want
-
 
 class TestCubeRoutinePlantedDefects:
-    """A broken table or recurrence must fail the oracle comparison and the
-    certificate itself."""
-
-    @staticmethod
-    def plant_tables(monkeypatch, corrupt):
-        real = faces._vertex_tables
-        monkeypatch.setattr(faces, "_vertex_tables", lambda c, w: corrupt(real(c, w)))
+    """A broken holder table, key list or recurrence must fail the oracle
+    comparison and the certificate itself."""
 
     @staticmethod
     def caught(m):
         rs = rootsys.build(f"A{m + 1}")
-        sets, downsets = oracle_cube(m)
-        broken = faces._cube_downsets(sets)
-        rule = faces._rule_downsets(all_orientations(rs))
+        _, upsets = oracle_cube(m)
+        broken = faces._supersets(faces._cube_vertex_lists(m))
+        rule = rule_upsets(all_orientations(rs))
         return (
-            broken != downsets
+            broken != upsets
             and faces._first_disagreement(rule, broken) >= 0
             and not cube_isomorphism_check(rs)
         )
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_one_wrong_table_entry(self, monkeypatch, m):
-        # face 0 ('<' everywhere) is the vertex 0 alone; claiming that it
-        # meets the vertices it misses in the last chunk drops it from its
-        # own down-set
-        last = ((1 << m) - 1) // faces.NIBBLE
-        entry = ((1 << (1 << m)) - 2) >> (last * faces.NIBBLE) & ((1 << faces.NIBBLE) - 1)
+        """One holder bit cleared: face 0 ('<' everywhere) is the vertex 0
+        alone, and dropping it from the holders of vertex 0 drops it from
+        its own up-set.  Orientation 0 does not lack arrow 0 (it lacks only
+        the odd '>' arrows), so only the cube side changes."""
+        real = faces._index_sets
 
-        def corrupt(tables):
-            tables[last][entry] ^= 1
-            return tables
+        def cleared(keysets, size):
+            holders = real(keysets, size)
+            if 0 in holders:
+                holders[0] &= ~1
+            return holders
 
-        self.plant_tables(monkeypatch, corrupt)
+        monkeypatch.setattr(faces, "_index_sets", cleared)
         assert self.caught(m)
 
     @pytest.mark.parametrize("m", range(1, 7))
-    def test_dropped_last_chunk(self, monkeypatch, m):
-        self.plant_tables(monkeypatch, lambda tables: tables[:-1])
+    def test_one_key_dropped(self, monkeypatch, m):
+        """The top face ('-' everywhere) loses its last vertex, 0, so it no
+        longer lies above face 0."""
+        real = faces._cube_vertex_lists
+
+        def dropped(m):
+            lists = real(m)
+            top = len(lists) // 2
+            lists[top] = lists[top][:-1]
+            return lists
+
+        monkeypatch.setattr(faces, "_cube_vertex_lists", dropped)
         assert self.caught(m)
 
     @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
