@@ -16,13 +16,21 @@ Three membership routes are kept deliberately independent: evaluating the
 reduced system, evaluating the full system, and the geometric test that
 checks r_alpha(x) > 0 and positivity of the off-alpha coordinates of
 x - r_alpha(x) * weight_alpha for every alpha.  All three run on the point
-cleared to integers, against the integer root data.
+cleared to integers, against the integer root data.  Each functional is
+cleared once: the closed system holds the open system's integer rows
+under its own relation.
 
 A general instance replaces the weight data by an arrangement pulled back
 through a linear map theta_star; membership of a shift delta is decided by
 eliminating the quantifier with exact Fourier-Motzkin over the wall rows
-nu_j(delta) u_j(lam) > 0 (= 0 on the i-th wall).  The ray points r_i have a
-closed form in the integer weights.
+nu_j(delta) u_j(lam) > 0 (= 0 on the i-th wall).  The route runs in
+integers: the instance clears each nu row once to an int row N_j over
+d_j > 0 and builds its dominance rows once, the wall systems of a shift
+clear delta once to D over e > 0, and v_j = N_j . D is an int with the
+sign of nu_j(delta).
+Times (d_j e)^2, wall row j reads v_j d_j e l_j(lam) > -v_j^2, and the
+witness is checked in integers before it is returned as Fractions.  The
+ray points r_i have a closed form in the integer weights.
 """
 
 from __future__ import annotations
@@ -95,12 +103,14 @@ def _inequalities(rs: rootsys.RootSystem, reduced: bool) -> CoterieDescription:
         f[b] = 1
         f[a] = -ratio(rs, b, a)
         functionals.append(tuple(f))
+    # each functional cleared once: the closed rows share the open rows' terms
+    opened = tuple(constraint(f, GT) for f in functionals)
     return CoterieDescription(
         rs=rs,
         reduced=reduced,
         pairs=pairs,
-        open_system=ConeSystem(n, tuple(constraint(f, GT) for f in functionals)),
-        closed_system=ConeSystem(n, tuple(constraint(f, GE) for f in functionals)),
+        open_system=ConeSystem(n, opened),
+        closed_system=ConeSystem(n, tuple(c.with_rel(GE) for c in opened)),
     )
 
 
@@ -291,6 +301,17 @@ class GeneralCoterieInstance:
                 raise DegenerateInstanceError(
                     f"nu_{i} . theta_star = {comp} but the arrangement requires {want}"
                 )
+        # Built once per instance, outside the dataclass fields (so eq, hash
+        # and repr ignore them): each nu row cleared to (N_j, d_j), an int
+        # row over a positive denominator, with N_j as its nonzero (index,
+        # coeff) terms, and the dominance rows.
+        cleared = []
+        for row in nus:
+            ints = exactla.clear_row(row + (1,))
+            cleared.append((tuple((k, c) for k, c in enumerate(ints[:-1]) if c), ints[-1]))
+        object.__setattr__(self, "_nu_ints", tuple(cleared))
+        dominance = tuple(constraint(row, GT, 0) for row in exactla.mat_transpose(self.arr.rs.cartan))
+        object.__setattr__(self, "_dominance", dominance)
 
     @property
     def rs(self) -> rootsys.RootSystem:
@@ -346,43 +367,22 @@ def r_i_general(inst: GeneralCoterieInstance, i: int, delta) -> tuple:
     return tuple(scale * v for v in u)
 
 
-def u_value(inst: GeneralCoterieInstance, i: int, delta, lam) -> Fraction:
-    """nu_i(delta - theta_star(lam)) with theta_star acting column-wise."""
-    lam = exactla.vec(lam)
-    if len(lam) != inst.rs.rank:
-        raise ValueError(f"lambda has length {len(lam)}, rank is {inst.rs.rank}")
-    image = exactla.mat_vec(inst.theta_star, lam)
-    delta = exactla.vec(delta)
+def _shift_heights(inst: GeneralCoterieInstance, delta) -> tuple:
+    """(D, e, v): the shift cleared to the int vector D over e > 0, and the
+    ints v_j = N_j . D, so that nu_j(delta) = v_j / (d_j e) has the sign of
+    v_j."""
     if len(delta) != inst.shift_dim:
         raise ValueError(f"shift has length {len(delta)}, expected {inst.shift_dim}")
-    return exactla.vec_dot(exactla.vec(inst.nu[i]), exactla.vec_sub(delta, image))
+    ints = exactla.clear_row(tuple(delta) + (1,))
+    heights = tuple(sum([c * ints[k] for k, c in terms]) for terms, _ in inst._nu_ints)
+    return ints[:-1], ints[-1], heights
 
 
-def epsilon_i(inst: GeneralCoterieInstance, i: int, delta) -> Fraction:
-    """nu_i(delta) / (r_i, r_i)."""
-    r = r_i_general(inst, i, delta)
-    rr = rootsys.inner(inst.rs, r, r)
-    if rr == 0:
-        raise DegenerateInstanceError(
-            f"(r_{i}, r_{i}) = 0; the wall height is undefined"
-        )
-    return nu_of(inst, i, delta) / rr
-
-
-def u_identity_check(inst: GeneralCoterieInstance, i: int, delta, lam) -> bool:
-    """u_i(lam) equals epsilon_i * (r_i - lam, r_i)."""
-    r = r_i_general(inst, i, delta)
-    if not any(r):
-        raise DegenerateInstanceError(f"r_{i}(delta) = 0; the identity needs a nonzero ray")
-    lam = exactla.vec(lam)
-    lhs = u_value(inst, i, delta, lam)
-    rhs = epsilon_i(inst, i, delta) * rootsys.inner(inst.rs, exactla.vec_sub(list(r), lam), r)
-    return lhs == rhs
-
-
-def _wall_row(functional, nu: Fraction) -> tuple:
-    """nu u(lam) > 0 with the wall height u(lam) = nu + l(lam), as (row, bound)."""
-    return tuple(nu * c for c in functional), -nu * nu
+def _wall_row(functional, v: int, d: int, e: int) -> tuple:
+    """nu u(lam) > 0 with nu = v / (d e) and the wall height u(lam) = nu + l(lam),
+    multiplied by (d e)^2 > 0: v d e l(lam) > -v^2, as the int (row, bound)."""
+    s = v * d * e
+    return tuple(s * c for c in functional), -v * v
 
 
 def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
@@ -390,17 +390,19 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     i-th wall sphere, strictly inside every other wall sphere.  By the
     u-identity, (r_j - lam, r_j) > 0 is nu_j(delta) u_j(lam) > 0 up to a
     positive factor, and both rows read 0 > 0 when nu_j(delta) = 0."""
-    n = inst.rs.rank
+    _, e, heights = _shift_heights(inst, delta)
+    # each row is built and cleared once; the systems share the frozen
+    # constraints, and the equality rows the strict rows' terms
     walls = [
-        _wall_row(h.functional, nu_of(inst, j, delta)) for j, h in enumerate(inst.arr.fundamental)
+        _wall_row(h.functional, v, d, e)
+        for h, v, (_, d) in zip(inst.arr.fundamental, heights, inst._nu_ints)
     ]
-    # each row is built once; the systems share the frozen constraints
-    dominance = tuple(constraint(row, GT, 0) for row in exactla.mat_transpose(inst.rs.cartan))
-    inside = [constraint(f, GT, bound) for f, bound in walls]
-    on = [constraint(f, EQ, bound) for f, bound in walls]
+    inside = [constraint(row, GT, bound) for row, bound in walls]
+    on = [c.with_rel(EQ) for c in inside]
+    n = inst.rs.rank
     return tuple(
-        ConeSystem(n, dominance + tuple(on[i] if j == i else row for j, row in enumerate(inside)))
-        for i in range(len(walls))
+        ConeSystem(n, inst._dominance + tuple(on[i] if j == i else row for j, row in enumerate(inside)))
+        for i in range(len(inside))
     )
 
 
@@ -411,13 +413,13 @@ def general_member(inst: GeneralCoterieInstance, delta, max_rows: int = exactla.
     every wall sphere degenerates to the origin, which is not strictly
     dominant, so no witness exists.
     """
-    delta = exactla.vec(delta)
-    vals = [nu_of(inst, i, delta) for i in range(len(inst.nu))]
-    if any(v < 0 for v in vals):
+    delta = tuple(delta)
+    shift, _, heights = _shift_heights(inst, delta)
+    if any(v < 0 for v in heights):
         raise MembershipPreconditionError(
             "delta must satisfy nu_i(delta) >= 0 for every wall"
         )
-    if not any(delta):
+    if not any(shift):
         return False
     for system in general_member_systems(inst, delta):
         if not exactla.feasible(system, max_rows=max_rows):

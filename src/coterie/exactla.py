@@ -1,25 +1,29 @@
 """Exact rational linear algebra and feasibility of mixed linear systems.
 
 Entries are ints or fractions.Fraction, vectors are tuples, matrices tuples
-of row tuples; no floating point anywhere. A LinearConstraint keeps int
-and Fraction entries as given and boxes other input (str, bool, ...) with
-Fraction. The Fraction vector helpers (vec, vec_dot, mat_vec, ...) serve
-the general-instance route; clear_row turns a rational vector into
-integers for everything else. Constraint systems are stored once, as
-cleared integer rows in sparse form (the nonzero (index, coeff) terms),
-evaluated at a cleared integer point and expanded to dense rows for
-elimination. Solving, inversion and rank clear each row to integers and
-run one fraction-free elimination, kernels.eliminate; Fraction appears
-only in what they return. Feasibility of systems mixing strict/weak
-inequalities and equalities is decided by Fourier-Motzkin elimination
-with strictness tracking over the same cleared integer rows. On success
-the witness is rebuilt in integers over one positive common denominator,
-and Fraction appears only in the exact rational witness returned.
+of row tuples; no floating point anywhere. clear_row turns a rational
+vector into integers; the Fraction vector helpers (vec, vec_dot, mat_vec,
+...) are left for code off the integer paths. A LinearConstraint keeps
+int and Fraction entries as given, boxes other input (str, bool, ...)
+with Fraction, and clears its row once, to integers in sparse form: the
+nonzero (index, coeff) terms, the bound and the relation code. A
+ConeSystem stores those rows as they are, one object per constraint
+however many systems hold it, and with_rel gives the same row under
+another relation without clearing it again. The rows are evaluated at a
+cleared integer point and expanded to dense rows for elimination.
+Solving, inversion and rank clear each row to integers and run one
+fraction-free elimination, kernels.eliminate; Fraction appears only in
+what they return. Feasibility of systems mixing strict/weak inequalities
+and equalities is decided by Fourier-Motzkin elimination with strictness
+tracking over the same cleared integer rows. On success the witness is
+rebuilt in integers over one positive common denominator and checked
+against those rows in integers; Fraction appears only in the exact
+rational witness returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -150,14 +154,31 @@ def solve_linear(a, b) -> LinearSolution:
     return LinearSolution(tuple(particular), tuple(kernel))
 
 
-@dataclass(frozen=True)
+def _clear_terms(functional, bound) -> tuple:
+    """(terms, bound) of the row functional . x >= bound scaled by the
+    positive lcm of denominators: terms lists the nonzero (index, coeff)
+    pairs.  Only nonzero entries are cleared; zeros have denominator 1, so
+    the lcm is the same."""
+    terms = [(i, q) for i, q in enumerate(functional) if q]
+    d = lcm(bound.denominator, *(q.denominator for _, q in terms))
+    ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
+    return ints, bound.numerator * (d // bound.denominator)
+
+
+@dataclass(frozen=True, slots=True)
 class LinearConstraint:
     """functional . x  REL  bound, with REL one of >, >=, =.  int and
-    Fraction entries (and bound) are kept as given, others boxed by Fraction."""
+    Fraction entries (and bound) are kept as given, others boxed by Fraction.
+
+    cleared_terms is the row (terms, bound, rel code) that every system
+    holding the constraint evaluates and eliminates (_clear_terms), built
+    once per constraint; with_rel shares it with the same row under
+    another relation."""
 
     functional: tuple
     rel: str
     bound: int | Fraction = 0
+    cleared_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rel not in _REL_CODE:
@@ -168,14 +189,23 @@ class LinearConstraint:
         b = self.bound if type(self.bound) in _EXACT else Fraction(self.bound)
         object.__setattr__(self, "functional", functional)
         object.__setattr__(self, "bound", b)
-        # (terms, bound, rel) scaled by the positive lcm of denominators,
-        # computed once per constraint however many systems hold it: terms
-        # lists the nonzero (index, coeff) pairs.  Only nonzero entries are
-        # cleared; zeros have denominator 1, so the lcm is the same.
-        terms = [(i, q) for i, q in enumerate(functional) if q]
-        d = lcm(b.denominator, *(q.denominator for _, q in terms))
-        ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
-        object.__setattr__(self, "cleared_terms", (ints, b.numerator * (d // b.denominator), self.rel))
+        object.__setattr__(self, "cleared_terms", _clear_terms(functional, b) + (_REL_CODE[self.rel],))
+
+    def with_rel(self, rel: str) -> LinearConstraint:
+        """The same functional and bound under the relation rel, holding
+        this constraint's cleared terms instead of clearing them again."""
+        if rel not in _REL_CODE:
+            raise ValueError(f"unknown relation {rel!r}")
+        other = object.__new__(LinearConstraint)
+        terms, bound, _ = self.cleared_terms
+        for name, value in (
+            ("functional", self.functional),
+            ("rel", rel),
+            ("bound", self.bound),
+            ("cleared_terms", (terms, bound, _REL_CODE[rel])),
+        ):
+            object.__setattr__(other, name, value)
+        return other
 
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:
@@ -194,8 +224,7 @@ class ConeSystem:
         for c in self.constraints:
             if len(c.functional) != self.dim:
                 raise ValueError("constraint length does not match system dimension")
-        rows = tuple((t, b, _REL_CODE[r]) for t, b, r in (c.cleared_terms for c in self.constraints))
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", tuple(c.cleared_terms for c in self.constraints))
 
     def satisfies(self, x) -> bool:
         """Exact evaluation at a rational point of length dim."""
@@ -289,7 +318,8 @@ def _back_substitute(steps, dim: int) -> tuple:
     integer dot product.  A row c x >= b bounds the variable by
     (b den - rest) / (c den), held as the pair (b den - rest, c) in units
     of 1 / den (sign moved so that the second entry is positive), and pairs
-    are compared by cross-multiplication."""
+    are compared by cross-multiplication.  Returns (ints, den): the witness
+    is ints / den."""
     witness = [0] * dim
     den = 1
     for var, kind, payload in reversed(steps):
@@ -313,7 +343,7 @@ def _back_substitute(steps, dim: int) -> tuple:
                         hi = (v, c)
             p, q = _interval_point(lo, hi, den)
         den = _assign(witness, den, var, p, q)
-    return tuple(Fraction(w, den) for w in witness)
+    return tuple(witness), den
 
 
 def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Optional[Sequence[int]] = None) -> Feasibility:
@@ -323,9 +353,9 @@ def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Opti
     mentions the variable, otherwise by a Fourier-Motzkin step (a derived
     inequality is strict iff at least one parent is). On success the witness
     is rebuilt by back-substitution, taking the midpoint of each bounded
-    interval and bound +/- 1 on unbounded sides, and checked against the
-    system's cleared integer rows (ConeSystem.satisfies); a witness that
-    fails them raises AssertionError. Raises ResourceCapError if an
+    interval and bound +/- 1 on unbounded sides, and checked in integers
+    against the system's cleared rows (kernels.eval_rows) before it is
+    boxed into Fractions; a witness that fails them raises AssertionError. Raises ResourceCapError if an
     intermediate system exceeds max_rows rows.
     """
     dim = system.dim
@@ -366,7 +396,7 @@ def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Opti
             ineq_rows = kernels.fm_step(ineq_rows, var)
     if not _verdict(eq_rows, ineq_rows):
         return Feasibility(False, None)
-    witness = _back_substitute(steps, dim)
-    if not system.satisfies(witness):
+    ints, den = _back_substitute(steps, dim)
+    if not kernels.eval_rows(system._rows, ints, den):
         raise AssertionError("internal error: witness fails its own system")
-    return Feasibility(True, witness)
+    return Feasibility(True, tuple(Fraction(w, den) for w in ints))

@@ -17,7 +17,8 @@ evaluated as dense dot products, the Weyl orbit closed by dense matrix
 products, the cone's inequality rows built once per system with every
 entry a Fraction, the geometric membership test on Fraction vectors, and
 the general-instance ray points solved over the form, with the wall rows
-built from them.  They run on the package's own data, so they check the
+built from them, and the wall rows built over Fractions from the Fraction
+wall heights nu_j(delta).  They run on the package's own data, so they check the
 faster algorithms, not the data; the membership test reads only the Cartan
 matrix, inverted here over Fractions, so it also checks the integer
 weights, and the ray points read the form, not the weights.
@@ -426,16 +427,17 @@ def back_substitute_by_fractions(steps, dim: int) -> tuple:
 
 def rebuilt_witnesses(system, **kwargs):
     """Run exactla.feasible(system, **kwargs) and rebuild its witness twice
-    from the same elimination steps: (the library's witness, this oracle's
-    witness, whether feasible's own re-check rejected the library's), or
-    None when feasible decided infeasible before back-substitution."""
+    from the same elimination steps: (the library's witness as its integer
+    pair (ints, den), this oracle's Fraction witness, whether feasible's own
+    re-check rejected the library's), or None when feasible decided
+    infeasible before back-substitution."""
     seen = []
     library = exactla._back_substitute
 
     def both(steps, dim):
-        witness = library(steps, dim)
-        seen.append((witness, back_substitute_by_fractions(steps, dim)))
-        return witness
+        pair = library(steps, dim)
+        seen.append((pair, back_substitute_by_fractions(steps, dim)))
+        return pair
 
     rejected = False
     with pytest.MonkeyPatch.context() as mp:
@@ -447,6 +449,15 @@ def rebuilt_witnesses(system, **kwargs):
                 raise
             rejected = True
     return seen[0] + (rejected,) if seen else None
+
+
+def same_point(pair, witness) -> bool:
+    """Whether the integer pair (ints, den), den > 0, is the point of the
+    Fraction witness: ints[k] q_k == p_k den for each entry p_k / q_k."""
+    ints, den = pair
+    return den > 0 and len(ints) == len(witness) and all(
+        x * w.denominator == w.numerator * den for x, w in zip(ints, witness)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +618,28 @@ def general_member_systems_by_rays(inst, delta) -> tuple:
     systems = []
     for i in range(len(rays)):
         cons = [constraint(row, GT, 0) for row in ct]
+        for j, (f, bound) in enumerate(walls):
+            cons.append(constraint(f, EQ if j == i else GT, bound))
+        systems.append(ConeSystem(n, tuple(cons)))
+    return tuple(systems)
+
+
+def general_member_systems_by_fractions(inst, delta) -> tuple:
+    """cone.general_member_systems built over Fractions, as the library
+    built it before its wall rows became integers: nu_j(delta) summed as a
+    Fraction, and each wall row nu_j(delta) u_j(lam) > 0 (= 0 on the i-th
+    wall) written as the Fraction row nu_j(delta) l_j with bound
+    -nu_j(delta)^2."""
+    delta = vec(delta)
+    n = inst.rs.rank
+    walls = []
+    for nu, h in zip(inst.nu, inst.arr.fundamental, strict=True):
+        height = exactla.vec_dot(nu, delta)
+        walls.append((tuple(height * c for c in h.functional), -height * height))
+    dominance = [constraint(row, GT, 0) for row in exactla.mat_transpose(inst.rs.cartan)]
+    systems = []
+    for i in range(len(walls)):
+        cons = list(dominance)
         for j, (f, bound) in enumerate(walls):
             cons.append(constraint(f, EQ if j == i else GT, bound))
         systems.append(ConeSystem(n, tuple(cons)))

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded exact samplers, the small
-Fraction vector and matrix helpers the library no longer needs, and the
-Fraction evaluation and dense clearing of one constraint.
+Fraction vector and matrix helpers the library no longer needs, the
+Fraction evaluation and dense clearing of one constraint, and the wall
+heights of a general instance with their quadratic identity.
 
 All sampling is driven by random.Random instances with fixed seeds recorded
 in the tests, and produces Fractions with bounded denominators so every
@@ -9,7 +10,7 @@ check stays exact and reproducible.
 
 from fractions import Fraction
 
-from coterie import exactla, rootsys
+from coterie import cone, exactla, rootsys
 
 
 def zeros(n: int) -> tuple:
@@ -47,6 +48,39 @@ def cleared(c) -> tuple:
     sparse cleared_terms are checked against."""
     ints = exactla.clear_row(tuple(c.functional) + (c.bound,))
     return ints[:-1], ints[-1], c.rel
+
+
+def u_value(inst, i: int, delta, lam) -> Fraction:
+    """The wall height nu_i(delta - theta_star(lam)) with theta_star acting
+    column-wise."""
+    lam = exactla.vec(lam)
+    if len(lam) != inst.rs.rank:
+        raise ValueError(f"lambda has length {len(lam)}, rank is {inst.rs.rank}")
+    image = exactla.mat_vec(inst.theta_star, lam)
+    delta = exactla.vec(delta)
+    if len(delta) != inst.shift_dim:
+        raise ValueError(f"shift has length {len(delta)}, expected {inst.shift_dim}")
+    return exactla.vec_dot(exactla.vec(inst.nu[i]), exactla.vec_sub(delta, image))
+
+
+def epsilon_i(inst, i: int, delta) -> Fraction:
+    """nu_i(delta) / (r_i, r_i)."""
+    r = cone.r_i_general(inst, i, delta)
+    rr = rootsys.inner(inst.rs, r, r)
+    if rr == 0:
+        raise cone.DegenerateInstanceError(f"(r_{i}, r_{i}) = 0; the wall height is undefined")
+    return cone.nu_of(inst, i, delta) / rr
+
+
+def u_identity_check(inst, i: int, delta, lam) -> bool:
+    """u_i(lam) equals epsilon_i * (r_i - lam, r_i)."""
+    r = cone.r_i_general(inst, i, delta)
+    if not any(r):
+        raise cone.DegenerateInstanceError(f"r_{i}(delta) = 0; the identity needs a nonzero ray")
+    lam = exactla.vec(lam)
+    lhs = u_value(inst, i, delta, lam)
+    rhs = epsilon_i(inst, i, delta) * rootsys.inner(inst.rs, exactla.vec_sub(list(r), lam), r)
+    return lhs == rhs
 
 
 def rand_fraction(rng, lo=-2, hi=4, max_den=60) -> Fraction:

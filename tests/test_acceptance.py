@@ -248,10 +248,10 @@ def test_criterion_8():
             d = support.rand_positive_vec(rng, rs.rank)
             lam = support.rand_vec(rng, rs.rank)
             i = rng.randrange(rs.rank)
-            assert cone.u_identity_check(inst, i, d, lam), (label, i, d, lam)
+            assert support.u_identity_check(inst, i, d, lam), (label, i, d, lam)
             # anchors: the full height at the origin, zero on the wall point
-            assert cone.u_value(inst, i, d, zero) == cone.nu_of(inst, i, d)
-            assert cone.u_value(inst, i, d, cone.r_i_general(inst, i, d)) == 0
+            assert support.u_value(inst, i, d, zero) == cone.nu_of(inst, i, d)
+            assert support.u_value(inst, i, d, cone.r_i_general(inst, i, d)) == 0
     assert time.perf_counter() - t0 < 5.0
 
 

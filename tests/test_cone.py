@@ -28,7 +28,6 @@ from coterie.cone import (
     additivity_check,
     canonical_instance,
     cross_section,
-    epsilon_i,
     general_member,
     general_member_systems,
     inequalities,
@@ -42,8 +41,6 @@ from coterie.cone import (
     r_alpha,
     r_i_general,
     ratio,
-    u_identity_check,
-    u_value,
 )
 from coterie.exactla import EQ, GE, GT, ConeSystem, ResourceCapError
 
@@ -290,6 +287,43 @@ def description_mismatches(desc) -> list:
     return out
 
 
+def unshared_rows(cold: bool = False) -> list:
+    """(type, reduced) wherever a closed row does not hold the very terms
+    of its open row, with the same bound and the GE relation code; cold
+    builds the descriptions past the cache."""
+    build = cone._inequalities.__wrapped__ if cold else inequalities
+    out = []
+    for t in rootsys.all_types():
+        for reduced in (True, False):
+            desc = build(rootsys.build(str(t)), reduced)
+            for (terms, bound, rel), (cterms, cbound, crel) in zip(
+                desc.open_system._rows, desc.closed_system._rows, strict=True
+            ):
+                if not (cterms is terms and cbound == bound and (rel, crel) == (kernels.REL_GT, kernels.REL_GE)):
+                    out.append((str(t), reduced))
+                    break
+    return out
+
+
+def clearings_per_cold_build() -> int:
+    """exactla._clear_terms calls in one uncached build of every type's
+    reduced and full descriptions."""
+    honest = exactla._clear_terms
+    calls = []
+
+    def counted(functional, bound):
+        calls.append(1)
+        return honest(functional, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_clear_terms", counted)
+        for t in rootsys.all_types():
+            rs = rootsys.build(str(t))
+            for reduced in (True, False):
+                cone._inequalities.__wrapped__(rs, reduced)
+    return len(calls)
+
+
 class TestDescriptionAgainstFractionOracle:
     @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
     def test_matches_dense_fraction_build(self, label):
@@ -307,6 +341,27 @@ class TestDescriptionAgainstFractionOracle:
         for k, c in enumerate(desc.open_system.constraints):
             kinds = [type(q) for q in c.functional]
             assert kinds.count(Fraction) == (0 if k < rs.rank else 1)
+
+    def test_closed_rows_share_the_open_rows_terms(self):
+        """Every type, both forms: the closed system holds the open system's
+        cleared terms, and a cold build clears each functional once."""
+        assert unshared_rows() == []
+        assert clearings_per_cold_build() == sum(
+            len(inequalities(rootsys.build(str(t)), reduced).open_system.constraints)
+            for t in rootsys.all_types()
+            for reduced in (True, False)
+        )
+
+    def test_planted_fresh_closed_rows_are_caught(self, monkeypatch):
+        """Closed rows built by fresh constraint(f, GE) calls: same rows,
+        but no longer shared, and every functional cleared twice."""
+        counts = clearings_per_cold_build()
+        monkeypatch.setattr(
+            exactla.LinearConstraint, "with_rel", lambda c, rel: exactla.constraint(c.functional, rel, c.bound)
+        )
+        labels = {str(t) for t in rootsys.all_types()}
+        assert {label for label, _ in unshared_rows(cold=True)} == labels
+        assert clearings_per_cold_build() == 2 * counts
 
     @pytest.mark.parametrize("label", ["A4", "B3", "D5", "E7", "G2"])
     def test_planted_open_row_in_closed_system_is_caught(self, label):
@@ -448,6 +503,21 @@ class TestInstanceValidation:
         assert inst.composite(0) == (F(1), F(0))
         assert inst.composite(1) == (F(0), F(1))
 
+    def test_cleared_nu_is_private_and_built_once(self):
+        """Each nu row is cleared once, to (N_j, d_j), and the dominance
+        rows are built once, with the instance; neither enters eq, hash or
+        repr, and every shift's wall systems hold the same dominance rows."""
+        plain = parse_instance((DATA / "instance_a2.txt").read_text())
+        inst, _ = rescaled(plain, [], (F(1, 2), F(1, 3), F(1)))
+        assert inst.nu == ((0, F(-1, 3), 1), (F(-1, 2), 0, 1))
+        assert inst._nu_ints == ((((1, -1), (2, 3)), 3), (((0, -1), (2, 2)), 2))
+        twin = dataclasses.replace(plain, theta_star=inst.theta_star, nu=inst.nu)
+        assert twin == inst and hash(twin) == hash(inst) and twin._nu_ints == inst._nu_ints
+        assert "_nu_ints" not in repr(inst) and "_dominance" not in repr(inst)
+        for delta in ((1, 1, 3), (F(1, 2), 0, 2)):
+            for system in general_member_systems(inst, delta):
+                assert all(a is b for a, b in zip(system.constraints, inst._dominance, strict=False))
+
     def test_parse_rejects_missing_sections(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("type A2\n-1 0\n0 -1\n")
@@ -481,7 +551,7 @@ class TestInstanceGeometry:
         rs = rootsys.build("A2")
         inst = canonical_instance(rs)
         d = (F(3), F(2))
-        assert epsilon_i(inst, 0, support.vec_scale(2, d)) == epsilon_i(inst, 0, d) / 2
+        assert support.epsilon_i(inst, 0, support.vec_scale(2, d)) == support.epsilon_i(inst, 0, d) / 2
 
     def test_u_identity_random(self):
         rng = random.Random(17)
@@ -492,16 +562,16 @@ class TestInstanceGeometry:
                 delta = support.rand_positive_vec(rng, rs.rank)
                 lam = support.rand_vec(rng, rs.rank)
                 for i in range(rs.rank):
-                    assert u_identity_check(inst, i, delta, lam)
+                    assert support.u_identity_check(inst, i, delta, lam)
 
     def test_u_anchor_values(self):
         rs = rootsys.build("A2")
         inst = canonical_instance(rs)
         delta = (F(2), F(3))
         for i in range(2):
-            assert u_value(inst, i, delta, support.zeros(2)) == nu_of(inst, i, delta)
+            assert support.u_value(inst, i, delta, support.zeros(2)) == nu_of(inst, i, delta)
             r = r_i_general(inst, i, delta)
-            assert u_value(inst, i, delta, r) == 0
+            assert support.u_value(inst, i, delta, r) == 0
 
     def test_zero_nu_gives_zero_wall(self):
         """nu_i(delta) = 0 degenerates the wall vector to the origin."""
@@ -792,8 +862,12 @@ class TestRaysAndWallRowsAgainstSolveOracle:
 
     def test_dropped_nu_factor_is_caught(self, monkeypatch):
         """The row u_j(lam) > 0 instead of nu_j(delta) u_j(lam) > 0 is the
-        same row while nu_j(delta) > 0, so only zero wall heights show it."""
-        monkeypatch.setattr(cone, "_wall_row", lambda functional, nu: (functional, -nu))
+        same row while nu_j(delta) > 0, so only zero wall heights show it.
+        With nu_j(delta) = v / (d e), the planted row is u_j(lam) (d e) > 0:
+        d e l_j(lam) > -v."""
+        monkeypatch.setattr(
+            cone, "_wall_row", lambda functional, v, d, e: (tuple(d * e * c for c in functional), -v)
+        )
         for label in ("A2", "B3", "G2"):
             rs = rootsys.build(label)
             positive, *with_zero = canonical_shifts(rs, random.Random(4))
@@ -863,7 +937,7 @@ def witness_disagreements() -> tuple:
         if pair is not None:
             got, want, refused = pair
             rebuilt += 1
-            mismatched += got != want
+            mismatched += not oracles.same_point(got, want)
             rejected += refused
     return rebuilt, mismatched, rejected
 
@@ -899,3 +973,88 @@ class TestBackSubstitutionOnWallSystems:
         monkeypatch.setattr(exactla, "_assign", skipping)
         _, mismatched, rejected = witness_disagreements()
         assert mismatched > 0 and rejected > 0
+
+
+# ---------------------------------------------------------------------------
+# integer wall rows against the wall systems built over Fractions
+
+
+def rescaled(inst, shifts, scale) -> tuple:
+    """(instance, shifts) with shift coordinate k divided by scale[k] > 0:
+    nu's column k times scale[k] and theta_star's row k over it, so the
+    composites and every nu_j(delta) stay as they were, while nu gains
+    denominators (d_j > 1)."""
+    theta = tuple(tuple(v / p for v in row) for row, p in zip(inst.theta_star, scale, strict=True))
+    nu = tuple(tuple(v * p for v, p in zip(row, scale, strict=True)) for row in inst.nu)
+    moved = GeneralCoterieInstance(arr=inst.arr, theta_star=theta, nu=nu)
+    return moved, [tuple(F(x) / p for x, p in zip(delta, scale, strict=True)) for delta in shifts]
+
+
+def integer_route_cases():
+    """(label, instance, shift): the canonical instances of all 49 types at
+    their canonical_shifts, the A2 shift file, and generated_instances(),
+    each of these also rescaled so that its nu has denominators."""
+    for t in rootsys.all_types():
+        rs = rootsys.build(str(t))
+        for delta in canonical_shifts(rs, random.Random(str(t))):
+            yield str(t), canonical_instance(rs), delta
+    rng = random.Random(61)
+    for label, (inst, shifts) in [("A2 file", a2_file_shifts()), *generated_instances()]:
+        scale = [F(rng.randint(1, 3), rng.randint(2, 5)) for _ in range(inst.shift_dim)]
+        moved, moved_shifts = rescaled(inst, shifts, scale)
+        for delta in shifts:
+            yield label, inst, delta
+        for delta in moved_shifts:
+            yield label + " rescaled", moved, delta
+
+
+def fraction_route_mismatches(cases, witnesses: bool = True) -> list:
+    """(label, shift, what, e) wherever the wall systems' exactla._initial_rows
+    ("rows") or, with witnesses, the reprs of their feasible results
+    ("witness") differ from those of the Fraction-built oracle; e is the
+    shift's denominator."""
+    out = []
+    for label, inst, delta in cases:
+        got = general_member_systems(inst, delta)
+        want = oracles.general_member_systems_by_fractions(inst, delta)
+        if list(map(exactla._initial_rows, got)) != list(map(exactla._initial_rows, want)):
+            out.append((label, delta, "rows", denominators(inst, delta)[1]))
+        elif witnesses and [repr(exactla.feasible(s)) for s in got] != [repr(exactla.feasible(s)) for s in want]:
+            out.append((label, delta, "witness", denominators(inst, delta)[1]))
+    return out
+
+
+def denominators(inst, delta) -> tuple:
+    """(the largest d_j of inst's nu rows, e of delta)."""
+    return max(d for _, d in inst._nu_ints), exactla.clear_row(tuple(delta) + (1,))[-1]
+
+
+class TestIntegerWallRowsAgainstFractionOracle:
+    def test_rows_and_witnesses_match(self):
+        cases = list(integer_route_cases())
+        assert fraction_route_mismatches(cases) == []
+        # both clearings are exercised: some nu row over d_j > 1, some
+        # shift over e > 1, and some case with both
+        dens = [denominators(inst, delta) for _, inst, delta in cases]
+        assert any(d > 1 and e > 1 for d, e in dens)
+        assert any(d == 1 and e > 1 for d, e in dens) and any(d > 1 and e == 1 for d, e in dens)
+
+    def test_planted_dropped_nu_denominator_is_caught(self, monkeypatch):
+        """v e l(lam) > -v^2, the row without its d_j factor: it differs
+        exactly where some nu row has d_j > 1 and its height is nonzero."""
+        honest = cone._wall_row
+        monkeypatch.setattr(cone, "_wall_row", lambda functional, v, d, e: honest(functional, v, 1, e))
+        broken = fraction_route_mismatches(integer_route_cases(), witnesses=False)
+        assert len(broken) > 20
+        assert all(label.endswith("rescaled") for label, _, _, _ in broken)
+
+    def test_planted_e_for_e_squared_is_caught(self, monkeypatch):
+        """The row multiplied by d_j^2 e where (d_j e)^2 belongs, against
+        the bound -v^2 that (d_j e)^2 gives: only shifts with e > 1 show it."""
+        honest = cone._wall_row
+        monkeypatch.setattr(cone, "_wall_row", lambda functional, v, d, e: honest(functional, v, d, 1))
+        broken = fraction_route_mismatches(integer_route_cases(), witnesses=False)
+        assert len(broken) > 20
+        labels = {label for label, _, _, _ in broken}
+        assert "A2 file" in labels and "E8" in labels and any(label.endswith("rescaled") for label in labels)
+        assert all(e > 1 for _, _, _, e in broken)

@@ -397,12 +397,17 @@ class TestFeasible:
     @pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(1), Fraction(-1, 2)])
     def test_perturbed_witness_raises(self, monkeypatch, shift):
         """Planted defect: a witness moved onto or past a bound of
-        {x > 0, x < 1} (1/2 is the honest one) fails the integer re-check."""
+        {x > 0, x < 1} (1/2 is the honest one) fails the integer re-check.
+        The witness is (ints, den); the shift p / q moves it to
+        (ints q + p den) / (den q)."""
         system = ConeSystem(1, (constraint([1], GT, 0), constraint([-1], GT, -1)))
         honest = exactla._back_substitute
-        monkeypatch.setattr(
-            exactla, "_back_substitute", lambda steps, dim: (honest(steps, dim)[0] + shift,)
-        )
+
+        def moved(steps, dim):
+            (x,), den = honest(steps, dim)
+            return (x * shift.denominator + shift.numerator * den,), den * shift.denominator
+
+        monkeypatch.setattr(exactla, "_back_substitute", moved)
         with pytest.raises(AssertionError, match="witness fails its own system"):
             feasible(system)
 
@@ -455,7 +460,7 @@ class TestBackSubstitution:
         rebuilt = oracles.rebuilt_witnesses(system, order=order)
         if rebuilt is not None:
             got, want, rejected = rebuilt
-            assert got == want and not rejected
+            assert oracles.same_point(got, want) and not rejected
 
     def test_interval_points(self):
         """Pairs (p, q) stand for p / (q den): here den = 3."""
@@ -511,7 +516,7 @@ class TestConeSystem:
         f, b = vec(entries), Fraction(bound)
         d = lcm(b.denominator, *(q.denominator for q in f))
         terms = tuple((i, q.numerator * (d // q.denominator)) for i, q in enumerate(f) if q)
-        assert c.cleared_terms == (terms, b.numerator * (d // b.denominator), rel)
+        assert c.cleared_terms == (terms, b.numerator * (d // b.denominator), exactla._REL_CODE[rel])
 
     def test_shared_constraint_is_cleared_once(self):
         shared = constraint(["1/2", "-2/3"], GT, 0)

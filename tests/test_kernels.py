@@ -206,7 +206,7 @@ class TestSparseEvaluation:
     def test_sparse_clearing_matches_dense_clearing(self, row, bound):
         c = constraint(row, GE, bound)
         coeffs, b, rel = support.cleared(c)
-        assert c.cleared_terms == (sparse([(coeffs, b, rel)])[0][0], b, rel)
+        assert c.cleared_terms == (sparse([(coeffs, b, rel)])[0][0], b, exactla._REL_CODE[rel])
 
     def test_all_zero_and_empty_rows(self):
         assert kernels.eval_rows([], (5,)) is True
