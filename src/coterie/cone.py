@@ -265,6 +265,13 @@ def orbit_polytope_vertices(
 # general instances
 
 
+@lru_cache(maxsize=None)
+def _dominance_rows(rs: rootsys.RootSystem) -> tuple:
+    """The strict dominance rows C^T lam > 0, built once per root system and
+    shared by every instance over it."""
+    return tuple(constraint(row, GT, 0) for row in exactla.mat_transpose(rs.cartan))
+
+
 @dataclass(frozen=True)
 class GeneralCoterieInstance:
     """Arrangement data pulled back through a rational linear map.
@@ -281,11 +288,20 @@ class GeneralCoterieInstance:
 
     def __post_init__(self):
         n = self.arr.rs.rank
-        theta = tuple(tuple(Fraction(v) for v in row) for row in self.theta_star)
+        # one Fraction per distinct entry value, shared by equal entries
+        boxed = {}
+
+        def box(v):
+            f = boxed.get(v)
+            if f is None:
+                f = boxed[v] = Fraction(v)
+            return f
+
+        theta = tuple(tuple(map(box, row)) for row in self.theta_star)
         if any(len(row) != n for row in theta):
             raise DegenerateInstanceError("theta_star rows must have length rank")
         m = len(theta)
-        nus = tuple(tuple(Fraction(v) for v in row) for row in self.nu)
+        nus = tuple(tuple(map(box, row)) for row in self.nu)
         if len(nus) != len(self.arr.fundamental):
             raise DegenerateInstanceError(
                 "need exactly one nu functional per fundamental hyperplane"
@@ -301,17 +317,16 @@ class GeneralCoterieInstance:
                 raise DegenerateInstanceError(
                     f"nu_{i} . theta_star = {comp} but the arrangement requires {want}"
                 )
-        # Built once per instance, outside the dataclass fields (so eq, hash
+        # Set once per instance, outside the dataclass fields (so eq, hash
         # and repr ignore them): each nu row cleared to (N_j, d_j), an int
         # row over a positive denominator, with N_j as its nonzero (index,
-        # coeff) terms, and the dominance rows.
+        # coeff) terms, and the dominance rows of the root system.
         cleared = []
         for row in nus:
             ints = exactla.clear_row(row + (1,))
             cleared.append((tuple((k, c) for k, c in enumerate(ints[:-1]) if c), ints[-1]))
         object.__setattr__(self, "_nu_ints", tuple(cleared))
-        dominance = tuple(constraint(row, GT, 0) for row in exactla.mat_transpose(self.arr.rs.cartan))
-        object.__setattr__(self, "_dominance", dominance)
+        object.__setattr__(self, "_dominance", _dominance_rows(self.arr.rs))
 
     @property
     def rs(self) -> rootsys.RootSystem:

@@ -197,14 +197,10 @@ class LinearConstraint:
         if rel not in _REL_CODE:
             raise ValueError(f"unknown relation {rel!r}")
         other = object.__new__(LinearConstraint)
-        terms, bound, _ = self.cleared_terms
-        for name, value in (
-            ("functional", self.functional),
-            ("rel", rel),
-            ("bound", self.bound),
-            ("cleared_terms", (terms, bound, _REL_CODE[rel])),
-        ):
-            object.__setattr__(other, name, value)
+        object.__setattr__(other, "functional", self.functional)
+        object.__setattr__(other, "rel", rel)
+        object.__setattr__(other, "bound", self.bound)
+        object.__setattr__(other, "cleared_terms", self.cleared_terms[:2] + (_REL_CODE[rel],))
         return other
 
 

@@ -518,6 +518,20 @@ class TestConeSystem:
         terms = tuple((i, q.numerator * (d // q.denominator)) for i, q in enumerate(f) if q)
         assert c.cleared_terms == (terms, b.numerator * (d // b.denominator), exactla._REL_CODE[rel])
 
+    @pytest.mark.parametrize("rel", [GT, GE, EQ])
+    def test_with_rel_shares_the_cleared_terms(self, rel):
+        """with_rel equals a fresh constraint under the new relation, and
+        holds the very terms of the original instead of clearing again."""
+        c = constraint(["1/2", 0, "-2/3"], GT, "1/6")
+        other = c.with_rel(rel)
+        fresh = constraint(c.functional, rel, c.bound)
+        assert other == fresh and repr(other) == repr(fresh) and other.cleared_terms == fresh.cleared_terms
+        assert other.cleared_terms[0] is c.cleared_terms[0] and other.functional is c.functional
+        assert other.cleared_terms == (((0, 3), (2, -4)), 1, exactla._REL_CODE[rel])
+        with pytest.raises(ValueError, match="unknown relation"):
+            c.with_rel("<")
+        assert not hasattr(c, "__dict__")
+
     def test_shared_constraint_is_cleared_once(self):
         shared = constraint(["1/2", "-2/3"], GT, 0)
         first = ConeSystem(2, (shared, constraint([1, 0], GE, 0)))
