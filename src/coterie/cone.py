@@ -25,12 +25,12 @@ through a linear map theta_star; membership of a shift delta is decided by
 eliminating the quantifier with exact Fourier-Motzkin over the wall rows
 nu_j(delta) u_j(lam) > 0 (= 0 on the i-th wall).  The route runs in
 integers: the instance clears each nu row once to an int row N_j over
-d_j > 0 and builds its dominance rows once, the wall systems of a shift
-clear delta once to D over e > 0, and v_j = N_j . D is an int with the
-sign of nu_j(delta).
-Times (d_j e)^2, wall row j reads v_j d_j e l_j(lam) > -v_j^2, and the
-witness is checked in integers before it is returned as Fractions.  The
-ray points r_i have a closed form in the integer weights.
+d_j > 0, the dominance rows are built once per root system, the wall
+systems of a shift clear delta once to D over e > 0, and v_j = N_j . D is
+an int with the sign of nu_j(delta).  Times (d_j e)^2, wall row j reads
+v_j d_j e l_j(lam) > -v_j^2, and the witness is checked in integers
+before it is returned as Fractions.  The ray points r_i have a closed
+form in the integer weights.
 """
 
 from __future__ import annotations
@@ -405,6 +405,7 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     i-th wall sphere, strictly inside every other wall sphere.  By the
     u-identity, (r_j - lam, r_j) > 0 is nu_j(delta) u_j(lam) > 0 up to a
     positive factor, and both rows read 0 > 0 when nu_j(delta) = 0."""
+    n = inst.rs.rank
     _, e, heights = _shift_heights(inst, delta)
     # each row is built and cleared once; the systems share the frozen
     # constraints, and the equality rows the strict rows' terms
@@ -414,7 +415,6 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     ]
     inside = [constraint(row, GT, bound) for row, bound in walls]
     on = [c.with_rel(EQ) for c in inside]
-    n = inst.rs.rank
     return tuple(
         ConeSystem(n, inst._dominance + tuple(on[i] if j == i else row for j, row in enumerate(inside)))
         for i in range(len(inside))

@@ -155,7 +155,7 @@ def solve_linear(a, b) -> LinearSolution:
 
 
 def _clear_terms(functional, bound) -> tuple:
-    """(terms, bound) of the row functional . x >= bound scaled by the
+    """(terms, bound) of the row functional . x REL bound scaled by the
     positive lcm of denominators: terms lists the nonzero (index, coeff)
     pairs.  Only nonzero entries are cleared; zeros have denominator 1, so
     the lcm is the same."""
@@ -351,8 +351,9 @@ def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Opti
     is rebuilt by back-substitution, taking the midpoint of each bounded
     interval and bound +/- 1 on unbounded sides, and checked in integers
     against the system's cleared rows (kernels.eval_rows) before it is
-    boxed into Fractions; a witness that fails them raises AssertionError. Raises ResourceCapError if an
-    intermediate system exceeds max_rows rows.
+    boxed into Fractions; a witness that fails them raises AssertionError.
+    Raises ResourceCapError if an intermediate system exceeds max_rows
+    rows.
     """
     dim = system.dim
     elim_order = list(range(dim - 1, -1, -1)) if order is None else list(order)

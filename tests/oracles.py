@@ -18,10 +18,10 @@ products, the cone's inequality rows built once per system with every
 entry a Fraction, the geometric membership test on Fraction vectors, and
 the general-instance ray points solved over the form, with the wall rows
 built from them, and the wall rows built over Fractions from the Fraction
-wall heights nu_j(delta).  They run on the package's own data, so they check the
-faster algorithms, not the data; the membership test reads only the Cartan
-matrix, inverted here over Fractions, so it also checks the integer
-weights, and the ray points read the form, not the weights.
+wall heights nu_j(delta).  They run on the package's own data, so they
+check the faster algorithms, not the data; the membership test reads only
+the Cartan matrix, inverted here over Fractions, so it also checks the
+integer weights, and the ray points read the form, not the weights.
 """
 
 from fractions import Fraction
