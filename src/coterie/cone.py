@@ -25,9 +25,9 @@ through a linear map theta_star; membership of a shift delta is decided by
 eliminating the quantifier with exact Fourier-Motzkin over the wall rows
 nu_j(delta) u_j(lam) > 0 (= 0 on the i-th wall).  The route runs in
 integers: the instance clears each nu row once to an int row N_j over
-d_j > 0, the dominance rows are built once per root system, the wall
-systems of a shift clear delta once to D over e > 0, and v_j = N_j . D is
-an int with the sign of nu_j(delta).  Times (d_j e)^2, wall row j reads
+d_j > 0 and builds its dominance rows once, the wall systems of a shift
+clear delta once to D over e > 0, and v_j = N_j . D is an int with the
+sign of nu_j(delta).  Times (d_j e)^2, wall row j reads
 v_j d_j e l_j(lam) > -v_j^2, and the witness is checked in integers
 before it is returned as Fractions.  The ray points r_i have a closed
 form in the integer weights.
@@ -265,13 +265,6 @@ def orbit_polytope_vertices(
 # general instances
 
 
-@lru_cache(maxsize=None)
-def _dominance_rows(rs: rootsys.RootSystem) -> tuple:
-    """The strict dominance rows C^T lam > 0, built once per root system and
-    shared by every instance over it."""
-    return tuple(constraint(row, GT, 0) for row in exactla.mat_transpose(rs.cartan))
-
-
 @dataclass(frozen=True)
 class GeneralCoterieInstance:
     """Arrangement data pulled back through a rational linear map.
@@ -288,20 +281,11 @@ class GeneralCoterieInstance:
 
     def __post_init__(self):
         n = self.arr.rs.rank
-        # one Fraction per distinct entry value, shared by equal entries
-        boxed = {}
-
-        def box(v):
-            f = boxed.get(v)
-            if f is None:
-                f = boxed[v] = Fraction(v)
-            return f
-
-        theta = tuple(tuple(map(box, row)) for row in self.theta_star)
+        theta = tuple(tuple(Fraction(v) for v in row) for row in self.theta_star)
         if any(len(row) != n for row in theta):
             raise DegenerateInstanceError("theta_star rows must have length rank")
         m = len(theta)
-        nus = tuple(tuple(map(box, row)) for row in self.nu)
+        nus = tuple(tuple(Fraction(v) for v in row) for row in self.nu)
         if len(nus) != len(self.arr.fundamental):
             raise DegenerateInstanceError(
                 "need exactly one nu functional per fundamental hyperplane"
@@ -317,16 +301,17 @@ class GeneralCoterieInstance:
                 raise DegenerateInstanceError(
                     f"nu_{i} . theta_star = {comp} but the arrangement requires {want}"
                 )
-        # Set once per instance, outside the dataclass fields (so eq, hash
+        # Built once per instance, outside the dataclass fields (so eq, hash
         # and repr ignore them): each nu row cleared to (N_j, d_j), an int
         # row over a positive denominator, with N_j as its nonzero (index,
-        # coeff) terms, and the dominance rows of the root system.
+        # coeff) terms, and the dominance rows.
         cleared = []
         for row in nus:
             ints = exactla.clear_row(row + (1,))
             cleared.append((tuple((k, c) for k, c in enumerate(ints[:-1]) if c), ints[-1]))
         object.__setattr__(self, "_nu_ints", tuple(cleared))
-        object.__setattr__(self, "_dominance", _dominance_rows(self.arr.rs))
+        dominance = tuple(constraint(row, GT, 0) for row in exactla.mat_transpose(self.arr.rs.cartan))
+        object.__setattr__(self, "_dominance", dominance)
 
     @property
     def rs(self) -> rootsys.RootSystem:
@@ -345,9 +330,12 @@ class GeneralCoterieInstance:
         )
 
 
+@lru_cache(maxsize=None)
 def canonical_instance(rs: rootsys.RootSystem) -> GeneralCoterieInstance:
     """theta_star the identity, nu_i the coordinate functionals; recovers
-    the plain coterie cone, with r_i = the scaled fundamental weights."""
+    the plain coterie cone, with r_i = the scaled fundamental weights.
+    Built once per root system; the instance is frozen, so callers share
+    it."""
     n = rs.rank
     return GeneralCoterieInstance(
         arr=arrmod.canonical_arrangement(rs),
