@@ -996,8 +996,8 @@ def rescaled(inst, shifts, scale) -> tuple:
 
 def integer_route_cases():
     """(label, instance, shift): the canonical instances of all 49 types at
-    their canonical_shifts, the A2 shift file, and generated_instances(),
-    each of these also rescaled so that its nu has denominators."""
+    their canonical_shifts, and the A2 shift file and generated_instances(),
+    each of these two also rescaled so that its nu has denominators."""
     for t in rootsys.all_types():
         rs = rootsys.build(str(t))
         for delta in canonical_shifts(rs, random.Random(str(t))):
