@@ -16,7 +16,8 @@ Three membership routes are kept deliberately independent: evaluating the
 reduced system, evaluating the full system, and the geometric test that
 checks r_alpha(x) > 0 and positivity of the off-alpha coordinates of
 x - r_alpha(x) * weight_alpha for every alpha.  All three run on the point
-cleared to integers, against the integer root data.  Each functional is
+cleared to integers, against the integer root data; member_all clears
+the point once and hands the integers to each route.  Each functional is
 cleared once: the closed system holds the open system's integer rows
 under its own relation.
 
@@ -25,12 +26,14 @@ through a linear map theta_star; membership of a shift delta is decided by
 eliminating the quantifier with exact Fourier-Motzkin over the wall rows
 nu_j(delta) u_j(lam) > 0 (= 0 on the i-th wall).  The route runs in
 integers: the instance clears each nu row once to an int row N_j over
-d_j > 0 and builds its dominance rows once, the wall systems of a shift
-clear delta once to D over e > 0, and v_j = N_j . D is an int with the
-sign of nu_j(delta).  Times (d_j e)^2, wall row j reads
-v_j d_j e l_j(lam) > -v_j^2, and the witness is checked in integers
-before it is returned as Fractions.  The ray points r_i have a closed
-form in the integer weights.
+d_j > 0 and builds its dominance rows once, general_member clears delta
+once to D over e > 0 and builds every wall system from those heights,
+and v_j = N_j . D is an int with the sign of nu_j(delta).  Times
+(d_j e)^2, wall row j reads v_j d_j e l_j(lam) > -v_j^2; the dominance
+rows are reduced for elimination once per instance and each wall row
+once per shift, and the witness is checked in integers before it is
+returned as Fractions.  The ray points r_i have a closed form in the
+integer weights.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from operator import add, mul
+from operator import mul
 
 from . import arrangement as arrmod
 from . import exactla, rootsys
@@ -168,23 +171,10 @@ def member(rs: rootsys.RootSystem, x, mode: str = "open", method: str = "edges")
 
 
 def member_all(rs: rootsys.RootSystem, x, mode: str = "open") -> dict:
-    """All three membership routes at once; they must agree."""
-    return {m: member(rs, x, mode, m) for m in ("edges", "full", "geometric")}
-
-
-def additivity_check(rs: rootsys.RootSystem, x, y) -> bool:
-    """x + y stays in the open cone and every r_alpha adds."""
-    if not member(rs, x, "open", "edges"):
-        raise MembershipPreconditionError("x is not in the open cone")
-    if not member(rs, y, "open", "edges"):
-        raise MembershipPreconditionError("y is not in the open cone")
-    # both checks are homogeneous: run them on d x and d y, d > 0 a common denominator
-    ints = exactla.clear_row(tuple(x) + tuple(y))
-    x, y = ints[: rs.rank], ints[rs.rank :]
-    s = tuple(map(add, x, y))
-    if not member(rs, s, "open", "edges"):
-        return False
-    return all(r_alpha(rs, s, a) == r_alpha(rs, x, a) + r_alpha(rs, y, a) for a in range(rs.rank))
+    """All three membership routes at once; they must agree.  The point is
+    cleared once, and every route runs on that positive multiple of it."""
+    ints = exactla.clear_row(_point(rs, x))
+    return {m: member(rs, ints, mode, m) for m in ("edges", "full", "geometric")}
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +334,18 @@ def canonical_instance(rs: rootsys.RootSystem) -> GeneralCoterieInstance:
     )
 
 
+def _shift(inst: GeneralCoterieInstance, delta) -> tuple:
+    """delta, any iterable, as a tuple of the instance's shift length."""
+    delta = tuple(delta)
+    if len(delta) != inst.shift_dim:
+        raise ValueError(f"shift has length {len(delta)}, expected {inst.shift_dim}")
+    return delta
+
+
 def nu_of(inst: GeneralCoterieInstance, i: int, delta) -> Fraction:
     """nu_i(delta) for a shift of ints or Fractions; inst.nu is stored as
     Fractions, so nothing is boxed again."""
-    if len(delta) != inst.shift_dim:
-        raise ValueError(f"shift has length {len(delta)}, expected {inst.shift_dim}")
+    delta = _shift(inst, delta)
     return sum(map(mul, inst.nu[i], delta), Fraction(0))
 
 
@@ -374,9 +371,7 @@ def _shift_heights(inst: GeneralCoterieInstance, delta) -> tuple:
     """(D, e, v): the shift cleared to the int vector D over e > 0, and the
     ints v_j = N_j . D, so that nu_j(delta) = v_j / (d_j e) has the sign of
     v_j."""
-    if len(delta) != inst.shift_dim:
-        raise ValueError(f"shift has length {len(delta)}, expected {inst.shift_dim}")
-    ints = exactla.clear_row(tuple(delta) + (1,))
+    ints = exactla.clear_row(_shift(inst, delta) + (1,))
     heights = tuple(sum([c * ints[k] for k, c in terms]) for terms, _ in inst._nu_ints)
     return ints[:-1], ints[-1], heights
 
@@ -393,10 +388,16 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
     i-th wall sphere, strictly inside every other wall sphere.  By the
     u-identity, (r_j - lam, r_j) > 0 is nu_j(delta) u_j(lam) > 0 up to a
     positive factor, and both rows read 0 > 0 when nu_j(delta) = 0."""
-    n = inst.rs.rank
     _, e, heights = _shift_heights(inst, delta)
+    return _wall_systems(inst, e, heights)
+
+
+def _wall_systems(inst: GeneralCoterieInstance, e: int, heights: tuple) -> tuple:
+    """general_member_systems from the shift's denominator e and heights v_j."""
+    n = inst.rs.rank
     # each row is built and cleared once; the systems share the frozen
-    # constraints, and the equality rows the strict rows' terms
+    # constraints, and the equality rows the strict rows' terms and their
+    # reduced form
     walls = [
         _wall_row(h.functional, v, d, e)
         for h, v, (_, d) in zip(inst.arr.fundamental, heights, inst._nu_ints)
@@ -416,15 +417,14 @@ def general_member(inst: GeneralCoterieInstance, delta, max_rows: int = exactla.
     every wall sphere degenerates to the origin, which is not strictly
     dominant, so no witness exists.
     """
-    delta = tuple(delta)
-    shift, _, heights = _shift_heights(inst, delta)
+    shift, e, heights = _shift_heights(inst, delta)
     if any(v < 0 for v in heights):
         raise MembershipPreconditionError(
             "delta must satisfy nu_i(delta) >= 0 for every wall"
         )
     if not any(shift):
         return False
-    for system in general_member_systems(inst, delta):
+    for system in _wall_systems(inst, e, heights):
         if not exactla.feasible(system, max_rows=max_rows):
             return False
     return True

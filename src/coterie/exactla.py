@@ -10,7 +10,10 @@ nonzero (index, coeff) terms, the bound and the relation code. A
 ConeSystem stores those rows as they are, one object per constraint
 however many systems hold it, and with_rel gives the same row under
 another relation without clearing it again. The rows are evaluated at a
-cleared integer point and expanded to dense rows for elimination.
+cleared integer point. For elimination each row is expanded to dense
+coefficients and divided by its gcd on first use, and that form is kept
+with the constraint and shared by its with_rel siblings, so a row held by
+many systems is reduced once.
 Solving, inversion and rank clear each row to integers and run one
 fraction-free elimination, kernels.eliminate; Fraction appears only in
 what they return. Feasibility of systems mixing strict/weak inequalities
@@ -173,12 +176,17 @@ class LinearConstraint:
     cleared_terms is the row (terms, bound, rel code) that every system
     holding the constraint evaluates and eliminates (_clear_terms), built
     once per constraint; with_rel shares it with the same row under
-    another relation."""
+    another relation.
+
+    _reduced holds the dense, gcd-reduced form of that row once
+    _reduced_row has built it, or, in a with_rel sibling, the constraint
+    whose form it shares; None until then."""
 
     functional: tuple
     rel: str
     bound: int | Fraction = 0
     cleared_terms: tuple = field(init=False, repr=False, compare=False)
+    _reduced: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.rel not in _REL_CODE:
@@ -201,7 +209,25 @@ class LinearConstraint:
         object.__setattr__(other, "rel", rel)
         object.__setattr__(other, "bound", self.bound)
         object.__setattr__(other, "cleared_terms", self.cleared_terms[:2] + (_REL_CODE[rel],))
+        object.__setattr__(other, "_reduced", self if self._reduced is None else self._reduced)
         return other
+
+    def _reduced_row(self) -> tuple:
+        """The cleared row as dense coefficients divided by the gcd of its
+        entries and bound, (coeffs, bound): built on first use and kept, so
+        every system holding this constraint or a with_rel sibling of it
+        reads one form."""
+        held = self._reduced
+        if type(held) is LinearConstraint:
+            return held._reduced_row()
+        if held is None:
+            terms, bound, _ = self.cleared_terms
+            coeffs = [0] * len(self.functional)
+            for i, c in terms:
+                coeffs[i] = c
+            held = kernels._reduce_row(tuple(coeffs), bound)
+            object.__setattr__(self, "_reduced", held)
+        return held
 
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:
@@ -245,15 +271,13 @@ class Feasibility:
 def _initial_rows(system: ConeSystem):
     eq_rows = []
     ineq_rows = []
-    for terms, bound, rel in system._rows:
-        coeffs = [0] * system.dim
-        for i, c in terms:
-            coeffs[i] = c
-        coeffs, bound = kernels._reduce_row(tuple(coeffs), bound)
+    for c in system.constraints:
+        row = c._reduced_row()
+        rel = c.cleared_terms[2]
         if rel == kernels.REL_EQ:
-            eq_rows.append((coeffs, bound))
+            eq_rows.append(row)
         else:
-            ineq_rows.append((coeffs, bound, rel == kernels.REL_GT))
+            ineq_rows.append(row + (rel == kernels.REL_GT,))
     return eq_rows, ineq_rows
 
 

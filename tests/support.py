@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded exact samplers, the small
 Fraction vector and matrix helpers the library no longer needs, the
-Fraction evaluation and dense clearing of one constraint, and the wall
-heights of a general instance with their quadratic identity.
+Fraction evaluation and dense clearing of one constraint, the additivity
+of cone members, and the wall heights of a general instance with their
+quadratic identity.
 
 All sampling is driven by random.Random instances with fixed seeds recorded
 in the tests, and produces Fractions with bounded denominators so every
@@ -9,6 +10,7 @@ check stays exact and reproducible.
 """
 
 from fractions import Fraction
+from operator import add
 
 from coterie import cone, exactla, rootsys
 
@@ -48,6 +50,22 @@ def cleared(c) -> tuple:
     sparse cleared_terms are checked against."""
     ints = exactla.clear_row(tuple(c.functional) + (c.bound,))
     return ints[:-1], ints[-1], c.rel
+
+
+def additivity_check(rs, x, y) -> bool:
+    """x + y stays in the open cone and every r_alpha adds."""
+    if not cone.member(rs, x, "open", "edges"):
+        raise cone.MembershipPreconditionError("x is not in the open cone")
+    if not cone.member(rs, y, "open", "edges"):
+        raise cone.MembershipPreconditionError("y is not in the open cone")
+    # both checks are homogeneous: run them on d x and d y, d > 0 a common denominator
+    ints = exactla.clear_row(tuple(x) + tuple(y))
+    x, y = ints[: rs.rank], ints[rs.rank :]
+    s = tuple(map(add, x, y))
+    if not cone.member(rs, s, "open", "edges"):
+        return False
+    r = cone.r_alpha
+    return all(r(rs, s, a) == r(rs, x, a) + r(rs, y, a) for a in range(rs.rank))
 
 
 def u_value(inst, i: int, delta, lam) -> Fraction:

@@ -25,7 +25,6 @@ from coterie.cone import (
     GeneralCoterieInstance,
     InstanceFormatError,
     MembershipPreconditionError,
-    additivity_check,
     canonical_instance,
     cross_section,
     general_member,
@@ -135,6 +134,78 @@ class TestRAlpha:
         x = (F(1, 3), F(2), F(5, 7))
         for a in range(3):
             assert r_alpha(rs, support.vec_scale(6, x), a) == 6 * r_alpha(rs, x, a)
+
+
+ALL_LABELS = [str(t) for t in rootsys.all_types()]
+GMEMBER_LABELS = [str(t) for t in rootsys.all_types(8) if t.rank >= 2]  # the benchmark's shift ranks
+
+
+@st.composite
+def workload_point(draw, labels=ALL_LABELS, shapes=("interior", "random", "ray")):
+    """(rs, x, shape): a type and a Fraction point as the queries benchmark
+    builds them, with denominators from 10**9 to 10**12 when big: an
+    interior point (each coordinate strictly inside the interval its tree
+    parent leaves open), a random point, or a multiple of an extremal ray
+    (every edge tight on one side).  Rank 1 has no boundary ray."""
+    rs = rootsys.build(draw(st.sampled_from(labels)))
+    shape = draw(st.sampled_from([k for k in shapes if rs.rank > 1 or k != "ray"]))
+    big = draw(st.booleans())
+
+    def den(lo):
+        return draw(st.integers(10**9, 10**12) if big else st.integers(lo, 12))
+
+    if shape == "random":
+        x = []
+        for _ in range(rs.rank):
+            d = den(1)
+            x.append(F(draw(st.integers(-5 * d, 40 * d)), d))
+        return rs, tuple(x), shape
+    c = rs.inv_coeffs
+    x = [None] * rs.rank
+    for node, parent in support.bfs_order(rs):
+        if parent is None:
+            x[node] = F(draw(st.integers(1, 200)), draw(st.integers(1, 30))) if shape == "interior" else F(1)
+            continue
+        lo = x[parent] * c[node][parent] / c[parent][parent]
+        hi = x[parent] * c[node][node] / c[parent][node]
+        if shape == "interior":
+            d = den(2)
+            x[node] = lo + F(draw(st.integers(1, d - 1)), d) * (hi - lo)
+        else:
+            x[node] = draw(st.sampled_from((lo, hi)))
+    if shape == "ray":
+        d = den(1)
+        scale = F(draw(st.integers(1, 50 * d)), d)
+        x = [scale * v for v in x]
+    return rs, tuple(x), shape
+
+
+class TestQueriesAsTheBenchmarkBuildsThem:
+    @given(data=workload_point())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_member_all_equals_each_route_on_the_uncleared_point(self, data):
+        """member_all clears the point once; each route called on the point
+        as given must agree with it, in both modes, on all 49 types."""
+        rs, x, shape = data
+        for mode in ("open", "closed"):
+            verdicts = member_all(rs, x, mode)
+            assert verdicts == {m: member(rs, x, mode, m) for m in ("edges", "full", "geometric")}
+            if shape == "interior":
+                assert verdicts["edges"] is True
+            if shape == "ray":
+                assert verdicts["edges"] is (mode == "closed")
+
+    @given(data=workload_point(labels=GMEMBER_LABELS, shapes=("interior",)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_feasible_repr_shows_the_fraction_witness(self, data):
+        """The witness comparisons with the Fraction oracles compare reprs:
+        a feasible wall system's repr holds its witness as Fractions."""
+        rs, x, _ = data
+        for system in general_member_systems(canonical_instance(rs), x):
+            result = exactla.feasible(system)
+            assert result.feasible and all(type(w) is Fraction for w in result.witness)
+            assert repr(result) == f"Feasibility(feasible=True, witness={result.witness!r})"
+            assert "Fraction(" in repr(result) and system.satisfies(result.witness)
 
 
 class TestMember:
@@ -392,12 +463,12 @@ class TestAdditivity:
         for _ in range(20):
             x = support.sample_member(rs, rng)
             y = support.sample_member(rs, rng)
-            assert additivity_check(rs, x, y)
+            assert support.additivity_check(rs, x, y)
 
     def test_requires_membership(self):
         rs = rootsys.build("A2")
         with pytest.raises(MembershipPreconditionError):
-            additivity_check(rs, (1, 1), (-1, 1))
+            support.additivity_check(rs, (1, 1), (-1, 1))
 
 
 class TestCrossSection:
@@ -651,6 +722,115 @@ class TestGeneralMember:
         for k in range(6):
             shared = {id(s.constraints[k]) for i, s in enumerate(systems) if k != 3 + i}
             assert len(shared) == 1
+
+    @pytest.mark.parametrize("form", [tuple, list, iter], ids=["tuple", "list", "iterator"])
+    def test_shift_may_be_any_iterable(self, form):
+        inst, _ = a2_file_shifts()
+        for delta in ((1, 1, 3), (0, 1, 3), (2, 1, 3), (F(1, 2), 0, 2), (1, 1, 1)):
+            assert [nu_of(inst, i, form(delta)) for i in range(2)] == [nu_of(inst, i, delta) for i in range(2)]
+            assert r_i_general(inst, 0, form(delta)) == r_i_general(inst, 0, delta)
+            got = general_member_systems(inst, form(delta))
+            assert [s._rows for s in got] == [s._rows for s in general_member_systems(inst, delta)]
+            assert general_member(inst, form(delta)) == general_member(inst, delta)
+        with pytest.raises(ValueError, match="shift has length 2, expected 3"):
+            nu_of(inst, 0, form((1, 1)))
+        with pytest.raises(ValueError, match="shift has length 2, expected 3"):
+            r_i_general(inst, 0, form((1, 1)))
+        with pytest.raises(ValueError, match="shift has length 2, expected 3"):
+            general_member_systems(inst, form((1, 1)))
+
+    def test_shift_is_cleared_once_per_call(self, monkeypatch):
+        """general_member clears its shift once and builds every wall system
+        from those heights; the traced general_member_systems stays the
+        wrapper over the same build."""
+        honest = cone._shift_heights
+        calls = []
+
+        def counted(inst, delta):
+            calls.append(delta)
+            return honest(inst, delta)
+
+        monkeypatch.setattr(cone, "_shift_heights", counted)
+        inst = canonical_instance(rootsys.build("B3"))
+        assert general_member(inst, (2, 3, F(7, 2))) is True
+        assert general_member(inst, (2, 0, 4)) is False
+        assert len(calls) == 2
+        general_member_systems(inst, (2, 0, 4))
+        assert len(calls) == 3
+
+    def test_shared_rows_are_reduced_once(self):
+        """On a fresh instance, the first member shift reduces the n
+        dominance rows and its n wall rows, each once however many wall
+        systems hold it; a second shift reduces only its own wall rows."""
+        rs = rootsys.build("D5")
+        counts = reductions_per_shift(cone.canonical_instance.__wrapped__(rs), member_shifts(rs, 3))
+        assert counts == [2 * rs.rank, rs.rank, rs.rank]
+        inst, _ = a2_file_shifts()
+        assert reductions_per_shift(inst, [(1, 1, 3), (0, 1, 3)]) == [4, 2]
+
+    def test_planted_row_reused_from_another_shift_is_caught(self, monkeypatch):
+        """A reduced form looked up by the row's support, as a cache keyed by
+        the wall would be, hands a later shift the first shift's wall rows:
+        the comparison with the Fraction build reports the later shifts."""
+        honest = exactla.LinearConstraint._reduced_row
+        by_support = {}
+
+        def keyed_by_support(c):
+            key = (len(c.functional), tuple(i for i, _ in c.cleared_terms[0]))
+            return by_support.setdefault(key, honest(c))
+
+        rs = rootsys.build("C4")
+        inst = cone.canonical_instance.__wrapped__(rs)
+        shifts = member_shifts(rs, 3)
+        assert rows_unlike_fraction_build(inst, shifts) == []
+        monkeypatch.setattr(exactla.LinearConstraint, "_reduced_row", keyed_by_support)
+        assert rows_unlike_fraction_build(inst, shifts) == shifts[1:]
+
+
+def member_shifts(rs, count) -> list:
+    """Seeded interior points of the cone: on the canonical instance every
+    wall system of such a shift is feasible, so each is eliminated."""
+    rng = random.Random(rs.rank)
+    return [support.sample_member(rs, rng) for _ in range(count)]
+
+
+def rows_unlike_fraction_build(inst, shifts) -> list:
+    """The shifts whose wall systems' exactla._initial_rows differ from the
+    Fraction-built oracle's rows, each cleared and gcd-reduced afresh."""
+    out = []
+    for delta in shifts:
+        got = list(map(exactla._initial_rows, general_member_systems(inst, delta)))
+        want = []
+        for system in oracles.general_member_systems_by_fractions(inst, delta):
+            rows = [(kernels._reduce_row(*support.cleared(c)[:2]), c.rel) for c in system.constraints]
+            eq = [row for row, rel in rows if rel == EQ]
+            want.append((eq, [row + (rel == GT,) for row, rel in rows if rel != EQ]))
+        if got != want:
+            out.append(delta)
+    return out
+
+
+def reductions_per_shift(inst, shifts) -> list:
+    """The kernels._reduce_row calls exactla._initial_rows makes during
+    general_member(inst, delta), for each shift in turn; every shift must
+    be a member."""
+    calls = []
+    honest_rows = exactla._initial_rows
+    honest_reduce = kernels._reduce_row
+
+    def counted_rows(system):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_reduce_row", lambda *row: calls.append(row) or honest_reduce(*row))
+            return honest_rows(system)
+
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_initial_rows", counted_rows)
+        for delta in shifts:
+            calls.clear()
+            assert general_member(inst, delta) is True
+            counts.append(len(calls))
+    return counts
 
 
 def single_wall_instance(label, functional, theta_star, nu):

@@ -532,6 +532,29 @@ class TestConeSystem:
             c.with_rel("<")
         assert not hasattr(c, "__dict__")
 
+    @pytest.mark.parametrize("first", ["original", "sibling"])
+    def test_reduced_row_is_built_once_and_shared(self, first):
+        """The dense, gcd-reduced row is that of the dense clearing, built
+        once whichever of a constraint and its with_rel siblings asks first,
+        and the same object for all of them; a fresh constraint with the
+        same row builds its own."""
+        c = constraint(["1/2", 0, "-3/2"], GT, "3/4")
+        eq = c.with_rel(EQ)
+        ge = eq.with_rel(GE)
+        calls = []
+        honest = kernels._reduce_row
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_reduce_row", lambda *row: calls.append(row) or honest(*row))
+            order = (c, eq, ge) if first == "original" else (ge, eq, c)
+            rows = [x._reduced_row() for x in order]
+            assert len(calls) == 1
+            fresh = constraint(c.functional, GE, c.bound)._reduced_row()
+            assert len(calls) == 2
+        assert rows[0] is rows[1] is rows[2] and rows[0] == fresh == ((2, 0, -6), 3)
+        assert rows[0] == honest(*support.cleared(c)[:2])
+        system = ConeSystem(3, (eq, c))
+        assert exactla._initial_rows(system) == ([((2, 0, -6), 3)], [((2, 0, -6), 3, True)])
+
     def test_shared_constraint_is_cleared_once(self):
         shared = constraint(["1/2", "-2/3"], GT, 0)
         first = ConeSystem(2, (shared, constraint([1, 0], GE, 0)))
