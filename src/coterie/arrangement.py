@@ -274,19 +274,6 @@ def classifying_map(arr: Arrangement) -> ClassifyingMap:
     return ClassifyingMap(a_star=tuple(rows), k=tuple(ks))
 
 
-def env_augmented_cone_member(rs: rootsys.RootSystem, chi, lam) -> bool:
-    """(chi, lam) lies in the augmented-cone lattice: lam dominant and
-    chi - lam a nonnegative integer combination of simple roots."""
-    chi = exactla.vec(chi)
-    lam = exactla.vec(lam)
-    if len(chi) != rs.rank or len(lam) != rs.rank:
-        raise ValueError(f"vectors must have length {rs.rank}")
-    if not rootsys.dominant_in_root_coords(rs, lam):
-        raise ValueError("lam is not dominant")
-    diff = exactla.vec_sub(chi, lam)
-    return all(c.denominator == 1 and c >= 0 for c in diff)
-
-
 def parse_arrangement(text: str) -> Arrangement:
     """Parse the line-oriented arrangement format.
 
@@ -316,10 +303,3 @@ def parse_arrangement(text: str) -> Arrangement:
     if not functionals:
         raise ArrangementFormatError("no functional lines")
     return Arrangement(rs=rs, fundamental=tuple(functionals))
-
-
-def format_arrangement(arr: Arrangement) -> str:
-    lines = [f"type {arr.rs.stype}"]
-    for h in arr.fundamental:
-        lines.append(" ".join(str(c) for c in h.functional))
-    return "\n".join(lines) + "\n"

@@ -14,12 +14,12 @@ every > by >=.
 
 Three membership routes are kept deliberately independent: evaluating the
 reduced system, evaluating the full system, and the geometric test that
-checks r_alpha(x) > 0 and positivity of the off-alpha coordinates of
-x - r_alpha(x) * weight_alpha for every alpha.  All three run on the point
-cleared to integers, against the integer root data; member_all clears
-the point once and hands the integers to each route.  Each functional is
-cleared once: the closed system holds the open system's integer rows
-under its own relation.
+checks r_alpha(x) = a_alpha / c_{alpha,alpha} > 0 and positivity of the
+off-alpha coordinates of x - r_alpha(x) * weight_alpha for every alpha.
+All three run on the point cleared to integers, against the integer root
+data; member_all clears the point once and hands the integers to each
+route.  Each functional is cleared once: the closed system holds the
+open system's integer rows under its own relation.
 
 A general instance replaces the weight data by an arrangement pulled back
 through a linear map theta_star; membership of a shift delta is decided by
@@ -122,12 +122,6 @@ def _point(rs: rootsys.RootSystem, x) -> tuple:
     if len(x) != rs.rank:
         raise ValueError(f"point has length {len(x)}, rank is {rs.rank}")
     return x
-
-
-def r_alpha(rs: rootsys.RootSystem, x, alpha: int) -> Fraction:
-    """Height of x over the alpha wall: a_alpha / c_{alpha,alpha}."""
-    x = _point(rs, x)
-    return Fraction(x[alpha]) * rs.weight_den / rs.weights[alpha][alpha]
 
 
 def _weight_residual(rs: rootsys.RootSystem, x, alpha: int) -> tuple:
@@ -313,6 +307,7 @@ class GeneralCoterieInstance:
 
     def composite(self, i: int) -> tuple:
         """nu_i . theta_star as a functional on root coordinates."""
+        _wall(self, i)
         n = self.arr.rs.rank
         m = len(self.theta_star)
         return tuple(
@@ -334,6 +329,13 @@ def canonical_instance(rs: rootsys.RootSystem) -> GeneralCoterieInstance:
     )
 
 
+def _wall(inst: GeneralCoterieInstance, i: int) -> None:
+    """Reject a wall index outside 0 .. walls - 1; a negative one would
+    otherwise count from the end."""
+    if not 0 <= i < len(inst.nu):
+        raise ValueError(f"wall {i} out of range for {len(inst.nu)} walls")
+
+
 def _shift(inst: GeneralCoterieInstance, delta) -> tuple:
     """delta, any iterable, as a tuple of the instance's shift length."""
     delta = tuple(delta)
@@ -345,6 +347,7 @@ def _shift(inst: GeneralCoterieInstance, delta) -> tuple:
 def nu_of(inst: GeneralCoterieInstance, i: int, delta) -> Fraction:
     """nu_i(delta) for a shift of ints or Fractions; inst.nu is stored as
     Fractions, so nothing is boxed again."""
+    _wall(inst, i)
     delta = _shift(inst, delta)
     return sum(map(mul, inst.nu[i], delta), Fraction(0))
 
@@ -357,6 +360,7 @@ def r_i_general(inst: GeneralCoterieInstance, i: int, delta) -> tuple:
     u = weights . e, e_k = c_k lcm(d) / d_k, and x = nu_i(delta) u / (c . u).
     B is positive definite and l_i != 0, so c . u > 0: x exists and is unique.
     """
+    _wall(inst, i)
     rs = inst.rs
     d = rootsys.symmetrizers(rs)
     m = lcm(*d)

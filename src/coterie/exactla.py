@@ -66,10 +66,6 @@ def identity(n: int) -> tuple:
     return tuple(unit(n, i) for i in range(n))
 
 
-def vec_sub(a, b) -> tuple:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 

@@ -22,20 +22,20 @@ The orientation-to-face map is then certified geometrically through
 exact integer ranks and per-face interior points; that rank pass also
 yields the face dimensions (face_dimensions).  Each face must have
 dimension rank minus its oriented count, which also makes every cover
-drop the dimension by exactly one.  The interior point of a
-face is the sum of the rays of all full orientings of its neutral edges,
-built face by face from the recurrence point(g) = point(g with its first
-neutral edge '<') + point(g with it '>'), and its tight edge inequalities
-must reproduce the orientation exactly.
+drop the dimension by exactly one, and its interior point's tight edge
+inequalities must reproduce the orientation exactly.
 
-All extremal rays come from one depth-first pass over the Dynkin tree
-from node 0: each edge ratio extends the partial integer vector once for
-every orientation below it.  Each ray is then checked, as its primitive
-integer multiple, against its equality rows in two-term form and against
-the closed and the open cone.  extremal_rays keeps those integer
-multiples and builds a ray's Fraction vector only when it is asked for;
-the rays command writes the entries from the integers, and the cube
-certificate sums them.
+One depth-first pass over the Dynkin tree from node 0 builds the rays and
+the interior points: each edge step sets the child coordinate to the
+parent's times the edge's ratio, once for every orientation below it, and
+a neutral edge takes the mean of its two ratios.  A coordinate is the
+product of the ratios on its tree path, so a face's point is the mean of
+the rays of its full orientings, each scaled to a_0 = 1, and lies in the
+face's relative interior.  Each ray is checked, as its primitive integer
+multiple, against its equality rows in two-term form and against the
+closed and the open cone.  extremal_rays keeps those integer multiples
+and builds a ray's Fraction vector only when it is asked for; the rays
+command writes the entries from the integers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from operator import add
 from typing import Optional
 
 from . import cone, exactla, rootsys
@@ -180,40 +179,61 @@ def _tree_steps(rs: rootsys.RootSystem) -> tuple:
     return tuple(steps)
 
 
-def _propagated_rays(rs: rootsys.RootSystem) -> list:
-    """(integer vector, anomaly) per full orientation, in the order of
-    product((LEFT, RIGHT)): a_0 = 1, then every step of _tree_steps fixes
-    its child from its parent, the vector kept in integers by rescaling it
-    whenever a ratio has a denominator.  The steps are walked depth first,
-    so each partial vector is computed once for all the orientations that
-    extend it.  The equalities form a tree with nonzero coefficients, so
-    they cut out exactly this line; a zero ratio breaks the chain, and every
-    orientation below it gets an anomaly instead of a vector."""
+def _step_ratios(rs: rootsys.RootSystem) -> list:
+    """(parent, child, edge position, ratios) per step of _tree_steps:
+    ratios maps each state of the edge to a_child / a_parent as integers
+    (num, den), or to the anomaly of a zero ratio that leaves the child
+    free.  A neutral edge takes the mean of its two ratios."""
     ratios = _edge_ratios(rs)
-    steps = _tree_steps(rs)
+    out = []
+    for parent, child, pos in _tree_steps(rs):
+        i, j = rs.edges[pos]
+        broken = f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {child + 1} free"
+        fwd, bwd = ratios[pos]
+        # a_j = bwd a_i on the '<' equality, a_i = fwd a_j on the '>' one
+        left = bwd if child == j else 1 / bwd if bwd else broken
+        right = fwd if child == i else 1 / fwd if fwd else broken
+        mean = left if isinstance(left, str) else right if isinstance(right, str) else (left + right) / 2
+        # the integers are read off once, not per partial vector
+        ints = (r if isinstance(r, str) else (r.numerator, r.denominator) for r in (left, mean, right))
+        out.append((parent, child, pos, dict(zip(STATES, ints))))
+    return out
+
+
+def _propagated_rays(rs: rootsys.RootSystem, states) -> list:
+    """(integer vector, anomaly) per orientation over the given edge states,
+    in the order of product(states): a_0 = 1, then every step of
+    _step_ratios sets its child to its parent times the state's ratio, the
+    vector kept in integers by rescaling it whenever a ratio has a
+    denominator.  Walked depth first, each partial vector is computed once
+    for all the orientations that extend it.  A full orientation's
+    equalities form a tree with nonzero coefficients, so they cut out
+    exactly its ray's line; a zero ratio breaks the chain, and every
+    orientation below it gets an anomaly instead of a vector."""
     m = len(rs.edges)
-    out = [None] * (1 << m)
+    # per step, each state's product index offset and its ratio
+    table = []
+    for parent, child, pos, by_state in _step_ratios(rs):
+        weight = len(states) ** (m - 1 - pos)
+        table.append((parent, child, [(k * weight, by_state[s]) for k, s in enumerate(states)]))
+    out = [None] * len(states) ** m
 
     def walk(depth, x, index):
         # x is the partial vector, or the anomaly of a broken chain
-        if depth == len(steps):
+        if depth == len(table):
             out[index] = (None, x) if isinstance(x, str) else (x, None)
             return
-        parent, child, pos = steps[depth]
-        i, j = rs.edges[pos]
-        # '<' sets no bit of the product index, '>' the edge's bit
-        for q, big, bit in ((ratios[pos][1], j, 0), (ratios[pos][0], i, 1 << (m - 1 - pos))):
-            # a_big = q a_small on this edge's equality
+        parent, child, branches = table[depth]
+        for offset, step in branches:
             if isinstance(x, str):
                 y = x
-            elif child != big and q == 0:
-                y = f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {child + 1} free"
+            elif isinstance(step, str):
+                y = step
             else:
-                # a_child = a_parent num / den
-                num, den = (q.numerator, q.denominator) if child == big else (q.denominator, q.numerator)
+                num, den = step
                 y = [c * den for c in x] if den != 1 else list(x)
                 y[child] = x[parent] * num
-            walk(depth + 1, y, index | bit)
+            walk(depth + 1, y, index + offset)
 
     walk(0, [1] + [0] * (rs.rank - 1), 0)
     # walk reaches itself through its closure; emptying that cell breaks the
@@ -251,7 +271,7 @@ def _checked_rays(rs: rootsys.RootSystem):
     n = rs.rank
     terms = _edge_terms(rs)
     orders = product((LEFT, RIGHT), repeat=len(rs.edges))
-    for states, (k, broken) in zip(orders, _propagated_rays(rs), strict=True):
+    for states, (k, broken) in zip(orders, _propagated_rays(rs, (LEFT, RIGHT)), strict=True):
         if k is None:
             yield states, None, (broken,)
             continue
@@ -368,28 +388,6 @@ def _first_disagreement(a, b) -> int:
     return -1
 
 
-def _split(states, pos) -> tuple:
-    """states with the edge at pos set to '<' and to '>'."""
-    head, tail = states[:pos], states[pos + 1 :]
-    return head + (LEFT,) + tail, head + (RIGHT,) + tail
-
-
-def _interior_points(rays_by_states, orients) -> dict:
-    """Per orientation g (keyed by its states), the sum of the rays of all
-    full orientings of g's neutral edges, which lies in the relative
-    interior of g's face.  Those orientings split by the state of g's
-    first neutral edge, so the sum is point(g with it '<') + point(g with
-    it '>'): one vector add per face, children before parents.  Expects
-    integer ray vectors."""
-    points = dict(rays_by_states)
-    for o in sorted(orients, key=lambda o: o.states.count(NEUTRAL)):
-        if o.fully_oriented:
-            continue
-        lo, hi = _split(o.states, o.states.index(NEUTRAL))
-        points[o.states] = tuple(map(add, points[lo], points[hi]))
-    return points
-
-
 def _tight_states(edge_terms, point) -> Optional[tuple]:
     """Which edge inequalities the integer point makes tight, given every
     edge's rows in the two-term form of _edge_terms; None if the point is
@@ -442,11 +440,9 @@ def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND)
         if d != rs.rank - o.oriented_count:
             return False
 
-    rays_by_states = {}
-    for states, ints, problems in _checked_rays(rs):
-        if problems:
-            return False
-        rays_by_states[states] = ints
-    points = _interior_points(rays_by_states, orients)
+    if any(problems for _, _, problems in _checked_rays(rs)):
+        return False
+    # every ratio is now sound, so every face has a vector, never an anomaly
     terms = _edge_terms(rs)
-    return all(_tight_states(terms, points[o.states]) == o.states for o in orients)
+    points = _propagated_rays(rs, STATES)
+    return all(_tight_states(terms, x) == o.states for o, (x, _) in zip(orients, points, strict=True))

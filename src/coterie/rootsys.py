@@ -187,13 +187,6 @@ def symmetrizers(rs: RootSystem) -> tuple:
     return tuple(rs.form[i][i] // 2 for i in range(rs.rank))
 
 
-def fundamental_weight(rs: RootSystem, alpha: int) -> tuple:
-    """Fundamental weight lambda_alpha in root coordinates: column alpha of inv_coeffs."""
-    if not 0 <= alpha < rs.rank:
-        raise ValueError(f"node {alpha} out of range for {rs}")
-    return tuple(rs.inv_coeffs[b][alpha] for b in range(rs.rank))
-
-
 def _cleared(x, n: int) -> tuple:
     """(integers, d) with x = integers / d and d > 0, for x of length n."""
     *ints, d = exactla.clear_row(tuple(x) + (1,))
@@ -229,62 +222,3 @@ def simple_reflection(rs: RootSystem, alpha: int) -> WeylElement:
         for k in range(n)
     )
     return WeylElement(word=(alpha,), matrix=rows)
-
-
-def weyl_apply(w: WeylElement, x) -> tuple:
-    x, d = _cleared(x, len(w.matrix))
-    return tuple(Fraction(kernels.idot(row, x), d) for row in w.matrix)
-
-
-def coroot_pairing(rs: RootSystem, x) -> tuple:
-    """(<x, alpha^v>)_alpha = cartan^T . x for x in root coordinates."""
-    x, d = _cleared(x, rs.rank)
-    return tuple(Fraction(kernels.idot(col, x), d) for col in zip(*rs.cartan))
-
-
-def dominant_in_root_coords(rs: RootSystem, x, strict: bool = False) -> bool:
-    """x in the closed (strict: open) Weyl chamber, root coordinates."""
-    pair = coroot_pairing(rs, x)
-    if strict:
-        return all(v > 0 for v in pair)
-    return all(v >= 0 for v in pair)
-
-
-def tree_path(rs: RootSystem, start: int, goal: int) -> tuple:
-    """Unique path start..goal in the Dynkin tree (inclusive, 0-based)."""
-    adjacency = {k: [] for k in range(rs.rank)}
-    for i, j in rs.edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for nxt in adjacency[node]:
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
-
-
-def chain_identity_check(rs: RootSystem) -> bool:
-    """c_{alpha,gamma} = (c_{alpha,beta}/c_{beta,beta}) c_{beta,gamma} along tree paths.
-
-    Checked for every ordered pair (alpha, gamma) and every interior node
-    beta of the connecting path, cross-multiplied in the integer weights.
-    """
-    w = rs.weights
-    for a in range(rs.rank):
-        for g in range(rs.rank):
-            if a == g:
-                continue
-            path = tree_path(rs, a, g)
-            for b in path[1:-1]:
-                if w[a][g] * w[b][b] != w[a][b] * w[b][g]:
-                    return False
-    return True

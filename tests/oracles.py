@@ -27,7 +27,7 @@ integer weights, and the ray points read the form, not the weights.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, mul
+from operator import mul
 
 import pytest
 import sympy
@@ -298,18 +298,27 @@ def cube_downsets_by_vertex(vertex_sets) -> list:
     return out
 
 
-def interior_point_by_sum(rays_by_states, g: Orientation):
-    """Sum of the rays of all full orientings of g's neutral edges; lands in
-    the relative interior of face_of(g).  Expects integer ray vectors."""
-    total = None
-    neutral_positions = [p for p, s in enumerate(g.states) if s == NEUTRAL]
+@lru_cache(maxsize=None)
+def _solved_rays_at_unit_a0(rs) -> dict:
+    """states -> the extremal_rays_by_solve ray of that full orientation,
+    as Fractions scaled to a_0 = 1."""
+    rays = extremal_rays_by_solve(rs)
+    return {r.orientation.states: tuple(Fraction(c, r.ints[0]) for c in r.ints) for r in rays}
+
+
+def face_point_by_rays(rs, o: Orientation) -> tuple:
+    """The mean of the extremal_rays_by_solve rays of all full orientings of
+    o's neutral edges, each scaled to a_0 = 1: a positive combination of all
+    of the face's rays, so a point of its relative interior."""
+    rays = _solved_rays_at_unit_a0(rs)
+    neutral_positions = [p for p, s in enumerate(o.states) if s == NEUTRAL]
+    picked = []
     for combo in product((LEFT, RIGHT), repeat=len(neutral_positions)):
-        states = list(g.states)
+        states = list(o.states)
         for p, s in zip(neutral_positions, combo):
             states[p] = s
-        v = rays_by_states[tuple(states)]
-        total = v if total is None else tuple(map(add, total, v))
-    return total
+        picked.append(rays[tuple(states)])
+    return tuple(sum(column, Fraction(0)) / len(picked) for column in zip(*picked))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +567,7 @@ def member_geometric_by_fractions(rs, x, strict: bool) -> bool:
         if r < 0 or (strict and r == 0):
             return False
         weight = tuple(c[b][a] for b in range(rs.rank))
-        residual = exactla.vec_sub(x, support.vec_scale(r, weight))
+        residual = support.vec_sub(x, support.vec_scale(r, weight))
         for b in range(rs.rank):
             if b == a:
                 continue

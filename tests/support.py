@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: seeded exact samplers, the small
 Fraction vector and matrix helpers the library no longer needs, the
 Fraction evaluation and dense clearing of one constraint, the additivity
-of cone members, and the wall heights of a general instance with their
-quadratic identity.
+of cone members, the wall heights of a general instance with their
+quadratic identity, and the root-system and arrangement functions that
+only the tests use: fundamental weights, tree paths and the chain
+identity, reflections, the coroot pairing and dominance, the
+augmented-cone lattice test and the arrangement writer.
 
 All sampling is driven by random.Random instances with fixed seeds recorded
 in the tests, and produces Fractions with bounded denominators so every
@@ -21,6 +24,10 @@ def zeros(n: int) -> tuple:
 
 def vec_add(a, b) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vec_sub(a, b) -> tuple:
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c, a) -> tuple:
@@ -52,6 +59,14 @@ def cleared(c) -> tuple:
     return ints[:-1], ints[-1], c.rel
 
 
+def r_alpha(rs, x, alpha: int) -> Fraction:
+    """Height of x over the alpha wall: a_alpha / c_{alpha,alpha}."""
+    x = tuple(x)
+    if len(x) != rs.rank:
+        raise ValueError(f"point has length {len(x)}, rank is {rs.rank}")
+    return Fraction(x[alpha]) * rs.weight_den / rs.weights[alpha][alpha]
+
+
 def additivity_check(rs, x, y) -> bool:
     """x + y stays in the open cone and every r_alpha adds."""
     if not cone.member(rs, x, "open", "edges"):
@@ -64,7 +79,7 @@ def additivity_check(rs, x, y) -> bool:
     s = tuple(map(add, x, y))
     if not cone.member(rs, s, "open", "edges"):
         return False
-    r = cone.r_alpha
+    r = r_alpha
     return all(r(rs, s, a) == r(rs, x, a) + r(rs, y, a) for a in range(rs.rank))
 
 
@@ -78,7 +93,7 @@ def u_value(inst, i: int, delta, lam) -> Fraction:
     delta = exactla.vec(delta)
     if len(delta) != inst.shift_dim:
         raise ValueError(f"shift has length {len(delta)}, expected {inst.shift_dim}")
-    return exactla.vec_dot(exactla.vec(inst.nu[i]), exactla.vec_sub(delta, image))
+    return exactla.vec_dot(exactla.vec(inst.nu[i]), vec_sub(delta, image))
 
 
 def epsilon_i(inst, i: int, delta) -> Fraction:
@@ -97,7 +112,7 @@ def u_identity_check(inst, i: int, delta, lam) -> bool:
         raise cone.DegenerateInstanceError(f"r_{i}(delta) = 0; the identity needs a nonzero ray")
     lam = exactla.vec(lam)
     lhs = u_value(inst, i, delta, lam)
-    rhs = epsilon_i(inst, i, delta) * rootsys.inner(inst.rs, exactla.vec_sub(list(r), lam), r)
+    rhs = epsilon_i(inst, i, delta) * rootsys.inner(inst.rs, vec_sub(list(r), lam), r)
     return lhs == rhs
 
 
@@ -171,3 +186,93 @@ def sample_dominant(rs, rng, strict=True) -> tuple:
     for w, col in zip(weights, cols):
         x = vec_add(x, vec_scale(w, col))
     return x
+
+
+# ---------------------------------------------------------------------------
+# root-system and arrangement functions only the tests use
+
+
+def fundamental_weight(rs, alpha: int) -> tuple:
+    """Fundamental weight lambda_alpha in root coordinates: column alpha of inv_coeffs."""
+    if not 0 <= alpha < rs.rank:
+        raise ValueError(f"node {alpha} out of range for {rs}")
+    return tuple(rs.inv_coeffs[b][alpha] for b in range(rs.rank))
+
+
+def weyl_apply(w, x) -> tuple:
+    """The Weyl element w acting on x in root coordinates."""
+    return tuple(exactla.vec_dot(row, x) for row in w.matrix)
+
+
+def coroot_pairing(rs, x) -> tuple:
+    """(<x, alpha^v>)_alpha = cartan^T . x for x in root coordinates."""
+    return tuple(exactla.vec_dot(col, x) for col in zip(*rs.cartan))
+
+
+def dominant_in_root_coords(rs, x, strict: bool = False) -> bool:
+    """x in the closed (strict: open) Weyl chamber, root coordinates."""
+    pair = coroot_pairing(rs, x)
+    if strict:
+        return all(v > 0 for v in pair)
+    return all(v >= 0 for v in pair)
+
+
+def tree_path(rs, start: int, goal: int) -> tuple:
+    """Unique path start..goal in the Dynkin tree (inclusive, 0-based)."""
+    adjacency = {k: [] for k in range(rs.rank)}
+    for i, j in rs.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    prev = {start: None}
+    queue = [start]
+    while queue:
+        node = queue.pop(0)
+        if node == goal:
+            break
+        for nxt in adjacency[node]:
+            if nxt not in prev:
+                prev[nxt] = node
+                queue.append(nxt)
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
+def chain_identity_check(rs) -> bool:
+    """c_{alpha,gamma} = (c_{alpha,beta}/c_{beta,beta}) c_{beta,gamma} along tree paths.
+
+    Checked for every ordered pair (alpha, gamma) and every interior node
+    beta of the connecting path, cross-multiplied in the integer weights.
+    """
+    w = rs.weights
+    for a in range(rs.rank):
+        for g in range(rs.rank):
+            if a == g:
+                continue
+            path = tree_path(rs, a, g)
+            for b in path[1:-1]:
+                if w[a][g] * w[b][b] != w[a][b] * w[b][g]:
+                    return False
+    return True
+
+
+def env_augmented_cone_member(rs, chi, lam) -> bool:
+    """(chi, lam) lies in the augmented-cone lattice: lam dominant and
+    chi - lam a nonnegative integer combination of simple roots."""
+    chi = exactla.vec(chi)
+    lam = exactla.vec(lam)
+    if len(chi) != rs.rank or len(lam) != rs.rank:
+        raise ValueError(f"vectors must have length {rs.rank}")
+    if not dominant_in_root_coords(rs, lam):
+        raise ValueError("lam is not dominant")
+    diff = vec_sub(chi, lam)
+    return all(c.denominator == 1 and c >= 0 for c in diff)
+
+
+def format_arrangement(arr) -> str:
+    """The arrangement in the line format that parse_arrangement reads."""
+    lines = [f"type {arr.rs.stype}"]
+    for h in arr.fundamental:
+        lines.append(" ".join(str(c) for c in h.functional))
+    return "\n".join(lines) + "\n"

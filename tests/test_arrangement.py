@@ -22,11 +22,10 @@ from coterie.arrangement import (
     OrientedHyperplane,
     canonical_arrangement,
     classifying_map,
-    env_augmented_cone_member,
-    format_arrangement,
     parse_arrangement,
     weyl_orbit,
 )
+from support import env_augmented_cone_member, format_arrangement
 
 DATA = Path(__file__).parent / "data"
 
@@ -345,7 +344,7 @@ class TestEnvAugmentedConeMember:
 
     def test_dominance_check_uses_weights(self):
         rs = rootsys.build("G2")
-        lam = tuple(rootsys.fundamental_weight(rs, 0))
+        lam = tuple(support.fundamental_weight(rs, 0))
         assert env_augmented_cone_member(rs, support.vec_add(lam, (1, 1)), lam)
 
 

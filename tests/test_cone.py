@@ -37,7 +37,6 @@ from coterie.cone import (
     parse_instance,
     polytope_vertices,
     orbit_polytope_vertices,
-    r_alpha,
     r_i_general,
     ratio,
 )
@@ -124,16 +123,16 @@ class TestRatio:
 
 class TestRAlpha:
     def test_g2_example(self):
-        assert r_alpha(rootsys.build("G2"), (7, 4), 1) == 2
+        assert support.r_alpha(rootsys.build("G2"), (7, 4), 1) == 2
 
     def test_a4_example(self):
-        assert r_alpha(rootsys.build("A4"), (1, 1, 1, 1), 0) == F(5, 4)
+        assert support.r_alpha(rootsys.build("A4"), (1, 1, 1, 1), 0) == F(5, 4)
 
     def test_scales_linearly(self):
         rs = rootsys.build("C3")
         x = (F(1, 3), F(2), F(5, 7))
         for a in range(3):
-            assert r_alpha(rs, support.vec_scale(6, x), a) == 6 * r_alpha(rs, x, a)
+            assert support.r_alpha(rs, support.vec_scale(6, x), a) == 6 * support.r_alpha(rs, x, a)
 
 
 ALL_LABELS = [str(t) for t in rootsys.all_types()]
@@ -285,7 +284,8 @@ def oracle_points(rs, seed) -> list:
         points.append((-x[0],) + x[1:])
         points.append(support.rand_vec(rng, n))
     m = len(rs.edges)
-    rays = dict(zip(product((faces.LEFT, faces.RIGHT), repeat=m), faces._propagated_rays(rs)))
+    full = (faces.LEFT, faces.RIGHT)
+    rays = dict(zip(product(full, repeat=m), faces._propagated_rays(rs, full)))
     for _ in range(4 if m else 0):
         s = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]
         t = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]
@@ -539,7 +539,7 @@ class TestReduction:
         for label in ("A5", "D5", "E7", "F4"):
             rs = rootsys.build(label)
             for b, a in ordered_pairs(rs, False):
-                path = rootsys.tree_path(rs, b, a)
+                path = support.tree_path(rs, b, a)
                 prod = F(1)
                 for u, v in zip(path, path[1:]):
                     prod *= ratio(rs, u, v)
@@ -573,6 +573,19 @@ class TestInstanceValidation:
         assert inst.shift_dim == 3
         assert inst.composite(0) == (F(1), F(0))
         assert inst.composite(1) == (F(0), F(1))
+
+    @pytest.mark.parametrize("wall", [-1, 2])
+    def test_wall_index_out_of_range_rejected(self, wall):
+        """A negative index would read the last wall and the wall count would
+        raise IndexError; both are domain errors, which are ValueErrors."""
+        inst = parse_instance((DATA / "instance_a2.txt").read_text())
+        for call in (
+            lambda: inst.composite(wall),
+            lambda: nu_of(inst, wall, (1, 1, 1)),
+            lambda: r_i_general(inst, wall, (1, 1, 1)),
+        ):
+            with pytest.raises(ValueError, match=f"wall {wall} out of range for 2 walls"):
+                call()
 
     def test_cleared_nu_is_private_and_built_once(self):
         """Each nu row is cleared once, to (N_j, d_j), and the dominance
@@ -614,7 +627,7 @@ class TestInstanceGeometry:
             for i in range(rs.rank):
                 delta = support.rand_positive_vec(rng, rs.rank)
                 r = r_i_general(inst, i, delta)
-                w = rootsys.fundamental_weight(rs, i)
+                w = support.fundamental_weight(rs, i)
                 # parallel: r x w = 0 in every 2x2 minor
                 for p in range(rs.rank):
                     for q in range(p + 1, rs.rank):

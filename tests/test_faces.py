@@ -11,7 +11,7 @@ import oracles
 import pytest
 import support
 
-from coterie import cli, cone, exactla, faces, rootsys
+from coterie import cli, cone, faces, rootsys
 from coterie.exactla import EQ, GE
 from coterie.faces import (
     CUBE_RANK_BOUND,
@@ -42,8 +42,24 @@ A4_RAYS = {
 }
 
 
-def rays_by_states(rs):
-    return {r.orientation.states: r.vector for r in extremal_rays(rs)}
+def face_points(rs) -> dict:
+    """states -> the vector that the depth-first walk over all three states
+    builds for that face."""
+    walked = faces._propagated_rays(rs, faces.STATES)
+    return {o.states: x for o, (x, _) in zip(all_orientations(rs), walked, strict=True)}
+
+
+def point_mismatches(rs) -> list:
+    """Faces whose walked vector is not a positive multiple of the mean of
+    their solved rays, each scaled to a_0 = 1."""
+    return [
+        "".join(states)
+        for states, x in face_points(rs).items()
+        if x is None
+        or x[0] <= 0
+        or tuple(Fraction(c, x[0]) for c in x)
+        != oracles.face_point_by_rays(rs, Orientation(rs.edges, states))
+    ]
 
 
 class TestOrientation:
@@ -144,10 +160,9 @@ class TestPosetOrder:
     def test_order_matches_geometry(self):
         """f >= g exactly when g's relative-interior point lies on face f."""
         rs = rootsys.build("A3")
-        by_states = rays_by_states(rs)
         orients = all_orientations(rs)
         systems = {o.states: face_of(rs, o).system for o in orients}
-        interiors = faces._interior_points(by_states, orients)
+        interiors = face_points(rs)
         for f in orients:
             for g in orients:
                 geometric = systems[f.states].satisfies(interiors[g.states])
@@ -210,7 +225,7 @@ def per_ray_mismatches(rs) -> list:
     full = product((LEFT, RIGHT), repeat=len(rs.edges))
     return [
         "".join(states)
-        for states, got in zip(full, faces._propagated_rays(rs), strict=True)
+        for states, got in zip(full, faces._propagated_rays(rs, (LEFT, RIGHT)), strict=True)
         if got != oracles.propagate_ray(rs, states)
     ]
 
@@ -483,12 +498,9 @@ class TestCubeIsomorphism:
 
     def test_interior_points_realize_orientations(self):
         rs = rootsys.build("A3")
-        by_states = rays_by_states(rs)
-        orients = all_orientations(rs)
-        points = faces._interior_points(by_states, orients)
         terms = faces._edge_terms(rs)
-        for o in orients:
-            assert faces._tight_states(terms, points[o.states]) == o.states
+        for states, point in face_points(rs).items():
+            assert faces._tight_states(terms, point) == states
 
     def test_rank_bound(self):
         with pytest.raises(ValueError):
@@ -502,14 +514,6 @@ def oracle_cube(m):
     oracle's down-sets read transposed."""
     sets = oracles.cube_vertex_sets_by_scan(m)
     return sets, transpose(oracles.cube_downsets_by_vertex(sets))
-
-
-def integer_rays(rs):
-    return {o: exactla.clear_row(v) for o, v in rays_by_states(rs).items()}
-
-
-def oracle_interior_points(rays, orients):
-    return {o.states: oracles.interior_point_by_sum(rays, o) for o in orients}
 
 
 def check_cube(m):
@@ -528,15 +532,17 @@ class TestCubeRoutinesAgainstOracles:
     def test_every_type(self, label):
         rs = rootsys.build(label)
         check_cube(len(rs.edges))
-        orients = all_orientations(rs)
-        rays = integer_rays(rs)
-        assert faces._interior_points(rays, orients) == oracle_interior_points(rays, orients)
+        assert point_mismatches(rs) == []
 
     def test_point_of_a_vertex_face_is_its_ray(self):
-        rs = rootsys.build("A4")
-        rays = integer_rays(rs)
-        points = faces._interior_points(rays, all_orientations(rs))
-        assert all(points[o] == v for o, v in rays.items())
+        """The full orientations' entries of the three-state walk are the
+        entries of the two-state walk that builds the rays."""
+        for t in rootsys.all_types(9):
+            rs = rootsys.build(str(t))
+            points = face_points(rs)
+            full = product((LEFT, RIGHT), repeat=len(rs.edges))
+            rays = faces._propagated_rays(rs, (LEFT, RIGHT))
+            assert all(points[states] == x for states, (x, _) in zip(full, rays, strict=True)), str(t)
 
     def test_rank_one_is_a_one_vertex_cube(self):
         # m = 0: one face, no arrow to lack, one vertex
@@ -546,8 +552,7 @@ class TestCubeRoutinesAgainstOracles:
         (only,) = all_orientations(rs)
         assert faces._lacked_arrows([only]) == [[]]
         assert rule_upsets([only]) == [1]
-        rays = integer_rays(rs)
-        assert faces._interior_points(rays, [only]) == {(): (1,)}
+        assert faces._propagated_rays(rs, faces.STATES) == [([1], None)]
         assert cube_isomorphism_check(rs)
 
     def test_rank_two_is_a_segment(self):
@@ -557,14 +562,14 @@ class TestCubeRoutinesAgainstOracles:
         assert lists == [[0], [1, 0], [1]]
         assert faces._supersets(lists) == [0b011, 0b010, 0b110]
         assert rule_upsets(all_orientations(rs)) == [0b011, 0b010, 0b110]
-        rays = integer_rays(rs)
-        points = faces._interior_points(rays, all_orientations(rs))
-        assert points[(NEUTRAL,)] == tuple(a + b for a, b in zip(rays[(LEFT,)], rays[(RIGHT,)]))
+        # a_2 = a_1 / 2 on '<' and 2 a_1 on '>', so 5/4 a_1 on '-', the
+        # mean of the two rays scaled to a_1 = 1
+        assert face_points(rs) == {(LEFT,): [2, 1], (NEUTRAL,): [4, 5], (RIGHT,): [1, 2]}
         assert cube_isomorphism_check(rs)
 
 
 class TestCubeRoutinePlantedDefects:
-    """A broken holder table, key list or recurrence must fail the oracle
+    """A broken holder table, key list or face point must fail the oracle
     comparison and the certificate itself."""
 
     @staticmethod
@@ -612,16 +617,26 @@ class TestCubeRoutinePlantedDefects:
         assert self.caught(m)
 
     @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
-    def test_recurrence_adding_one_child_twice(self, monkeypatch, label):
+    def test_neutral_edge_taking_one_endpoint_ratio(self, monkeypatch, label):
+        """The last step's neutral edge takes its '<' ratio instead of the
+        mean: the rays stay right, and exactly the faces with that edge
+        neutral move, onto their '<' subface."""
         rs = rootsys.build(label)
-        orients = all_orientations(rs)
-        rays = integer_rays(rs)
-        real = faces._split
+        real = faces._step_ratios
 
-        def twice(states, pos):
-            lo, _ = real(states, pos)
-            return lo, lo
+        def one_sided(rs):
+            steps = real(rs)
+            parent, child, pos, by_state = steps[-1]
+            steps[-1] = (parent, child, pos, {**by_state, NEUTRAL: by_state[LEFT]})
+            return steps
 
-        monkeypatch.setattr(faces, "_split", twice)
-        assert faces._interior_points(rays, orients) != oracle_interior_points(rays, orients)
+        monkeypatch.setattr(faces, "_step_ratios", one_sided)
+        pos = faces._tree_steps(rs)[-1][2]
+        wrong = point_mismatches(rs)
+        assert wrong and {s for s in face_points(rs) if s[pos] == NEUTRAL} == {tuple(s) for s in wrong}
+        terms = faces._edge_terms(rs)
+        for states, x in face_points(rs).items():
+            if states[pos] == NEUTRAL:
+                assert faces._tight_states(terms, x) == states[:pos] + (LEFT,) + states[pos + 1 :]
+        assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
         assert not cube_isomorphism_check(rs)

@@ -11,20 +11,22 @@ import sympy
 
 import oracles
 import support
-from coterie import exactla, rootsys
+from coterie import exactla
 from coterie.rootsys import (
     SimpleType,
     UnsupportedTypeError,
     all_types,
     build,
-    chain_identity_check,
-    coroot_pairing,
-    dominant_in_root_coords,
-    fundamental_weight,
     inner,
     parse_type,
     simple_reflection,
     symmetrizers,
+)
+from support import (
+    chain_identity_check,
+    coroot_pairing,
+    dominant_in_root_coords,
+    fundamental_weight,
     weyl_apply,
 )
 
@@ -143,7 +145,7 @@ class TestRootSystemInvariants:
         """rank-1 edges, connected, matching noncommuting reflections."""
         n = rs.rank
         assert len(rs.edges) == n - 1
-        assert all(rootsys.tree_path(rs, 0, k) for k in range(n))
+        assert all(support.tree_path(rs, 0, k) for k in range(n))
         for i in range(n):
             for j in range(i + 1, n):
                 si = simple_reflection(rs, i).matrix
