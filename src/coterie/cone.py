@@ -30,10 +30,10 @@ d_j > 0 and builds its dominance rows once, general_member clears delta
 once to D over e > 0 and builds every wall system from those heights,
 and v_j = N_j . D is an int with the sign of nu_j(delta).  Times
 (d_j e)^2, wall row j reads v_j d_j e l_j(lam) > -v_j^2; the dominance
-rows are reduced for elimination once per instance and each wall row
-once per shift, and the witness is checked in integers before it is
-returned as Fractions.  The ray points r_i have a closed form in the
-integer weights.
+rows are cleared and gcd-reduced once per instance and each wall row once
+per shift, when the constraint is built, and the witness is checked in
+integers before it is returned as Fractions.  The ray points r_i have a
+closed form in the integer weights.
 """
 
 from __future__ import annotations
@@ -229,7 +229,10 @@ def polytope_vertices(cs: CrossSection, subset_cap: int = SUBSET_CAP) -> tuple:
 def orbit_polytope_vertices(
     rs: rootsys.RootSystem, cs: CrossSection, cap: int = arrmod.ORBIT_CAP
 ) -> tuple:
-    """Weyl-orbit closure of the cross-section vertex set."""
+    """Weyl-orbit closure of the cross-section vertex set, under the Weyl
+    group of rs, which must be the cross-section's root system."""
+    if rs != cs.rs:
+        raise ValueError(f"cross-section of {cs.rs} cannot take the Weyl group of {rs}")
     mats = [rootsys.simple_reflection(rs, a).matrix for a in range(rs.rank)]
     seen = set(polytope_vertices(cs))
     queue = list(seen)
@@ -399,9 +402,8 @@ def general_member_systems(inst: GeneralCoterieInstance, delta) -> tuple:
 def _wall_systems(inst: GeneralCoterieInstance, e: int, heights: tuple) -> tuple:
     """general_member_systems from the shift's denominator e and heights v_j."""
     n = inst.rs.rank
-    # each row is built and cleared once; the systems share the frozen
-    # constraints, and the equality rows the strict rows' terms and their
-    # reduced form
+    # each row is built, cleared and reduced once; the systems share the
+    # frozen constraints, and the equality rows the strict rows' terms
     walls = [
         _wall_row(h.functional, v, d, e)
         for h, v, (_, d) in zip(inst.arr.fundamental, heights, inst._nu_ints)

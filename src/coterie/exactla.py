@@ -6,14 +6,13 @@ vector into integers; the Fraction vector helpers (vec, vec_dot, mat_vec,
 ...) are left for code off the integer paths. A LinearConstraint keeps
 int and Fraction entries as given, boxes other input (str, bool, ...)
 with Fraction, and clears its row once, to integers in sparse form: the
-nonzero (index, coeff) terms, the bound and the relation code. A
-ConeSystem stores those rows as they are, one object per constraint
-however many systems hold it, and with_rel gives the same row under
-another relation without clearing it again. The rows are evaluated at a
-cleared integer point. For elimination each row is expanded to dense
-coefficients and divided by its gcd on first use, and that form is kept
-with the constraint and shared by its with_rel siblings, so a row held by
-many systems is reduced once.
+nonzero (index, coeff) terms, the bound and the relation code. The row is
+divided by the gcd of its entries and bound when it is built, so it is the
+one integer form of the constraint. A ConeSystem stores those rows as they
+are, one object per constraint however many systems hold it, and with_rel
+gives the same row under another relation without clearing it again. The
+rows are evaluated at a cleared integer point, and expanded to dense
+coefficients for elimination.
 Solving, inversion and rank clear each row to integers and run one
 fraction-free elimination, kernels.eliminate; Fraction appears only in
 what they return. Feasibility of systems mixing strict/weak inequalities
@@ -155,13 +154,19 @@ def solve_linear(a, b) -> LinearSolution:
 
 def _clear_terms(functional, bound) -> tuple:
     """(terms, bound) of the row functional . x REL bound scaled by the
-    positive lcm of denominators: terms lists the nonzero (index, coeff)
-    pairs.  Only nonzero entries are cleared; zeros have denominator 1, so
-    the lcm is the same."""
+    positive lcm of denominators and divided by the gcd of its entries and
+    bound: terms lists the nonzero (index, coeff) pairs.  Only nonzero
+    entries are cleared; zeros have denominator 1 and gcd-neutral value 0,
+    so the lcm and the gcd are those of the dense row."""
     terms = [(i, q) for i, q in enumerate(functional) if q]
     d = lcm(bound.denominator, *(q.denominator for _, q in terms))
-    ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
-    return ints, bound.numerator * (d // bound.denominator)
+    ints = [(i, q.numerator * (d // q.denominator)) for i, q in terms]
+    b = bound.numerator * (d // bound.denominator)
+    g = gcd(b, *[c for _, c in ints])
+    if g > 1:
+        ints = [(i, c // g) for i, c in ints]
+        b //= g
+    return tuple(ints), b
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,20 +174,15 @@ class LinearConstraint:
     """functional . x  REL  bound, with REL one of >, >=, =.  int and
     Fraction entries (and bound) are kept as given, others boxed by Fraction.
 
-    cleared_terms is the row (terms, bound, rel code) that every system
-    holding the constraint evaluates and eliminates (_clear_terms), built
-    once per constraint; with_rel shares it with the same row under
-    another relation.
-
-    _reduced holds the dense, gcd-reduced form of that row once
-    _reduced_row has built it, or, in a with_rel sibling, the constraint
-    whose form it shares; None until then."""
+    cleared_terms is the row (terms, bound, rel code), cleared to integers
+    and gcd-reduced (_clear_terms), that every system holding the
+    constraint evaluates and eliminates, built once per constraint;
+    with_rel shares it with the same row under another relation."""
 
     functional: tuple
     rel: str
     bound: int | Fraction = 0
     cleared_terms: tuple = field(init=False, repr=False, compare=False)
-    _reduced: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.rel not in _REL_CODE:
@@ -205,25 +205,7 @@ class LinearConstraint:
         object.__setattr__(other, "rel", rel)
         object.__setattr__(other, "bound", self.bound)
         object.__setattr__(other, "cleared_terms", self.cleared_terms[:2] + (_REL_CODE[rel],))
-        object.__setattr__(other, "_reduced", self if self._reduced is None else self._reduced)
         return other
-
-    def _reduced_row(self) -> tuple:
-        """The cleared row as dense coefficients divided by the gcd of its
-        entries and bound, (coeffs, bound): built on first use and kept, so
-        every system holding this constraint or a with_rel sibling of it
-        reads one form."""
-        held = self._reduced
-        if type(held) is LinearConstraint:
-            return held._reduced_row()
-        if held is None:
-            terms, bound, _ = self.cleared_terms
-            coeffs = [0] * len(self.functional)
-            for i, c in terms:
-                coeffs[i] = c
-            held = kernels._reduce_row(tuple(coeffs), bound)
-            object.__setattr__(self, "_reduced", held)
-        return held
 
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:
@@ -265,15 +247,19 @@ class Feasibility:
 
 
 def _initial_rows(system: ConeSystem):
+    """The system's cleared rows expanded to dense coefficients, as the
+    equality rows (coeffs, bound) and the inequality rows (coeffs, bound,
+    strict) of Fourier-Motzkin elimination."""
     eq_rows = []
     ineq_rows = []
-    for c in system.constraints:
-        row = c._reduced_row()
-        rel = c.cleared_terms[2]
+    for terms, bound, rel in system._rows:
+        coeffs = [0] * system.dim
+        for i, c in terms:
+            coeffs[i] = c
         if rel == kernels.REL_EQ:
-            eq_rows.append(row)
+            eq_rows.append((tuple(coeffs), bound))
         else:
-            ineq_rows.append(row + (rel == kernels.REL_GT,))
+            ineq_rows.append((tuple(coeffs), bound, rel == kernels.REL_GT))
     return eq_rows, ineq_rows
 
 

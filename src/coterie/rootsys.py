@@ -165,9 +165,20 @@ def _build(stype: SimpleType) -> RootSystem:
     )
 
 
+def _nodes(rs: RootSystem, *nodes: int) -> None:
+    """Reject a node index outside 0 .. rank - 1, which would otherwise
+    count from the end or raise IndexError, and a repeated node."""
+    for k in nodes:
+        if not 0 <= k < rs.rank:
+            raise ValueError(f"node {k} out of range for {rs}")
+    if len(set(nodes)) < len(nodes):
+        raise ValueError(f"nodes {nodes} of {rs} must be distinct")
+
+
 def ratio(rs: RootSystem, beta: int, alpha: int) -> Fraction:
     """c_{beta,alpha} / c_{alpha,alpha}: the (beta, alpha) condition of the
     cone reads a_beta > ratio a_alpha."""
+    _nodes(rs, beta, alpha)
     return Fraction(rs.weights[beta][alpha], rs.weights[alpha][alpha])
 
 
@@ -176,6 +187,7 @@ def pair_row(rs: RootSystem, beta: int, alpha: int) -> tuple:
     weights[alpha][alpha] e_beta - weights[beta][alpha] e_alpha divided by
     its gcd, so its beta and -alpha entries are the denominator and the
     numerator of ratio(beta, alpha)."""
+    _nodes(rs, beta, alpha)
     row = [0] * rs.rank
     row[beta] = rs.weights[alpha][alpha]
     row[alpha] = -rs.weights[beta][alpha]
@@ -214,8 +226,7 @@ def simple_reflection(rs: RootSystem, alpha: int) -> WeylElement:
     <x, alpha^v> = (cartan^T x)_alpha, so the matrix is the identity with
     row alpha replaced by e_alpha - (column alpha of cartan)^T.
     """
-    if not 0 <= alpha < rs.rank:
-        raise ValueError(f"node {alpha} out of range for {rs}")
+    _nodes(rs, alpha)
     n = rs.rank
     rows = tuple(
         tuple(int(j == k) - (rs.cartan[j][k] if k == alpha else 0) for j in range(n))

@@ -53,8 +53,9 @@ def holds(c, x) -> bool:
 
 def cleared(c) -> tuple:
     """The dense integer form (coeffs, bound, rel) of the constraint c,
-    scaled by the positive lcm of denominators: the clearing that its
-    sparse cleared_terms are checked against."""
+    scaled by the positive lcm of denominators and not gcd-reduced: the
+    clearing that its sparse cleared_terms, once divided by the gcd
+    (kernels._reduce_row), are checked against."""
     ints = exactla.clear_row(tuple(c.functional) + (c.bound,))
     return ints[:-1], ints[-1], c.rel
 

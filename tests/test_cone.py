@@ -6,9 +6,10 @@ import inspect
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -521,6 +522,15 @@ class TestCrossSection:
         cs = cross_section(rs, (1,))
         assert set(orbit_polytope_vertices(rs, cs)) == {(F(0),), (F(1),), (F(-1),)}
 
+    @pytest.mark.parametrize("label", ["B3", "A2"])
+    def test_orbit_needs_the_sections_root_system(self, label):
+        """B3's reflections would close a C3 section to 57 points instead
+        of its 27, and A2's fail on the length of its points."""
+        cs = cross_section(rootsys.build("C3"), (1, 1, 1))
+        with pytest.raises(ValueError, match=f"cross-section of C3 cannot take the Weyl group of {label}$"):
+            orbit_polytope_vertices(rootsys.build(label), cs)
+        assert len(orbit_polytope_vertices(rootsys.build("C3"), cs)) == 27
+
 
 class TestReduction:
     """The edge conditions generate the full pair system."""
@@ -772,31 +782,35 @@ class TestGeneralMember:
         assert len(calls) == 3
 
     def test_shared_rows_are_reduced_once(self):
-        """On a fresh instance, the first member shift reduces the n
-        dominance rows and its n wall rows, each once however many wall
-        systems hold it; a second shift reduces only its own wall rows."""
+        """Building a fresh instance clears and gcd-reduces its n dominance
+        rows, and each member shift its own wall rows, each once however
+        many wall systems hold it; expanding the rows for elimination
+        reduces nothing again."""
         rs = rootsys.build("D5")
-        counts = reductions_per_shift(cone.canonical_instance.__wrapped__(rs), member_shifts(rs, 3))
-        assert counts == [2 * rs.rank, rs.rank, rs.rank]
-        inst, _ = a2_file_shifts()
-        assert reductions_per_shift(inst, [(1, 1, 3), (0, 1, 3)]) == [4, 2]
+        counts = clearings_per_shift(lambda: cone.canonical_instance.__wrapped__(rs), member_shifts(rs, 3))
+        assert counts == ([rs.rank] * 4, [], 0)
+        counts = clearings_per_shift(lambda: a2_file_shifts()[0], [(1, 1, 3), (0, 1, 3)])
+        assert counts == ([2, 2, 2], [], 0)
 
     def test_planted_row_reused_from_another_shift_is_caught(self, monkeypatch):
-        """A reduced form looked up by the row's support, as a cache keyed by
+        """A dense row looked up by the row's support, as a cache keyed by
         the wall would be, hands a later shift the first shift's wall rows:
         the comparison with the Fraction build reports the later shifts."""
-        honest = exactla.LinearConstraint._reduced_row
+        honest = exactla._initial_rows
         by_support = {}
 
-        def keyed_by_support(c):
-            key = (len(c.functional), tuple(i for i, _ in c.cleared_terms[0]))
-            return by_support.setdefault(key, honest(c))
+        def keyed_by_support(system):
+            rows = [
+                by_support.setdefault((system.dim, tuple(i for i, _ in terms)), (terms, bound)) + (rel,)
+                for terms, bound, rel in system._rows
+            ]
+            return honest(SimpleNamespace(dim=system.dim, _rows=rows))
 
         rs = rootsys.build("C4")
         inst = cone.canonical_instance.__wrapped__(rs)
         shifts = member_shifts(rs, 3)
         assert rows_unlike_fraction_build(inst, shifts) == []
-        monkeypatch.setattr(exactla.LinearConstraint, "_reduced_row", keyed_by_support)
+        monkeypatch.setattr(exactla, "_initial_rows", keyed_by_support)
         assert rows_unlike_fraction_build(inst, shifts) == shifts[1:]
 
 
@@ -807,43 +821,131 @@ def member_shifts(rs, count) -> list:
     return [support.sample_member(rs, rng) for _ in range(count)]
 
 
+def dense_rows(system) -> tuple:
+    """The oracle for exactla._initial_rows: each constraint cleared
+    densely afresh (support.cleared) and gcd-reduced, as the equality rows
+    (coeffs, bound) and the inequality rows (coeffs, bound, strict)."""
+    rows = [(kernels._reduce_row(*support.cleared(c)[:2]), c.rel) for c in system.constraints]
+    return [row for row, rel in rows if rel == EQ], [row + (rel == GT,) for row, rel in rows if rel != EQ]
+
+
 def rows_unlike_fraction_build(inst, shifts) -> list:
     """The shifts whose wall systems' exactla._initial_rows differ from the
     Fraction-built oracle's rows, each cleared and gcd-reduced afresh."""
     out = []
     for delta in shifts:
         got = list(map(exactla._initial_rows, general_member_systems(inst, delta)))
-        want = []
-        for system in oracles.general_member_systems_by_fractions(inst, delta):
-            rows = [(kernels._reduce_row(*support.cleared(c)[:2]), c.rel) for c in system.constraints]
-            eq = [row for row, rel in rows if rel == EQ]
-            want.append((eq, [row + (rel == GT,) for row, rel in rows if rel != EQ]))
-        if got != want:
+        if got != list(map(dense_rows, oracles.general_member_systems_by_fractions(inst, delta))):
             out.append(delta)
     return out
 
 
-def reductions_per_shift(inst, shifts) -> list:
-    """The kernels._reduce_row calls exactla._initial_rows makes during
-    general_member(inst, delta), for each shift in turn; every shift must
-    be a member."""
-    calls = []
+def clearings_per_shift(build, shifts) -> tuple:
+    """The exactla._clear_terms calls build() makes for a fresh instance,
+    then general_member(inst, delta) for each shift in turn (every shift
+    must be a member); the rows among them left with a gcd above 1; and
+    the kernels._reduce_row calls exactla._initial_rows makes in all."""
+    clearings, unreduced, reductions = [], [], []
+    honest_clear = exactla._clear_terms
     honest_rows = exactla._initial_rows
     honest_reduce = kernels._reduce_row
 
+    def counted_clear(functional, bound):
+        terms, b = honest_clear(functional, bound)
+        clearings.append(terms)
+        if gcd(*(c for _, c in terms), b) > 1:
+            unreduced.append((terms, b))
+        return terms, b
+
     def counted_rows(system):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_reduce_row", lambda *row: calls.append(row) or honest_reduce(*row))
+            mp.setattr(kernels, "_reduce_row", lambda *row: reductions.append(row) or honest_reduce(*row))
             return honest_rows(system)
 
-    counts = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_clear_terms", counted_clear)
         mp.setattr(exactla, "_initial_rows", counted_rows)
+        inst = build()
+        counts = [len(clearings)]
         for delta in shifts:
-            calls.clear()
+            clearings.clear()
             assert general_member(inst, delta) is True
-            counts.append(len(calls))
-    return counts
+            counts.append(len(clearings))
+    return counts, unreduced, len(reductions)
+
+
+def builder_systems(cold: bool = False):
+    """(builder, type, system) for every constraint builder in the library:
+    inequalities (all 49 types, reduced and full, open and closed),
+    cross_section, faces.face_of, the canonical instances' dominance rows
+    and wall systems, and the wall systems of the A2 shift file; cold
+    builds the descriptions and instances past their caches."""
+    describe = cone._inequalities.__wrapped__ if cold else inequalities
+    instance = cone.canonical_instance.__wrapped__ if cold else canonical_instance
+    rng = random.Random(19)
+    for t in rootsys.all_types():
+        rs = rootsys.build(str(t))
+        for reduced in (True, False):
+            desc = describe(rs, reduced)
+            yield "inequalities", t, desc.open_system
+            yield "inequalities", t, desc.closed_system
+        for y in ((1,) * rs.rank, support.rand_positive_vec(rng, rs.rank, 3, 6)):
+            yield "cross_section", t, cross_section(rs, y).system
+        for _ in range(3):
+            f = faces.Orientation(rs.edges, tuple(rng.choice(faces.STATES) for _ in rs.edges))
+            yield "face_of", t, faces.face_of(rs, f).system
+        inst = instance(rs)
+        yield "dominance", t, ConeSystem(rs.rank, inst._dominance)
+        for delta in canonical_shifts(rs, random.Random(str(t))):
+            for system in general_member_systems(inst, delta):
+                yield "wall systems", t, system
+    inst, shifts = a2_file_shifts()
+    for delta in shifts:
+        for system in general_member_systems(inst, delta):
+            yield "wall systems", "A2 file", system
+
+
+def unlike_dense_oracle(systems) -> list:
+    """(builder, type) wherever a constraint's cleared_terms are not the
+    sparse form of its dense clearing divided by the gcd (support.cleared,
+    kernels._reduce_row), or a system's exactla._initial_rows differ from
+    those dense rows (dense_rows)."""
+    out = []
+    for builder, t, system in systems:
+        want = []
+        for c in system.constraints:
+            coeffs, bound = kernels._reduce_row(*support.cleared(c)[:2])
+            want.append((tuple((i, v) for i, v in enumerate(coeffs) if v), bound, exactla._REL_CODE[c.rel]))
+        got = [c.cleared_terms for c in system.constraints]
+        if (got != want or exactla._initial_rows(system) != dense_rows(system)) and (builder, t) not in out:
+            out.append((builder, t))
+    return out
+
+
+def unreduced_clear_terms(functional, bound) -> tuple:
+    """exactla._clear_terms without the division by the gcd."""
+    terms = [(i, q) for i, q in enumerate(functional) if q]
+    d = lcm(bound.denominator, *(q.denominator for _, q in terms))
+    ints = tuple((i, q.numerator * (d // q.denominator)) for i, q in terms)
+    return ints, bound.numerator * (d // bound.denominator)
+
+
+class TestClearedRowsAgainstDenseOracle:
+    def test_every_builder_matches(self):
+        assert unlike_dense_oracle(builder_systems()) == []
+
+    def test_planted_unreduced_clearing_is_caught(self, monkeypatch):
+        """Rows with a common factor keep it without the division: some
+        cross-section and dominance rows (B, C and F types), the wall rows
+        of most shifts, and the rows the Fraction build checks.  The pair
+        and positivity rows of inequalities and face_of are primitive."""
+        rs = rootsys.build("B3")
+        shifts = member_shifts(rs, 3)
+        monkeypatch.setattr(exactla, "_clear_terms", unreduced_clear_terms)
+        broken = unlike_dense_oracle(builder_systems(cold=True))
+        assert {builder for builder, _ in broken} == {"cross_section", "dominance", "wall systems"}
+        assert ("wall systems", "A2 file") in broken
+        assert rows_unlike_fraction_build(cone.canonical_instance.__wrapped__(rs), shifts) == shifts
 
 
 def single_wall_instance(label, functional, theta_star, nu):

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import oracles
 import pytest
@@ -504,8 +504,9 @@ class TestConeSystem:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_entries_kept_or_boxed(self, entries, bound, rel):
         """int and Fraction entries are kept as given, anything else is
-        boxed; the clearing equals that of the all-Fraction vector, and
-        each entry's text is that of its Fraction, as the CLI prints it."""
+        boxed; the clearing equals that of the all-Fraction vector divided
+        by the gcd of its entries and bound, and each entry's text is that
+        of its Fraction, as the CLI prints it."""
         c = constraint(entries, rel, bound)
         for got, raw in zip(c.functional + (c.bound,), entries + [bound], strict=True):
             if type(raw) in (int, Fraction):
@@ -515,8 +516,11 @@ class TestConeSystem:
             assert str(got) == str(Fraction(raw))
         f, b = vec(entries), Fraction(bound)
         d = lcm(b.denominator, *(q.denominator for q in f))
-        terms = tuple((i, q.numerator * (d // q.denominator)) for i, q in enumerate(f) if q)
-        assert c.cleared_terms == (terms, b.numerator * (d // b.denominator), exactla._REL_CODE[rel])
+        ints = [q.numerator * (d // q.denominator) for q in f]
+        b = b.numerator * (d // b.denominator)
+        g = gcd(*ints, b) or 1
+        terms = tuple((i, v // g) for i, v in enumerate(ints) if v)
+        assert c.cleared_terms == (terms, b // g, exactla._REL_CODE[rel])
 
     @pytest.mark.parametrize("rel", [GT, GE, EQ])
     def test_with_rel_shares_the_cleared_terms(self, rel):
@@ -534,26 +538,30 @@ class TestConeSystem:
 
     @pytest.mark.parametrize("first", ["original", "sibling"])
     def test_reduced_row_is_built_once_and_shared(self, first):
-        """The dense, gcd-reduced row is that of the dense clearing, built
-        once whichever of a constraint and its with_rel siblings asks first,
-        and the same object for all of them; a fresh constraint with the
-        same row builds its own."""
-        c = constraint(["1/2", 0, "-3/2"], GT, "3/4")
-        eq = c.with_rel(EQ)
-        ge = eq.with_rel(GE)
-        calls = []
-        honest = kernels._reduce_row
+        """The row is cleared and gcd-reduced once, when the constraint is
+        built, and its with_rel siblings hold the very same terms, whether
+        each sibling is taken from the original or from another sibling;
+        a fresh constraint with the same row clears its own, and expanding
+        the rows for elimination reduces nothing again."""
+        clearings, reductions = [], []
+        honest_clear, honest_reduce = exactla._clear_terms, kernels._reduce_row
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_reduce_row", lambda *row: calls.append(row) or honest(*row))
-            order = (c, eq, ge) if first == "original" else (ge, eq, c)
-            rows = [x._reduced_row() for x in order]
-            assert len(calls) == 1
-            fresh = constraint(c.functional, GE, c.bound)._reduced_row()
-            assert len(calls) == 2
-        assert rows[0] is rows[1] is rows[2] and rows[0] == fresh == ((2, 0, -6), 3)
-        assert rows[0] == honest(*support.cleared(c)[:2])
-        system = ConeSystem(3, (eq, c))
-        assert exactla._initial_rows(system) == ([((2, 0, -6), 3)], [((2, 0, -6), 3, True)])
+            mp.setattr(exactla, "_clear_terms", lambda *row: clearings.append(row) or honest_clear(*row))
+            mp.setattr(kernels, "_reduce_row", lambda *row: reductions.append(row) or honest_reduce(*row))
+            c = constraint(["1/2", 0, "-3/2"], GT, "3/4")
+            eq = c.with_rel(EQ)
+            ge = (c if first == "original" else eq).with_rel(GE)
+            assert len(clearings) == 1
+            fresh = constraint(c.functional, GE, c.bound)
+            assert len(clearings) == 2
+            system = ConeSystem(3, (eq, c))
+            assert exactla._initial_rows(system) == ([((2, 0, -6), 3)], [((2, 0, -6), 3, True)])
+            assert (len(clearings), reductions) == (2, [])
+        assert c.cleared_terms[0] is eq.cleared_terms[0] is ge.cleared_terms[0]
+        assert c.cleared_terms[:2] == fresh.cleared_terms[:2] == (((0, 2), (2, -6)), 3)
+        assert fresh.cleared_terms[0] is not c.cleared_terms[0]
+        dense, bound = honest_reduce(*support.cleared(c)[:2])
+        assert c.cleared_terms[:2] == (tuple((i, v) for i, v in enumerate(dense) if v), bound)
 
     def test_shared_constraint_is_cleared_once(self):
         shared = constraint(["1/2", "-2/3"], GT, 0)

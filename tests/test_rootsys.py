@@ -18,7 +18,9 @@ from coterie.rootsys import (
     all_types,
     build,
     inner,
+    pair_row,
     parse_type,
+    ratio,
     simple_reflection,
     symmetrizers,
 )
@@ -217,6 +219,32 @@ class TestIntegerWeights:
         weights[2][5] += 1
         planted = dataclasses.replace(rs, weights=tuple(map(tuple, weights)))
         assert weight_mismatches(planted, oracles.weight_columns("E6")) == [5]
+
+
+class TestNodeIndices:
+    """A negative node would count from the end, node rank would raise
+    IndexError, and a node paired with itself is no pair condition."""
+
+    @pytest.mark.parametrize(
+        "beta, alpha, message",
+        [
+            (-1, 0, "node -1 out of range for B3"),
+            (0, -1, "node -1 out of range for B3"),
+            (3, 0, "node 3 out of range for B3"),
+            (0, 3, "node 3 out of range for B3"),
+            (1, 1, r"nodes \(1, 1\) of B3 must be distinct"),
+        ],
+    )
+    def test_pair_needs_two_distinct_nodes_in_range(self, beta, alpha, message):
+        rs = build("B3")
+        for fn in (ratio, pair_row):
+            with pytest.raises(ValueError, match=message):
+                fn(rs, beta, alpha)
+
+    @pytest.mark.parametrize("alpha", [-1, 3])
+    def test_reflection_node_in_range(self, alpha):
+        with pytest.raises(ValueError, match=f"node {alpha} out of range for B3"):
+            simple_reflection(build("B3"), alpha)
 
 
 class TestReflections:
