@@ -548,17 +548,17 @@ class TestConeSystem:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exactla, "_clear_terms", lambda *row: clearings.append(row) or honest_clear(*row))
             mp.setattr(kernels, "_reduce_row", lambda *row: reductions.append(row) or honest_reduce(*row))
-            c = constraint(["1/2", 0, "-3/2"], GT, "3/4")
+            c = constraint(["2/3", 0, "-4/3"], GT, "2/3")
             eq = c.with_rel(EQ)
             ge = (c if first == "original" else eq).with_rel(GE)
             assert len(clearings) == 1
             fresh = constraint(c.functional, GE, c.bound)
             assert len(clearings) == 2
             system = ConeSystem(3, (eq, c))
-            assert exactla._initial_rows(system) == ([((2, 0, -6), 3)], [((2, 0, -6), 3, True)])
+            assert exactla._initial_rows(system) == ([((1, 0, -2), 1)], [((1, 0, -2), 1, True)])
             assert (len(clearings), reductions) == (2, [])
         assert c.cleared_terms[0] is eq.cleared_terms[0] is ge.cleared_terms[0]
-        assert c.cleared_terms[:2] == fresh.cleared_terms[:2] == (((0, 2), (2, -6)), 3)
+        assert c.cleared_terms[:2] == fresh.cleared_terms[:2] == (((0, 1), (2, -2)), 1)
         assert fresh.cleared_terms[0] is not c.cleared_terms[0]
         dense, bound = honest_reduce(*support.cleared(c)[:2])
         assert c.cleared_terms[:2] == (tuple((i, v) for i, v in enumerate(dense) if v), bound)
