@@ -18,11 +18,19 @@ orientation's keys are the arrows it lacks, numbered 2*pos for '<' and
 2*pos + 1 for '>', so f >= g when f lacks every arrow that g lacks, which
 is arrow erasure.  Nothing assumes the product structure of the cube.
 
+Both orders depend on the edge count m alone, so they are compared once
+per m (_cube_orders_agree) and the verdict is kept for every later check
+at that m.
+
 The orientation-to-face map is then certified geometrically through
-exact integer ranks and per-face interior points; that rank pass also
-yields the face dimensions (face_dimensions).  Each face must have
-dimension rank minus its oriented count, which also makes every cover
-drop the dimension by exactly one, and its interior point's tight edge
+exact integer ranks and per-face interior points.  The face dimensions
+(face_dimensions) come from one depth-first rank pass over the edges in
+enumeration order: each path carries an integer echelon basis of
+(pivot, primitive row) pairs, an oriented edge reduces its row against
+the basis fraction-free and pushes the nonzero remainder, and a face's
+rank is the basis length at its leaf.  Each face must have dimension
+rank minus its oriented count, which also makes every cover drop the
+dimension by exactly one, and its interior point's tight edge
 inequalities must reproduce the orientation exactly.
 
 One depth-first pass over the Dynkin tree from node 0 builds the rays and
@@ -48,7 +56,6 @@ from math import gcd
 from typing import Optional
 
 from . import cone, exactla, rootsys
-from ._backend import kernels
 from .exactla import EQ, GE, ConeSystem, constraint
 
 LEFT = "<"
@@ -331,14 +338,14 @@ def _cube_vertex_lists(m: int) -> list:
     return lists
 
 
-def _lacked_arrows(orients) -> list:
-    """Per orientation, the arrows it lacks, each numbered 2*pos + arrow
-    ('<' is arrow 0, '>' arrow 1): both on a neutral edge, the opposite
-    one on an oriented edge."""
+def _lacked_arrows(state_tuples) -> list:
+    """Per tuple of edge states, the arrows it lacks, each numbered
+    2*pos + arrow ('<' is arrow 0, '>' arrow 1): both on a neutral edge,
+    the opposite one on an oriented edge."""
     out = []
-    for o in orients:
+    for states in state_tuples:
         keys = []
-        for pos, s in enumerate(o.states):
+        for pos, s in enumerate(states):
             if s != LEFT:
                 keys.append(2 * pos)
             if s != RIGHT:
@@ -406,43 +413,100 @@ def _tight_states(edge_terms, point) -> Optional[tuple]:
     return tuple(states)
 
 
+def _reduced(row, basis) -> list:
+    """row minus a combination of the basis rows, fraction-free: each
+    (pivot, b) in turn clears the pivot entry as b[pivot] * row -
+    row[pivot] * b, and the result is divided by the gcd of its entries.
+    Every basis row is zero at the pivots pushed before it, so a cleared
+    pivot stays clear, and the remainder is zero exactly when row lies in
+    the span of the basis."""
+    for p, b in basis:
+        c = row[p]
+        if c:
+            bp = b[p]
+            row = [bp * x - c * y for x, y in zip(row, b)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+    return row
+
+
+def _pushed(basis, row) -> tuple:
+    """The echelon basis with row's remainder appended under its first
+    nonzero entry as pivot, or the basis itself when row lies in its span."""
+    rest = _reduced(row, basis)
+    for pivot, x in enumerate(rest):
+        if x:
+            return basis + ((pivot, rest),)
+    return basis
+
+
+def _echelon_ranks(edge_rows) -> list:
+    """Rank of the equality rows of every tuple of edge states, in the order
+    of product(STATES): edge_rows gives each edge's '<' and '>' rows, and a
+    neutral edge adds none.  Walked depth first, each path carries one
+    echelon basis, so each oriented edge costs one reduction for all the
+    tuples that extend the path, and the rank at a leaf is the basis
+    length."""
+    m = len(edge_rows)
+    out = []
+
+    def walk(pos, basis):
+        if pos == m:
+            out.append(len(basis))
+            return
+        left, right = edge_rows[pos]
+        walk(pos + 1, _pushed(basis, left))
+        walk(pos + 1, basis)
+        walk(pos + 1, _pushed(basis, right))
+
+    walk(0, ())
+    # break the closure's cycle, as _propagated_rays does
+    del walk
+    return out
+
+
 @lru_cache(maxsize=None)
 def face_dimensions(rs: rootsys.RootSystem) -> tuple:
     """Dimension of every face, in the enumeration order of
-    all_orientations: rank minus the integer rank of its equality rows."""
-    rows = [dict(zip((RIGHT, LEFT), _edge_rows(rs, i, j))) for i, j in rs.edges]
-    dims = []
-    for o in all_orientations(rs):
-        eq_rows = [rows[pos][s] for pos, s in enumerate(o.states) if s != NEUTRAL]
-        dims.append(rs.rank - (kernels.rank_of(eq_rows) if eq_rows else 0))
-    return tuple(dims)
+    all_orientations: rank minus the integer rank of its equality rows,
+    the (j, i) row on a '<' edge and the (i, j) row on a '>' edge."""
+    rows = [_edge_rows(rs, i, j)[::-1] for i, j in rs.edges]
+    return tuple(rs.rank - r for r in _echelon_ranks(rows))
 
 
-def cube_isomorphism_check(rs: rootsys.RootSystem, bound: int = CUBE_RANK_BOUND) -> bool:
+@lru_cache(maxsize=None)
+def _cube_orders_agree(m: int) -> bool:
+    """Whether arrow erasure on the 3^m tuples of edge states is the
+    inclusion order of the m-cube's faces.  Both orders depend on m alone,
+    so they are compared once per edge count; m is at most
+    CUBE_RANK_BOUND - 1, since cube_isomorphism_check bounds the rank."""
+    rule = _supersets(_lacked_arrows(product(STATES, repeat=m)))
+    return _first_disagreement(rule, _supersets(_cube_vertex_lists(m))) == -1
+
+
+def cube_isomorphism_check(rs: rootsys.RootSystem) -> bool:
     """Verify that orientations, ordered by arrow erasure, form the face
     lattice of the (rank-1)-cube, and that the geometry agrees: exact face
     dimensions, and an interior point per face whose tight set reproduces
     the orientation exactly.  The two orders are compared as complete
-    relations, one up-set per face.  Every face f must have dimension rank
-    minus its oriented count; a cover g of f orients one more edge, so
-    dim g = dim f - 1 follows, and covers need no check of their own."""
-    if rs.rank > bound:
-        raise ValueError(f"rank {rs.rank} exceeds the bound {bound}")
+    relations, one up-set per face, once per edge count.  Every face f must
+    have dimension rank minus its oriented count; a cover g of f orients
+    one more edge, so dim g = dim f - 1 follows, and covers need no check
+    of their own."""
+    if rs.rank > CUBE_RANK_BOUND:
+        raise ValueError(f"rank {rs.rank} exceeds the bound {CUBE_RANK_BOUND}")
     m = len(rs.edges)
-    orients = all_orientations(rs)
 
     # combinatorial half: the two complete orders, one up-set per face
-    if _first_disagreement(_supersets(_lacked_arrows(orients)), _supersets(_cube_vertex_lists(m))) != -1:
+    if not _cube_orders_agree(m):
         return False
 
     # geometric half; stays in integer arithmetic throughout
-    for o, d in zip(orients, face_dimensions(rs), strict=True):
-        if d != rs.rank - o.oriented_count:
-            return False
-
     if any(problems for _, _, problems in _checked_rays(rs)):
         return False
     # every ratio is now sound, so every face has a vector, never an anomaly
     terms = _edge_terms(rs)
-    points = _propagated_rays(rs, STATES)
-    return all(_tight_states(terms, x) == o.states for o, (x, _) in zip(orients, points, strict=True))
+    free = rs.rank - m  # a face's dimension less its neutral count
+    walked = zip(product(STATES, repeat=m), face_dimensions(rs), _propagated_rays(rs, STATES), strict=True)
+    return all(d == free + s.count(NEUTRAL) and _tight_states(terms, x) == s for s, d, (x, _) in walked)

@@ -11,7 +11,7 @@ by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
 the arrow-erasure order one pair of orientations at a time, the pairwise
 comparison of the face order with the cube order, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
-time, extremal rays as Fraction nullspace solves and as one propagation
+time, face dimensions ranked one face at a time, extremal rays as Fraction nullspace solves and as one propagation
 per ray, Fourier-Motzkin witnesses rebuilt over Fractions, rows
 evaluated as dense dot products, the Weyl orbit closed by dense matrix
 products, the cone's inequality rows built once per system with every
@@ -246,6 +246,32 @@ def _cube_triples(m: int) -> list:
 
 def _order_pairs_disagree(rule_triples, cube_triples) -> int:
     return _kernels_py.order_pairs_disagree(rule_triples, cube_triples)
+
+
+# ---------------------------------------------------------------------------
+# face dimensions, one face at a time
+
+
+def ranks_by_rank_of(edge_rows) -> tuple:
+    """Rank of the equality rows of every tuple of edge states, in the order
+    of product(STATES), each ranked from scratch: edge_rows gives each
+    edge's '<' and '>' rows, and a neutral edge adds none."""
+    out = []
+    for states in product(faces.STATES, repeat=len(edge_rows)):
+        rows = [pair[s == RIGHT] for pair, s in zip(edge_rows, states) if s != NEUTRAL]
+        out.append(_kernels_py.rank_of(rows) if rows else 0)
+    return tuple(out)
+
+
+def face_dimensions_by_rank(rs) -> tuple:
+    """Dimension of every face, in the enumeration order of
+    all_orientations: rank minus the rank of its equality rows, the (j, i)
+    row on a '<' edge and the (i, j) row on a '>' edge."""
+    rows = []
+    for i, j in rs.edges:
+        fwd, bwd = faces._edge_rows(rs, i, j)
+        rows.append((bwd, fwd))
+    return tuple(rs.rank - r for r in ranks_by_rank_of(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -308,12 +308,77 @@ class TestRayPropagation:
         assert broken.anomalies == ("zero ratio on edge (1, 2) leaves node 2 free",)
 
 
+@pytest.fixture
+def fresh_face_dimensions():
+    """An empty face_dimensions cache before and after the test, so that
+    dimensions computed under a planted defect reach no other test."""
+    faces.face_dimensions.cache_clear()
+    yield
+    faces.face_dimensions.cache_clear()
+
+
+def random_edge_rows(rng, m, n):
+    """m pairs of integer rows over n columns, drawn from few values so that
+    zero, repeated and dependent rows all occur."""
+    pool = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m + 1)]
+    return [tuple(rng.choice(pool) for _ in range(2)) for _ in range(m)]
+
+
 class TestFaceDimensions:
     @pytest.mark.parametrize("label", ["A1", "G2", "A4", "D5", "E6"])
     def test_match_face_of(self, label):
         rs = rootsys.build(label)
         want = tuple(face_of(rs, o).dim for o in all_orientations(rs))
         assert faces.face_dimensions(rs) == want
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types(9)])
+    def test_rank_pass_matches_per_face_ranks(self, label):
+        rs = rootsys.build(label)
+        assert faces.face_dimensions(rs) == oracles.face_dimensions_by_rank(rs)
+
+    def test_rank_pass_on_dependent_rows(self):
+        """The roots' edge rows are independent on every face, so only
+        rows that are not reach the pass's zero remainders."""
+        rng = random.Random(20)
+        dependent = 0
+        for _ in range(60):
+            m, n = rng.randint(0, 5), rng.randint(1, 4)
+            rows = random_edge_rows(rng, m, n)
+            want = oracles.ranks_by_rank_of(rows)
+            assert tuple(faces._echelon_ranks(rows)) == want, rows
+            full = product(faces.STATES, repeat=m)
+            dependent += any(r < len(s) - s.count(NEUTRAL) for s, r in zip(full, want))
+        assert dependent > 30
+
+    @pytest.mark.usefixtures("fresh_face_dimensions")
+    @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
+    def test_planted_unpushed_row_is_caught(self, monkeypatch, label):
+        """The first edge's '>' row is reduced but never pushed: every face
+        orienting that edge '>' reads one dimension too high."""
+        rs = rootsys.build(label)
+        fwd, _ = faces._edge_rows(rs, *rs.edges[0])
+        real = faces._pushed
+        monkeypatch.setattr(faces, "_pushed", lambda basis, row: basis if row is fwd else real(basis, row))
+        assert faces.face_dimensions(rs) != oracles.face_dimensions_by_rank(rs)
+        assert not cube_isomorphism_check(rs)
+
+    @pytest.mark.usefixtures("fresh_face_dimensions")
+    def test_planted_skipped_basis_row_is_caught(self, monkeypatch):
+        """The reduction skips the last basis row, so a row in the span of
+        the basis can leave a nonzero remainder and raise the rank.  On the
+        roots every face's rows are independent (each row lives on its tree
+        edge, and a leaf edge's leaf column is in that row alone), so no
+        reduction can reach zero there and the certificate cannot see this
+        defect; the dependent rows of the oracle comparison do."""
+        rng = random.Random(20)
+        cases = [random_edge_rows(rng, rng.randint(2, 5), rng.randint(1, 4)) for _ in range(60)]
+        real = faces._reduced
+        monkeypatch.setattr(faces, "_reduced", lambda row, basis: real(row, basis[:-1]))
+        wrong = [rows for rows in cases if tuple(faces._echelon_ranks(rows)) != oracles.ranks_by_rank_of(rows)]
+        assert len(wrong) > 10
+        rs = rootsys.build("E6")
+        assert faces.face_dimensions(rs) == oracles.face_dimensions_by_rank(rs)
+        assert cube_isomorphism_check(rs)
 
     def test_wrong_dimensions_fail_the_check(self, monkeypatch):
         rs = rootsys.build("B3")
@@ -360,7 +425,7 @@ def transpose(rows):
 
 
 def rule_upsets(orients):
-    return faces._supersets(faces._lacked_arrows(orients))
+    return faces._supersets(faces._lacked_arrows(o.states for o in orients))
 
 
 class TestCubeEncoding:
@@ -396,7 +461,7 @@ class TestCubeEncoding:
 
     def test_lacked_arrows(self):
         rs = rootsys.build("A3")
-        keys = faces._lacked_arrows([orientation(rs, s) for s in ("<>", "-<", "--")])
+        keys = faces._lacked_arrows([orientation(rs, s).states for s in ("<>", "-<", "--")])
         assert [sorted(k) for k in keys] == [[1, 2], [0, 1, 3], [0, 1, 2, 3]]
 
     @pytest.mark.parametrize("m", range(6))
@@ -489,6 +554,15 @@ class TestBitsetCertificate:
                 assert bitset_verdict(orients, broken) >= 0
 
 
+@pytest.fixture
+def fresh_cube_orders():
+    """An empty cache of order verdicts before and after the test, so that
+    a verdict reached under a planted defect reaches no other test."""
+    faces._cube_orders_agree.cache_clear()
+    yield
+    faces._cube_orders_agree.cache_clear()
+
+
 class TestCubeIsomorphism:
     @pytest.mark.parametrize(
         "label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4"]
@@ -506,6 +580,28 @@ class TestCubeIsomorphism:
         with pytest.raises(ValueError):
             cube_isomorphism_check(rootsys.build("A10"))
         assert CUBE_RANK_BOUND == 9
+
+    @pytest.mark.usefixtures("fresh_cube_orders")
+    def test_second_check_at_one_edge_count_compares_no_orders(self, monkeypatch):
+        real = faces._supersets
+        calls = []
+        monkeypatch.setattr(faces, "_supersets", lambda keysets: calls.append(len(keysets)) or real(keysets))
+        assert cube_isomorphism_check(rootsys.build("A7"))
+        assert calls == [3**6, 3**6]
+        # E7 has six edges too
+        assert cube_isomorphism_check(rootsys.build("E7"))
+        assert calls == [3**6, 3**6]
+        assert cube_isomorphism_check(rootsys.build("A3"))
+        assert calls == [3**6, 3**6, 9, 9]
+
+    @pytest.mark.usefixtures("fresh_cube_orders")
+    @pytest.mark.parametrize("m", range(9))
+    def test_cached_verdict_is_the_comparison(self, m):
+        rule = rule_upsets(all_orientations(rootsys.build(f"A{m + 1}")))
+        agree = faces._first_disagreement(rule, faces._supersets(faces._cube_vertex_lists(m))) == -1
+        assert faces._cube_orders_agree(m) is agree is True
+        assert faces._cube_orders_agree(m) is agree
+        assert faces._cube_orders_agree.cache_info().hits == 1
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +646,7 @@ class TestCubeRoutinesAgainstOracles:
         assert faces._cube_vertex_lists(0) == [[0]]
         assert faces._supersets([[0]]) == [1]
         (only,) = all_orientations(rs)
-        assert faces._lacked_arrows([only]) == [[]]
+        assert faces._lacked_arrows([only.states]) == [[]]
         assert rule_upsets([only]) == [1]
         assert faces._propagated_rays(rs, faces.STATES) == [([1], None)]
         assert cube_isomorphism_check(rs)
@@ -568,6 +664,7 @@ class TestCubeRoutinesAgainstOracles:
         assert cube_isomorphism_check(rs)
 
 
+@pytest.mark.usefixtures("fresh_cube_orders")
 class TestCubeRoutinePlantedDefects:
     """A broken holder table, key list or face point must fail the oracle
     comparison and the certificate itself."""
