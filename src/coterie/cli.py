@@ -45,17 +45,24 @@ def _json_vec(vec) -> list:
     return [str(q) for q in vec]
 
 
-def _ray_json(ints) -> list:
+def _ray_json(ints, texts: dict) -> list:
     """A ray's entries, each str(Fraction(c, d)) for d = ints[-1] > 0,
     written from the integers; d == 0 marks a primitive vector, written as
-    it stands."""
+    it stands.  texts maps d to {c: text} for the entries already written,
+    so the rays of one command write each distinct entry once."""
     d = ints[-1]
     if not d:
         return [str(c) for c in ints]
+    written = texts.get(d)
+    if written is None:
+        written = texts[d] = {}
     out = []
     for c in ints:
-        g = gcd(c, d)
-        out.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+        q = written.get(c)
+        if q is None:
+            g = gcd(c, d)
+            q = written[c] = str(c // g) if g == d else f"{c // g}/{d // g}"
+        out.append(q)
     return out
 
 
@@ -67,8 +74,16 @@ def _latex_q(q: str) -> str:
     return f"{sign}\\frac{{{num.lstrip('-')}}}{{{den}}}"
 
 
-def _point_latex(vec) -> str:
-    return "\\left(" + ", ".join(_latex_q(q) for q in vec) + "\\right)"
+def _point_latex(vec, texts: dict) -> str:
+    """The vector's LaTeX, texts mapping each entry to the text already
+    written for it, so one renderer call writes each distinct entry once."""
+    parts = []
+    for q in vec:
+        t = texts.get(q)
+        if t is None:
+            t = texts[q] = _latex_q(q)
+        parts.append(t)
+    return "\\left(" + ", ".join(parts) + "\\right)"
 
 
 def _cleared(entries) -> list:
@@ -206,6 +221,7 @@ def cmd_rays(args) -> tuple:
     texts = [
         {s: _equality_text(rs, i, j, s) for s in (faces.LEFT, faces.RIGHT)} for i, j in rs.edges
     ]
+    entries = {}
     payload = {
         "schema": SCHEMA,
         "command": "rays",
@@ -215,7 +231,7 @@ def cmd_rays(args) -> tuple:
         "rays": [
             {
                 "orientation": str(r.orientation),
-                "vector": _ray_json(r.ints) if r.ints is not None else None,
+                "vector": _ray_json(r.ints, entries) if r.ints is not None else None,
                 "equalities": [t[s] for t, s in zip(texts, r.orientation.states)],
                 "anomalies": list(r.anomalies),
             }
@@ -375,9 +391,10 @@ def _rays_plain(payload, args) -> list:
 
 def _rays_latex(payload, args) -> list:
     lines = [f"% extremal rays for {payload['type']}", "\\begin{enumerate}"]
+    entries = {}
     for r in payload["rays"]:
         eqs = ", ".join(f"${t}$" for t in r["equalities"])
-        vec = _point_latex(r["vector"]) if r["vector"] is not None else "\\text{degenerate}"
+        vec = _point_latex(r["vector"], entries) if r["vector"] is not None else "\\text{degenerate}"
         tail = f" with {eqs}" if eqs else ""
         lines.append(f"\\item ${vec}${tail}.")
     lines.append("\\end{enumerate}")

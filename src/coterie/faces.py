@@ -39,11 +39,12 @@ parent's times the edge's ratio, once for every orientation below it, and
 a neutral edge takes the mean of its two ratios.  A coordinate is the
 product of the ratios on its tree path, so a face's point is the mean of
 the rays of its full orientings, each scaled to a_0 = 1, and lies in the
-face's relative interior.  Each ray is checked, as its primitive integer
-multiple, against its equality rows in two-term form and against the
-closed and the open cone.  extremal_rays keeps those integer multiples
-and builds a ray's Fraction vector only when it is asked for; the rays
-command writes the entries from the integers.
+face's relative interior.  Each ray is checked as its primitive integer
+multiple: against its equality rows in two-term form, against the closed
+cone by one pass over the closed system's integer rows (_outside_closed),
+and against the open cone through cone.member.  extremal_rays keeps those
+integer multiples and builds a ray's Fraction vector only when it is asked
+for; the rays command writes the entries from the integers.
 """
 
 from __future__ import annotations
@@ -267,6 +268,28 @@ def _ray_vector(ints) -> tuple:
     return tuple(Fraction(c, d) for c in ints) if d else ints
 
 
+def _closed_terms(rs: rootsys.RootSystem) -> list:
+    """The closed reduced system's rows, the ones member(..., "closed",
+    "edges") reads, in two-term form (i, fi, j, fj, bound), read as
+    fi a_i + fj a_j >= bound: a positivity row has one term and gets fj = 0,
+    a pair row has two."""
+    out = []
+    for terms, bound, _ in cone.inequalities(rs).closed_system._rows:
+        (i, fi), (j, fj) = terms if len(terms) == 2 else (*terms, (0, 0))
+        out.append((i, fi, j, fj, bound))
+    return out
+
+
+def _outside_closed(rows, ints) -> bool:
+    """Whether the integer point violates one of the _closed_terms rows:
+    the closed-cone test, in one pass over the rows and without clearing
+    the point again."""
+    for i, fi, j, fj, bound in rows:
+        if fi * ints[i] + fj * ints[j] < bound:
+            return True
+    return False
+
+
 def _checked_rays(rs: rootsys.RootSystem):
     """Yield (states, ints, problems) per full orientation, in the
     enumeration order of all_orientations: ints is the primitive integer
@@ -277,6 +300,7 @@ def _checked_rays(rs: rootsys.RootSystem):
     invariant under positive scaling, its memberships."""
     n = rs.rank
     terms = _edge_terms(rs)
+    closed_rows = _closed_terms(rs)
     orders = product((LEFT, RIGHT), repeat=len(rs.edges))
     for states, (k, broken) in zip(orders, _propagated_rays(rs, (LEFT, RIGHT)), strict=True):
         if k is None:
@@ -290,7 +314,7 @@ def _checked_rays(rs: rootsys.RootSystem):
                 problems.append(f"violates the equality on edge ({i + 1}, {j + 1})")
         if min(ints) <= 0:
             problems.append("leaves the positive orthant")
-        if not cone.member(rs, ints, "closed", "edges"):
+        if _outside_closed(closed_rows, ints):
             problems.append("is outside the closed cone")
         if n > 1 and cone.member(rs, ints, "open", "edges"):
             # rank 1 is the degenerate case where the only ray is interior

@@ -12,7 +12,7 @@ the arrow-erasure order one pair of orientations at a time, the pairwise
 comparison of the face order with the cube order, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
 time, face dimensions ranked one face at a time, extremal rays as Fraction nullspace solves and as one propagation
-per ray, Fourier-Motzkin witnesses rebuilt over Fractions, rows
+per ray, the ray checks made by two cone.member calls, Fourier-Motzkin witnesses rebuilt over Fractions, rows
 evaluated as dense dot products, the Weyl orbit closed by dense matrix
 products, the cone's inequality rows built once per system with every
 entry a Fraction, the geometric membership test on Fraction vectors, and
@@ -413,6 +413,34 @@ def propagate_ray(rs, states) -> tuple:
             x = [c * den for c in x]
         x[child] = value
     return x, None
+
+
+def checked_rays_by_member(rs) -> list:
+    """faces._checked_rays with every check made the direct way: the same
+    propagated rays, each checked against its equality rows as dense dot
+    products and against the closed and the open cone by one cone.member
+    call each."""
+    n = rs.rank
+    out = []
+    orders = product((LEFT, RIGHT), repeat=len(rs.edges))
+    for states, (k, broken) in zip(orders, faces._propagated_rays(rs, (LEFT, RIGHT)), strict=True):
+        if k is None:
+            out.append((states, None, (broken,)))
+            continue
+        ints = faces._ray_multiple(k)
+        problems = []
+        for (i, j), state in zip(rs.edges, states):
+            fwd, bwd = faces._edge_rows(rs, i, j)
+            if sum(map(mul, fwd if state == RIGHT else bwd, ints)) != 0:
+                problems.append(f"violates the equality on edge ({i + 1}, {j + 1})")
+        if min(ints) <= 0:
+            problems.append("leaves the positive orthant")
+        if not cone.member(rs, ints, "closed", "edges"):
+            problems.append("is outside the closed cone")
+        if n > 1 and cone.member(rs, ints, "open", "edges"):
+            problems.append("is interior, expected boundary")
+        out.append((states, ints, tuple(problems)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Tests for the command line interface: golden output, JSON schema,
 exit codes, and the installed entry point."""
 
+import ast
 import contextlib
 import io
 import json
+import operator
 import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +42,9 @@ GOLDEN_RUNS = {
     "arrangement_A3": (["arrangement", "A3"], ("plain", "json")),
     "arrangement_a2_file": (["arrangement", "--file", str(DATA / "arrangement_a2.txt")], ("plain", "json")),
     "arrangement_B3_capped": (["arrangement", "B3", "--orbit-cap", "4"], ("plain", "json")),
+    # entries repeat across the rays of A and C, so these pin the written-once entries
+    "rays_A5": (["rays", "A5"], ("plain", "json")),
+    "rays_C5": (["rays", "C5"], ("latex",)),
 }
 
 
@@ -136,6 +142,109 @@ class TestInequalities:
         assert "none for family F" in out2
 
 
+# one printed pattern line: a_X > 0, a_X > a_Y or a_X > R a_Y, each with an
+# optional condition "for COND"
+SYMBOLIC_LINE = re.compile(r"a_(\S+) > (?:(\(.+\)) )?(0|a_\S+)(?:\s+for (.+))?")
+
+SYMBOLIC_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+}
+
+
+def symbolic_value(text: str, env: dict):
+    """An index, ratio or condition of a printed pattern at the given n and
+    j, exactly: integers as Fractions, implicit multiplication as in
+    2(n-1), + - * / and chained comparisons; anything else raises."""
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return Fraction(node.value)
+        if isinstance(node, ast.Name):
+            return Fraction(env[node.id])
+        if isinstance(node, ast.BinOp):
+            return SYMBOLIC_OPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.Compare):
+            sides = [value(node.left)] + [value(c) for c in node.comparators]
+            return all(SYMBOLIC_OPS[type(op)](a, b) for op, a, b in zip(node.ops, sides, sides[1:]))
+        raise ValueError(f"unexpected {ast.dump(node)} in {text!r}")
+
+    return value(ast.parse(re.sub(r"(\d)\(", r"\1*(", text), mode="eval").body)
+
+
+def symbolic_rows(lines, n: int):
+    """The rows the printed pattern lines give at rank n, 1-based, as
+    (X, Y, R) for a_X > R a_Y and (X, 0, 0) for a_X > 0: a line in j is
+    instantiated at every j in 1..n that its condition allows."""
+    rows = Counter()
+    for line in lines:
+        match = SYMBOLIC_LINE.fullmatch(line)
+        assert match, line
+        x, ratio, y, cond = match.groups()
+        for j in range(1, n + 1) if "j" in line else [None]:
+            env = {"n": n, "j": j}
+            if cond and not symbolic_value(cond, env):
+                continue
+            index = symbolic_value(x, env)
+            if y == "0":
+                rows[index, 0, 0] += 1
+            else:
+                rows[index, symbolic_value(y[2:], env), symbolic_value(ratio, env) if ratio else 1] += 1
+    return rows
+
+
+def computed_rows(rs):
+    """The rows of inequalities(rs) in the form of symbolic_rows."""
+    rows = Counter()
+    for c in cone.inequalities(rs).open_system.constraints:
+        assert (c.rel, c.bound) == (">", 0)
+        nonzero = [(k + 1, q) for k, q in enumerate(c.functional) if q]
+        if len(nonzero) == 1:
+            rows[nonzero[0][0], 0, 0] += 1
+        else:
+            (x, _), (y, q) = sorted(nonzero, key=lambda kq: kq[1] < 0)
+            rows[x, y, -q] += 1
+    return rows
+
+
+def symbolic_mismatches(capsys, family: str) -> list:
+    """The types of the family whose printed pattern, read back and
+    instantiated at their rank, differs from their inequality rows."""
+    wrong = []
+    for t in rootsys.all_types():
+        if t.family != family:
+            continue
+        code, out, _ = run_cli(capsys, "inequalities", str(t), "--symbolic")
+        assert code == 0
+        lines = out.split(f"symbolic pattern ({family} family, rank n):\n", 1)[1].splitlines()
+        rs = rootsys.build(str(t))
+        if symbolic_rows([line.strip() for line in lines], rs.rank) != computed_rows(rs):
+            wrong.append(str(t))
+    return wrong
+
+
+class TestSymbolicPatterns:
+    """The printed closed forms of the A, B, C and D families, read back and
+    instantiated at every rank, are the inequality rows of that rank."""
+
+    @pytest.mark.parametrize("family", sorted(cli._SYMBOLIC))
+    def test_pattern_is_the_rows(self, capsys, family):
+        assert symbolic_mismatches(capsys, family) == []
+
+    def test_planted_pattern_edit_is_caught(self, capsys, monkeypatch):
+        edited = tuple(line.replace("(n+1-j)/(n+2-j)", "(n-j)/(n+1-j)") for line in cli._SYMBOLIC["A"])
+        assert edited != cli._SYMBOLIC["A"]
+        monkeypatch.setitem(cli._SYMBOLIC, "A", edited)
+        # A1 has no row in j > 1, so every other rank differs
+        assert symbolic_mismatches(capsys, "A") == [f"A{n}" for n in range(2, 13)]
+
+
 class TestMember:
     def test_plain_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "member", "G2", "7,4")
@@ -212,26 +321,42 @@ class TestRays:
 
     @given(
         entries=st.lists(st.one_of(st.integers(-99, 99), st.integers(-(10**40), 10**40)), max_size=6),
-        last=st.one_of(st.sampled_from([0, 1]), st.integers(1, 99), st.integers(1, 10**40)),
+        lasts=st.lists(
+            st.one_of(st.sampled_from([0, 1]), st.integers(1, 99), st.integers(1, 10**40)), min_size=1, max_size=4
+        ),
         scale=st.integers(1, 10**6),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_integer_text_is_fraction_text(self, entries, last, scale):
+    def test_integer_text_is_fraction_text(self, entries, lasts, scale):
         """A ray's entries are written from its integer multiple: each is
         str(Fraction(c, d)) for the last entry d > 0, and the integer
         itself on the primitive path d == 0.  The common scale makes every
-        entry share a factor with d, which the text must cancel."""
-        ints = tuple(c * scale for c in entries) + (last * scale,)
-        d = ints[-1]
-        want = [str(Fraction(c, d)) for c in ints] if d else [str(c) for c in ints]
-        assert cli._ray_json(ints) == want
+        entry share a factor with d, which the text must cancel.  The rays
+        share their other entries and differ in d, and they are written
+        twice over, in one command's table of written entries, so every
+        entry is also read back from that table under every d."""
+        texts = {}
+        for last in lasts + lasts[::-1]:
+            ints = tuple(c * scale for c in entries) + (last * scale,)
+            d = ints[-1]
+            want = [str(Fraction(c, d)) for c in ints] if d else [str(c) for c in ints]
+            assert cli._ray_json(ints, texts) == want
+
+    @staticmethod
+    def flip_closed_pass(monkeypatch):
+        outside = faces._outside_closed
+        monkeypatch.setattr(faces, "_outside_closed", lambda *args: not outside(*args))
 
     def test_flipped_membership_fails_the_command(self, capsys, monkeypatch):
-        """Every ray is checked against the closed and the open cone through
-        cone.member, so wrong verdicts there must surface as exit 3 and
-        must fail the cube certificate, which checks the same rays."""
+        """Every ray is checked against the closed cone by the closed-row
+        pass and against the open cone through cone.member, so wrong
+        verdicts there must surface as exit 3 and must fail the cube
+        certificate, which checks the same rays."""
         member = cone.member
         monkeypatch.setattr(cone, "member", lambda *args, **kwargs: not member(*args, **kwargs))
+        # the library's verdict alone fails the command
+        assert run_cli(capsys, "rays", "A3")[0] == 3
+        self.flip_closed_pass(monkeypatch)
         code, out, _ = run_cli(capsys, "rays", "A3")
         assert code == cli.EXIT_INVARIANT == 3
         assert out.count("is outside the closed cone") == out.count("is interior, expected boundary") == 4
@@ -239,16 +364,39 @@ class TestRays:
 
     @pytest.mark.parametrize("flipped", ["closed", "open"])
     def test_each_membership_check_is_kept(self, capsys, monkeypatch, flipped):
-        """A wrong verdict in one mode alone is still caught, by rays and by
-        the cube certificate: neither may drop either check."""
+        """A wrong verdict in one check alone is still caught, by rays and by
+        the cube certificate: neither may drop either check.  The closed
+        verdict comes from the closed-row pass, the open one from
+        cone.member."""
+        if flipped == "closed":
+            self.flip_closed_pass(monkeypatch)
+        else:
+            member = cone.member
+
+            def wrong(rs, x, mode="open", method="edges"):
+                return member(rs, x, mode, method) != (mode == "open")
+
+            monkeypatch.setattr(cone, "member", wrong)
+        code, out, _ = run_cli(capsys, "rays", "A3")
+        assert code == 3
+        notes = {"closed": "is outside the closed cone", "open": "is interior, expected boundary"}
+        assert out.count(notes[flipped]) == 4
+        assert faces.cube_isomorphism_check(rootsys.build("A3")) is False
+
+    def test_rays_calls_member_once_per_ray(self, capsys, monkeypatch):
+        """One open cone.member call per ray, so a wrong membership verdict
+        from the library fails the command, as the benchmark's self-test
+        expects."""
+        calls = []
         member = cone.member
 
-        def wrong(rs, x, mode="open", method="edges"):
-            return member(rs, x, mode, method) != (mode == flipped)
+        def counted(rs, x, *mode_and_method):
+            calls.append(mode_and_method)
+            return member(rs, x, *mode_and_method)
 
-        monkeypatch.setattr(cone, "member", wrong)
-        assert run_cli(capsys, "rays", "A3")[0] == 3
-        assert faces.cube_isomorphism_check(rootsys.build("A3")) is False
+        monkeypatch.setattr(cone, "member", counted)
+        assert run_cli(capsys, "rays", "A5")[0] == 0
+        assert calls == [("open", "edges")] * 16
 
 
 class TestFaces:

@@ -308,6 +308,54 @@ class TestRayPropagation:
         assert broken.anomalies == ("zero ratio on edge (1, 2) leaves node 2 free",)
 
 
+class TestRayCheck:
+    """The closed cone is checked by one pass over its integer rows
+    (faces._outside_closed), the open cone by cone.member; the oracle makes
+    both checks through cone.member."""
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_matches_member_oracle(self, label):
+        rs = rootsys.build(label)
+        assert list(faces._checked_rays(rs)) == oracles.checked_rays_by_member(rs)
+
+    @pytest.mark.parametrize("label", ["A4", "B3", "C4", "D5", "E6", "F4"])
+    def test_planted_points(self, monkeypatch, label):
+        """An interior point, a point outside the closed cone and a point on
+        one facet alone, planted in place of the first three rays: both
+        routes report the same problems, and the membership problems are
+        the ones each point calls for."""
+        rs = rootsys.build(label)
+        m = len(rs.edges)
+        points = dict(zip(product(faces.STATES, repeat=m), faces._propagated_rays(rs, faces.STATES)))
+        interior = points[(NEUTRAL,) * m][0]
+        facet = points[(RIGHT,) + (NEUTRAL,) * (m - 1)][0]
+        # the interior point with node 2 raised far above node 1's reach
+        outside = [c * 100 if k == 1 else c for k, c in enumerate(interior)]
+        planted = [(interior, None), (outside, None), (facet, None)]
+        planted += faces._propagated_rays(rs, (LEFT, RIGHT))[3:]
+        monkeypatch.setattr(faces, "_propagated_rays", lambda *_: planted)
+        got = list(faces._checked_rays(rs))
+        assert got == oracles.checked_rays_by_member(rs)
+        membership = [
+            [p for p in problems if p.endswith("cone") or p.endswith("boundary")] for _, _, problems in got[:3]
+        ]
+        assert membership == [["is interior, expected boundary"], ["is outside the closed cone"], []]
+
+    @pytest.mark.parametrize("label", ["A5", "B4", "C5", "D6", "F4", "G2"])
+    def test_closed_pass_is_closed_membership(self, label):
+        """On random integer points and on every face's point (in the
+        closed cone, tight on the face's rows), the closed-row pass is the
+        negation of member(..., "closed", "edges"); both verdicts occur."""
+        rs = rootsys.build(label)
+        rows = faces._closed_terms(rs)
+        rng = random.Random(label)
+        points = [tuple(rng.randint(-3, 12) for _ in range(rs.rank)) for _ in range(300)]
+        points += [tuple(x) for x, _ in faces._propagated_rays(rs, faces.STATES)]
+        verdicts = [faces._outside_closed(rows, x) for x in points]
+        assert verdicts == [not cone.member(rs, x, "closed", "edges") for x in points]
+        assert set(verdicts) == {True, False}
+
+
 @pytest.fixture
 def fresh_face_dimensions():
     """An empty face_dimensions cache before and after the test, so that
