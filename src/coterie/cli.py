@@ -101,7 +101,7 @@ def _term(coeff: str, node: int) -> str:
 def _parse_vector(text: str, rank: int) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
-        raise ValueError(f"expected {rank} comma-separated entries, got {len(parts)}")
+        raise ValueError(f"expected {rank} comma-separated entries in {text!r}, got {len(parts)}")
     entries = []
     for p in parts:
         try:
@@ -264,10 +264,6 @@ def cmd_member(args) -> tuple:
 
 def cmd_faces(args) -> tuple:
     rs = rootsys.build(args.type)
-    if rs.rank > faces.CUBE_RANK_BOUND:
-        raise ValueError(
-            f"face lattice enumeration is bounded at rank {faces.CUBE_RANK_BOUND}"
-        )
     dims = faces.face_dimensions(rs)
     hist = Counter(dims)
     iso = faces.cube_isomorphism_check(rs)

@@ -10,13 +10,16 @@ The lattice is compared against the face lattice of an (n-1)-cube built
 the blunt way, as explicit vertex lists ordered by inclusion: each cube
 face lists the vertices pinned | s for every subset s of its free bits,
 over the 2^m vertices, m = n-1.  Both orders are inclusion orders of small
-key sets, so one routine (_supersets) computes both as complete relations,
-one up-set bitset (a Python int over the 3^(n-1) faces) per face: the AND,
-over the face's keys, of the faces holding that key.  A cube face's keys
-are its vertices, so F >= G when F holds every vertex of G; an
+key sets.  A face's up-set under either order is a bitset (a Python int)
+over the 3^(n-1) faces: the AND, over the face's keys, of the faces holding
+that key, read from one holder table per order (_index_sets).  A cube
+face's keys are its vertices, so F >= G when F holds every vertex of G; an
 orientation's keys are the arrows it lacks, numbered 2*pos for '<' and
 2*pos + 1 for '>', so f >= g when f lacks every arrow that g lacks, which
-is arrow erasure.  Nothing assumes the product structure of the cube.
+is arrow erasure.  The two up-sets of each face are compared and dropped
+in turn, so only the two tables, 2m + 2^m bitsets, are ever held, and
+every supported rank runs.  Nothing assumes the product structure of the
+cube.
 
 Both orders depend on the edge count m alone, so they are compared once
 per m (_cube_orders_agree) and the verdict is kept for every later check
@@ -63,8 +66,6 @@ LEFT = "<"
 NEUTRAL = "-"
 RIGHT = ">"
 STATES = (LEFT, NEUTRAL, RIGHT)
-
-CUBE_RANK_BOUND = 9
 
 
 @dataclass(frozen=True)
@@ -339,43 +340,35 @@ def extremal_rays(rs: rootsys.RootSystem) -> tuple:
 # cube comparison
 
 
-def _cube_vertex_lists(m: int) -> list:
-    """Faces of the m-cube in the enumeration order of all_orientations,
-    each as the list of its vertices among the 2^m ('<' pins 0, '>' pins 1):
-    pinned | s for every subset s of the neutral positions."""
-    lists = []
-    for states in product(STATES, repeat=m):
-        free = pinned = 0
-        for pos, s in enumerate(states):
-            if s == NEUTRAL:
-                free |= 1 << pos
-            elif s == RIGHT:
-                pinned |= 1 << pos
-        vertices = []
-        sub = free
-        while True:  # every subset of free, from free down to 0
-            vertices.append(pinned | sub)
-            if not sub:
-                break
-            sub = (sub - 1) & free
-        lists.append(vertices)
-    return lists
+def _face_vertices(states):
+    """Yield the vertices of the cube face named by the edge states, among
+    the 2^m ('<' pins 0, '>' pins 1): pinned | s for every subset s of the
+    neutral positions, from all of them down to none."""
+    free = pinned = 0
+    for pos, s in enumerate(states):
+        if s == NEUTRAL:
+            free |= 1 << pos
+        elif s == RIGHT:
+            pinned |= 1 << pos
+    sub = free
+    while True:
+        yield pinned | sub
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
-def _lacked_arrows(state_tuples) -> list:
-    """Per tuple of edge states, the arrows it lacks, each numbered
+def _lacked_arrows(states) -> list:
+    """The arrows a tuple of edge states lacks, each numbered
     2*pos + arrow ('<' is arrow 0, '>' arrow 1): both on a neutral edge,
     the opposite one on an oriented edge."""
-    out = []
-    for states in state_tuples:
-        keys = []
-        for pos, s in enumerate(states):
-            if s != LEFT:
-                keys.append(2 * pos)
-            if s != RIGHT:
-                keys.append(2 * pos + 1)
-        out.append(keys)
-    return out
+    keys = []
+    for pos, s in enumerate(states):
+        if s != LEFT:
+            keys.append(2 * pos)
+        if s != RIGHT:
+            keys.append(2 * pos + 1)
+    return keys
 
 
 def _index_sets(keys_per_index, size: int) -> dict:
@@ -391,32 +384,6 @@ def _index_sets(keys_per_index, size: int) -> dict:
                 row = rows[key] = bytearray((size + 7) >> 3)
             row[byte] |= bit
     return {key: int.from_bytes(row, "little") for key, row in rows.items()}
-
-
-def _supersets(keysets) -> list:
-    """Per item, the up-set bitset of the items whose keys include all of
-    its own: the AND over its keys of the items holding that key."""
-    size = len(keysets)
-    holders = _index_sets(keysets, size)
-    everything = (1 << size) - 1
-    out = []
-    for keys in keysets:
-        up = everything
-        for key in keys:
-            up &= holders[key]
-        out.append(up)
-    return out
-
-
-def _first_disagreement(a, b) -> int:
-    """First flattened pair index i * size + j where j lies in the up-set
-    of i under one order but not the other, or -1 when the orders agree."""
-    size = len(a)
-    for i, (x, y) in enumerate(zip(a, b, strict=True)):
-        diff = x ^ y
-        if diff:
-            return i * size + (diff & -diff).bit_length() - 1
-    return -1
 
 
 def _tight_states(edge_terms, point) -> Optional[tuple]:
@@ -503,26 +470,38 @@ def face_dimensions(rs: rootsys.RootSystem) -> tuple:
 def _cube_orders_agree(m: int) -> bool:
     """Whether arrow erasure on the 3^m tuples of edge states is the
     inclusion order of the m-cube's faces.  Both orders depend on m alone,
-    so they are compared once per edge count; m is at most
-    CUBE_RANK_BOUND - 1, since cube_isomorphism_check bounds the rank."""
-    rule = _supersets(_lacked_arrows(product(STATES, repeat=m)))
-    return _first_disagreement(rule, _supersets(_cube_vertex_lists(m))) == -1
+    so they are compared once per edge count.  Two holder tables are built
+    once, one for the arrows and one for the cube vertices; then each
+    face's up-set under either order is the AND of its keys' holders, and
+    the two up-sets are compared and dropped, face by face, so the
+    complete relations are never stored."""
+    size = 3**m
+    arrows = _index_sets(map(_lacked_arrows, product(STATES, repeat=m)), size)
+    vertices = _index_sets(map(_face_vertices, product(STATES, repeat=m)), size)
+    everything = (1 << size) - 1
+    for states in product(STATES, repeat=m):
+        rule = cube = everything
+        for key in _lacked_arrows(states):
+            rule &= arrows[key]
+        for v in _face_vertices(states):
+            cube &= vertices[v]
+        if rule != cube:
+            return False
+    return True
 
 
 def cube_isomorphism_check(rs: rootsys.RootSystem) -> bool:
     """Verify that orientations, ordered by arrow erasure, form the face
     lattice of the (rank-1)-cube, and that the geometry agrees: exact face
     dimensions, and an interior point per face whose tight set reproduces
-    the orientation exactly.  The two orders are compared as complete
-    relations, one up-set per face, once per edge count.  Every face f must
-    have dimension rank minus its oriented count; a cover g of f orients
-    one more edge, so dim g = dim f - 1 follows, and covers need no check
-    of their own."""
-    if rs.rank > CUBE_RANK_BOUND:
-        raise ValueError(f"rank {rs.rank} exceeds the bound {CUBE_RANK_BOUND}")
+    the orientation exactly.  The two orders are compared one face at a
+    time, once per edge count, at every rank.  Every face f must have
+    dimension rank minus its oriented count; a cover g of f orients one
+    more edge, so dim g = dim f - 1 follows, and covers need no check of
+    their own."""
     m = len(rs.edges)
 
-    # combinatorial half: the two complete orders, one up-set per face
+    # combinatorial half: the two orders, one face's up-sets at a time
     if not _cube_orders_agree(m):
         return False
 

@@ -9,7 +9,8 @@ data), so agreement is a genuine two-route check.
 The second half keeps the slower, direct routes that the library replaced
 by faster algorithms: Gauss-Jordan solving and inversion over Fractions,
 the arrow-erasure order one pair of orientations at a time, the pairwise
-comparison of the face order with the cube order, the cube's
+comparison of the face order with the cube order, the same comparison
+over two stored complete relations, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
 time, face dimensions ranked one face at a time, extremal rays as Fraction nullspace solves and as one propagation
 per ray, the ray checks made by two cone.member calls, Fourier-Motzkin witnesses rebuilt over Fractions, rows
@@ -246,6 +247,71 @@ def _cube_triples(m: int) -> list:
 
 def _order_pairs_disagree(rule_triples, cube_triples) -> int:
     return _kernels_py.order_pairs_disagree(rule_triples, cube_triples)
+
+
+# ---------------------------------------------------------------------------
+# face order against the cube order as two stored complete relations
+
+
+def _cube_vertex_lists(m: int) -> list:
+    """Faces of the m-cube in the enumeration order of all_orientations,
+    each as the list of its vertices among the 2^m ('<' pins 0, '>' pins 1):
+    pinned | s for every subset s of the neutral positions."""
+    lists = []
+    for states in product(faces.STATES, repeat=m):
+        free = pinned = 0
+        for pos, s in enumerate(states):
+            if s == NEUTRAL:
+                free |= 1 << pos
+            elif s == RIGHT:
+                pinned |= 1 << pos
+        vertices = []
+        sub = free
+        while True:  # every subset of free, from free down to 0
+            vertices.append(pinned | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        lists.append(vertices)
+    return lists
+
+
+def _supersets(keysets) -> list:
+    """Per item, the up-set bitset of the items whose keys include all of
+    its own: the AND over its keys of the items holding that key."""
+    size = len(keysets)
+    holders = faces._index_sets(keysets, size)
+    everything = (1 << size) - 1
+    out = []
+    for keys in keysets:
+        up = everything
+        for key in keys:
+            up &= holders[key]
+        out.append(up)
+    return out
+
+
+def _first_disagreement(a, b) -> int:
+    """First flattened pair index i * size + j where j lies in the up-set
+    of i under one order but not the other, or -1 when the orders agree."""
+    size = len(a)
+    for i, (x, y) in enumerate(zip(a, b, strict=True)):
+        diff = x ^ y
+        if diff:
+            return i * size + (diff & -diff).bit_length() - 1
+    return -1
+
+
+def rule_upsets(state_tuples) -> list:
+    """Per tuple of edge states, its up-set under arrow erasure, stored."""
+    return _supersets([faces._lacked_arrows(states) for states in state_tuples])
+
+
+def cube_orders_agree_by_relations(m: int) -> bool:
+    """faces._cube_orders_agree with both orders stored as complete
+    relations, one up-set per face, 9^m bits per order."""
+    rule = rule_upsets(product(faces.STATES, repeat=m))
+    return _first_disagreement(rule, _supersets(_cube_vertex_lists(m))) == -1
 
 
 # ---------------------------------------------------------------------------

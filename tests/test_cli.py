@@ -45,6 +45,7 @@ GOLDEN_RUNS = {
     # entries repeat across the rays of A and C, so these pin the written-once entries
     "rays_A5": (["rays", "A5"], ("plain", "json")),
     "rays_C5": (["rays", "C5"], ("latex",)),
+    "faces_A10": (["faces", "A10"], ("plain", "json")),
 }
 
 
@@ -296,6 +297,11 @@ class TestMember:
         assert set(payload["results"]) == {"edges", "full", "geometric"}
         assert payload["agreement"] is True
 
+    def test_wrong_entry_count_names_the_text(self, capsys):
+        code, _, err = run_cli(capsys, "member", "A2", "1,2,3")
+        assert code == 2
+        assert err == "error: expected 2 comma-separated entries in '1,2,3', got 3\n"
+
 
 class TestRays:
     def test_a4_listing(self, capsys):
@@ -413,10 +419,12 @@ class TestFaces:
         assert payload["count"] == 9
         assert payload["cube_isomorphic"] is True
 
-    def test_rank_bound(self, capsys):
-        code, _, err = run_cli(capsys, "faces", "A10")
-        assert code == 2
-        assert "rank" in err
+    def test_a10(self, capsys):
+        code, out, _ = run_cli(capsys, "faces", "A10")
+        assert code == 0
+        assert "faces 19683" in out
+        assert "dimensions: 1:512 2:2304 3:4608 4:5376 5:4032 6:2016 7:672 8:144 9:18 10:1" in out
+        assert "cube order isomorphism: yes" in out
 
 
 class TestPolytope:
@@ -441,6 +449,11 @@ class TestPolytope:
         code, _, err = run_cli(capsys, "polytope", "B3", "--", "1,2,-3/2")
         assert code == 2
         assert "node 3 is -3/2" in err
+
+    def test_wrong_entry_count_names_the_text(self, capsys):
+        code, _, err = run_cli(capsys, "polytope", "A3", "1,1")
+        assert code == 2
+        assert err == "error: expected 3 comma-separated entries in '1,1', got 2\n"
 
     def test_resource_cap(self, capsys):
         code, _, err = run_cli(

@@ -3,6 +3,7 @@ cube-order comparison."""
 
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -14,7 +15,6 @@ import support
 from coterie import cli, cone, faces, rootsys
 from coterie.exactla import EQ, GE
 from coterie.faces import (
-    CUBE_RANK_BOUND,
     LEFT,
     NEUTRAL,
     RIGHT,
@@ -473,12 +473,12 @@ def transpose(rows):
 
 
 def rule_upsets(orients):
-    return faces._supersets(faces._lacked_arrows(o.states for o in orients))
+    return oracles.rule_upsets(o.states for o in orients)
 
 
 class TestCubeEncoding:
     def test_square_vertex_sets(self):
-        lists = dict(zip(product(faces.STATES, repeat=2), faces._cube_vertex_lists(2)))
+        lists = {s: list(faces._face_vertices(s)) for s in product(faces.STATES, repeat=2)}
         assert sorted(lists[("-", "-")]) == [0, 1, 2, 3]
         assert sorted(lists[(">", "-")]) == [1, 3]
         assert lists[("<", ">")] == [2]
@@ -487,7 +487,7 @@ class TestCubeEncoding:
     def test_cube_order_is_vertex_subset(self):
         """The triple formula on cube encodings is literal set inclusion."""
         m = 3
-        lists = faces._cube_vertex_lists(m)
+        lists = oracles._cube_vertex_lists(m)
         triples = oracles._cube_triples(m)
         n = len(lists)
         for a in range(n):
@@ -509,7 +509,7 @@ class TestCubeEncoding:
 
     def test_lacked_arrows(self):
         rs = rootsys.build("A3")
-        keys = faces._lacked_arrows([orientation(rs, s).states for s in ("<>", "-<", "--")])
+        keys = [faces._lacked_arrows(orientation(rs, s).states) for s in ("<>", "-<", "--")]
         assert [sorted(k) for k in keys] == [[1, 2], [0, 1, 3], [0, 1, 2, 3]]
 
     @pytest.mark.parametrize("m", range(6))
@@ -520,19 +520,19 @@ class TestCubeEncoding:
 
     def test_supersets_of_key_lists(self):
         # item 3 has no keys, so every item includes its keys
-        assert faces._supersets([[1], [1, 2], [2], []]) == [0b0011, 0b0010, 0b0110, 0b1111]
-        assert faces._supersets([]) == []
+        assert oracles._supersets([[1], [1, 2], [2], []]) == [0b0011, 0b0010, 0b0110, 0b1111]
+        assert oracles._supersets([]) == []
 
     def test_detects_planted_mismatch(self):
         rs = rootsys.build("A2")
         rule = rule_upsets(all_orientations(rs))
-        lists = faces._cube_vertex_lists(1)
-        assert faces._first_disagreement(rule, faces._supersets(lists)) == -1
+        lists = oracles._cube_vertex_lists(1)
+        assert oracles._first_disagreement(rule, oracles._supersets(lists)) == -1
         broken = list(lists)
         broken[0] = broken[1]
         # duplicating the top face makes '-' compare below '<', which the
         # arrow-erasing order rejects
-        assert faces._first_disagreement(rule, faces._supersets(broken)) >= 0
+        assert oracles._first_disagreement(rule, oracles._supersets(broken)) >= 0
 
 
 @lru_cache(maxsize=None)
@@ -544,7 +544,7 @@ def pairwise_verdict(m):
 
 
 def bitset_verdict(orients, vertex_lists):
-    return faces._first_disagreement(rule_upsets(orients), faces._supersets(vertex_lists))
+    return oracles._first_disagreement(rule_upsets(orients), oracles._supersets(vertex_lists))
 
 
 def reversed_rule_triples(orients):
@@ -561,7 +561,7 @@ class TestBitsetCertificate:
     def test_agrees_with_pairwise_oracle(self, label):
         rs = rootsys.build(label)
         m = len(rs.edges)
-        verdict = bitset_verdict(all_orientations(rs), faces._cube_vertex_lists(m))
+        verdict = bitset_verdict(all_orientations(rs), oracles._cube_vertex_lists(m))
         assert verdict == pairwise_verdict(m) == -1
 
     def test_same_first_disagreement_on_planted_defects(self):
@@ -594,7 +594,7 @@ class TestBitsetCertificate:
     def test_every_single_face_corruption_is_caught(self):
         m = 3
         orients = all_orientations(rootsys.build("A4"))
-        lists = faces._cube_vertex_lists(m)
+        lists = oracles._cube_vertex_lists(m)
         for index in range(len(lists)):
             for v in range(1 << m):
                 broken = list(lists)
@@ -624,16 +624,24 @@ class TestCubeIsomorphism:
         for states, point in face_points(rs).items():
             assert faces._tight_states(terms, point) == states
 
-    def test_rank_bound(self):
-        with pytest.raises(ValueError):
-            cube_isomorphism_check(rootsys.build("A10"))
-        assert CUBE_RANK_BOUND == 9
+    def test_a10(self):
+        rs = rootsys.build("A10")
+        dims = faces.face_dimensions(rs)
+        assert len(dims) == 3**9 == 19683
+        assert Counter(dims) == {1: 512, 2: 2304, 3: 4608, 4: 5376, 5: 4032, 6: 2016, 7: 672, 8: 144, 9: 18, 10: 1}
+        assert cube_isomorphism_check(rs)
+
+    @pytest.mark.parametrize("label", ["B11", "D12"])
+    def test_ranks_eleven_and_twelve(self, label):
+        rs = rootsys.build(label)
+        assert len(faces.face_dimensions(rs)) == 3 ** (rs.rank - 1)
+        assert cube_isomorphism_check(rs)
 
     @pytest.mark.usefixtures("fresh_cube_orders")
     def test_second_check_at_one_edge_count_compares_no_orders(self, monkeypatch):
-        real = faces._supersets
+        real = faces._index_sets
         calls = []
-        monkeypatch.setattr(faces, "_supersets", lambda keysets: calls.append(len(keysets)) or real(keysets))
+        monkeypatch.setattr(faces, "_index_sets", lambda keys, size: calls.append(size) or real(keys, size))
         assert cube_isomorphism_check(rootsys.build("A7"))
         assert calls == [3**6, 3**6]
         # E7 has six edges too
@@ -643,10 +651,9 @@ class TestCubeIsomorphism:
         assert calls == [3**6, 3**6, 9, 9]
 
     @pytest.mark.usefixtures("fresh_cube_orders")
-    @pytest.mark.parametrize("m", range(9))
+    @pytest.mark.parametrize("m", range(10))
     def test_cached_verdict_is_the_comparison(self, m):
-        rule = rule_upsets(all_orientations(rootsys.build(f"A{m + 1}")))
-        agree = faces._first_disagreement(rule, faces._supersets(faces._cube_vertex_lists(m))) == -1
+        agree = oracles.cube_orders_agree_by_relations(m)
         assert faces._cube_orders_agree(m) is agree is True
         assert faces._cube_orders_agree(m) is agree
         assert faces._cube_orders_agree.cache_info().hits == 1
@@ -662,9 +669,10 @@ def oracle_cube(m):
 
 def check_cube(m):
     sets, upsets = oracle_cube(m)
-    lists = faces._cube_vertex_lists(m)
+    lists = oracles._cube_vertex_lists(m)
     assert [set(vertex_list(vs)) for vs in sets] == [set(vl) for vl in lists]
-    assert faces._supersets(lists) == upsets
+    assert [set(vertex_list(vs)) for vs in sets] == [set(faces._face_vertices(s)) for s in product(faces.STATES, repeat=m)]
+    assert oracles._supersets(lists) == upsets
 
 
 class TestCubeRoutinesAgainstOracles:
@@ -691,10 +699,11 @@ class TestCubeRoutinesAgainstOracles:
     def test_rank_one_is_a_one_vertex_cube(self):
         # m = 0: one face, no arrow to lack, one vertex
         rs = rootsys.build("A1")
-        assert faces._cube_vertex_lists(0) == [[0]]
-        assert faces._supersets([[0]]) == [1]
+        assert oracles._cube_vertex_lists(0) == [[0]]
+        assert list(faces._face_vertices(())) == [0]
+        assert oracles._supersets([[0]]) == [1]
         (only,) = all_orientations(rs)
-        assert faces._lacked_arrows([only.states]) == [[]]
+        assert faces._lacked_arrows(only.states) == []
         assert rule_upsets([only]) == [1]
         assert faces._propagated_rays(rs, faces.STATES) == [([1], None)]
         assert cube_isomorphism_check(rs)
@@ -702,9 +711,10 @@ class TestCubeRoutinesAgainstOracles:
     def test_rank_two_is_a_segment(self):
         # m = 1: faces '<', '-', '>' over the vertices 0 and 1
         rs = rootsys.build("A2")
-        lists = faces._cube_vertex_lists(1)
+        lists = oracles._cube_vertex_lists(1)
         assert lists == [[0], [1, 0], [1]]
-        assert faces._supersets(lists) == [0b011, 0b010, 0b110]
+        assert [list(faces._face_vertices(s)) for s in product(faces.STATES, repeat=1)] == lists
+        assert oracles._supersets(lists) == [0b011, 0b010, 0b110]
         assert rule_upsets(all_orientations(rs)) == [0b011, 0b010, 0b110]
         # a_2 = a_1 / 2 on '<' and 2 a_1 on '>', so 5/4 a_1 on '-', the
         # mean of the two rays scaled to a_1 = 1
@@ -714,20 +724,12 @@ class TestCubeRoutinesAgainstOracles:
 
 @pytest.mark.usefixtures("fresh_cube_orders")
 class TestCubeRoutinePlantedDefects:
-    """A broken holder table, key list or face point must fail the oracle
+    """A broken holder table, key list or face point must fail the streamed
     comparison and the certificate itself."""
 
     @staticmethod
     def caught(m):
-        rs = rootsys.build(f"A{m + 1}")
-        _, upsets = oracle_cube(m)
-        broken = faces._supersets(faces._cube_vertex_lists(m))
-        rule = rule_upsets(all_orientations(rs))
-        return (
-            broken != upsets
-            and faces._first_disagreement(rule, broken) >= 0
-            and not cube_isomorphism_check(rs)
-        )
+        return not faces._cube_orders_agree(m) and not cube_isomorphism_check(rootsys.build(f"A{m + 1}"))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_one_wrong_table_entry(self, monkeypatch, m):
@@ -750,15 +752,13 @@ class TestCubeRoutinePlantedDefects:
     def test_one_key_dropped(self, monkeypatch, m):
         """The top face ('-' everywhere) loses its last vertex, 0, so it no
         longer lies above face 0."""
-        real = faces._cube_vertex_lists
+        real = faces._face_vertices
 
-        def dropped(m):
-            lists = real(m)
-            top = len(lists) // 2
-            lists[top] = lists[top][:-1]
-            return lists
+        def dropped(states):
+            vertices = list(real(states))
+            return vertices[:-1] if set(states) == {NEUTRAL} else vertices
 
-        monkeypatch.setattr(faces, "_cube_vertex_lists", dropped)
+        monkeypatch.setattr(faces, "_face_vertices", dropped)
         assert self.caught(m)
 
     @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
