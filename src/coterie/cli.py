@@ -9,14 +9,15 @@ parsed options, never a library object, so the three formats agree.  LaTeX
 layouts exist for ``inequalities`` (without the ``--symbolic`` block) and
 ``rays``; the other commands render LaTeX as plain text.
 
-Exit codes: 0 success, 2 usage or domain error, 3 invariant violation,
-4 resource cap exceeded.
+Exit codes: 0 success, 2 usage or domain error or unwritable output,
+3 invariant violation, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -600,10 +601,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2)
     else:
         plain, latex = RENDERERS[args.command]
-        print("\n".join((latex if args.format == "latex" else plain)(payload, args)))
+        text = "\n".join((latex if args.format == "latex" else plain)(payload, args))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        # the unwritten rest stays buffered; pointing stdout at the null
+        # device lets the interpreter's last flush of it succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INVARIANT

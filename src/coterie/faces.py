@@ -36,14 +36,16 @@ rank minus its oriented count, which also makes every cover drop the
 dimension by exactly one, and its interior point's tight edge
 inequalities must reproduce the orientation exactly.
 
-One depth-first pass over the Dynkin tree from node 0 builds the rays and
-the interior points: each edge step sets the child coordinate to the
-parent's times the edge's ratio, once for every orientation below it, and
+One depth-first pass over rs.edges in order builds the rays and the
+interior points: rs.edges reaches every node from node 0, each edge (i, j)
+joining the reached node i to the new node j, so each edge sets a_j to a_i
+times the edge's ratio, once for every orientation below it.  The ratios
+are integer pairs read off the edge's two cleared rows (_edge_terms), and
 a neutral edge takes the mean of its two ratios.  A coordinate is the
 product of the ratios on its tree path, so a face's point is the mean of
 the rays of its full orientings, each scaled to a_0 = 1, and lies in the
 face's relative interior.  Each ray is checked as its primitive integer
-multiple: against its equality rows in two-term form, against the closed
+multiple: against its equality rows (_edge_rows), against the closed
 cone by one pass over the closed system's integer rows (_outside_closed),
 and against the open cone through cone.member.  extremal_rays keeps those
 integer multiples and builds a ray's Fraction vector only when it is asked
@@ -161,79 +163,50 @@ class ExtremalRay:
         return None if self.ints is None else _ray_vector(self.ints)
 
 
-@lru_cache(maxsize=None)
-def _edge_ratios(rs: rootsys.RootSystem) -> tuple:
-    """Per edge (i, j): the ratios of the (i, j) and (j, i) inequalities,
-    a_i >= ratio(i, j) a_j and a_j >= ratio(j, i) a_i."""
-    return tuple((rootsys.ratio(rs, i, j), rootsys.ratio(rs, j, i)) for i, j in rs.edges)
-
-
-@lru_cache(maxsize=None)
-def _tree_steps(rs: rootsys.RootSystem) -> tuple:
-    """(parent, child, edge position) for every edge, breadth first from
-    node 0, so each parent is reached before its children."""
-    adjacency = {k: [] for k in range(rs.rank)}
-    for pos, (i, j) in enumerate(rs.edges):
-        adjacency[i].append((j, pos))
-        adjacency[j].append((i, pos))
-    steps = []
-    seen = {0}
-    queue = [0]
-    for node in queue:
-        for nxt, pos in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                steps.append((node, nxt, pos))
-    return tuple(steps)
-
-
 def _step_ratios(rs: rootsys.RootSystem) -> list:
-    """(parent, child, edge position, ratios) per step of _tree_steps:
-    ratios maps each state of the edge to a_child / a_parent as integers
-    (num, den), or to the anomaly of a zero ratio that leaves the child
-    free.  A neutral edge takes the mean of its two ratios."""
-    ratios = _edge_ratios(rs)
+    """Per edge (i, j) of rs.edges, in order: (i, j, ratios), where ratios
+    maps each state of the edge to a_j / a_i as integers (num, den), den > 0,
+    or to the anomaly of a zero ratio that leaves node j free.  They are read
+    off the edge's primitive rows in _edge_terms: the '<' row gives
+    (-bi, bj), the '>' row (fi, -fj), and a neutral edge takes their mean
+    in lowest terms."""
     out = []
-    for parent, child, pos in _tree_steps(rs):
-        i, j = rs.edges[pos]
-        broken = f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {child + 1} free"
-        fwd, bwd = ratios[pos]
-        # a_j = bwd a_i on the '<' equality, a_i = fwd a_j on the '>' one
-        left = bwd if child == j else 1 / bwd if bwd else broken
-        right = fwd if child == i else 1 / fwd if fwd else broken
-        mean = left if isinstance(left, str) else right if isinstance(right, str) else (left + right) / 2
-        # the integers are read off once, not per partial vector
-        ints = (r if isinstance(r, str) else (r.numerator, r.denominator) for r in (left, mean, right))
-        out.append((parent, child, pos, dict(zip(STATES, ints))))
+    for i, j, fi, fj, bi, bj in _edge_terms(rs):
+        left = (-bi, bj)
+        if fj:
+            right = (fi, -fj)
+            # -bi / bj + fi / -fj over 2, both denominators positive
+            num, den = bi * fj + fi * bj, -2 * bj * fj
+            g = gcd(num, den)
+            mean = (num // g, den // g)
+        else:
+            right = mean = f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {j + 1} free"
+        out.append((i, j, dict(zip(STATES, (left, mean, right)))))
     return out
 
 
 def _propagated_rays(rs: rootsys.RootSystem, states) -> list:
     """(integer vector, anomaly) per orientation over the given edge states,
-    in the order of product(states): a_0 = 1, then every step of
-    _step_ratios sets its child to its parent times the state's ratio, the
-    vector kept in integers by rescaling it whenever a ratio has a
-    denominator.  Walked depth first, each partial vector is computed once
-    for all the orientations that extend it.  A full orientation's
-    equalities form a tree with nonzero coefficients, so they cut out
-    exactly its ray's line; a zero ratio breaks the chain, and every
+    in the order of product(states): a_0 = 1, then every edge (i, j) of
+    rs.edges in turn sets a_j to a_i times the state's ratio from
+    _step_ratios, the vector kept in integers by rescaling it whenever a
+    ratio has a denominator.  Each edge joins a reached node i to a new node
+    j (see RootSystem), so a_i is already set when a_j is.  Walked depth
+    first, each partial vector is computed once for all the orientations
+    that extend it, and the leaves come in product order.  A full
+    orientation's equalities form a tree with nonzero coefficients, so they
+    cut out exactly its ray's line; a zero ratio breaks the chain, and every
     orientation below it gets an anomaly instead of a vector."""
-    m = len(rs.edges)
-    # per step, each state's product index offset and its ratio
-    table = []
-    for parent, child, pos, by_state in _step_ratios(rs):
-        weight = len(states) ** (m - 1 - pos)
-        table.append((parent, child, [(k * weight, by_state[s]) for k, s in enumerate(states)]))
-    out = [None] * len(states) ** m
+    table = [(i, j, [by_state[s] for s in states]) for i, j, by_state in _step_ratios(rs)]
+    out = []
 
-    def walk(depth, x, index):
+    def walk(depth, x):
         # x is the partial vector, or the anomaly of a broken chain
         if depth == len(table):
-            out[index] = (None, x) if isinstance(x, str) else (x, None)
+            out.append((None, x) if isinstance(x, str) else (x, None))
             return
-        parent, child, branches = table[depth]
-        for offset, step in branches:
+        i, j, branches = table[depth]
+        for step in branches:
             if isinstance(x, str):
                 y = x
             elif isinstance(step, str):
@@ -241,10 +214,10 @@ def _propagated_rays(rs: rootsys.RootSystem, states) -> list:
             else:
                 num, den = step
                 y = [c * den for c in x] if den != 1 else list(x)
-                y[child] = x[parent] * num
-            walk(depth + 1, y, index + offset)
+                y[j] = x[i] * num
+            walk(depth + 1, y)
 
-    walk(0, [1] + [0] * (rs.rank - 1), 0)
+    walk(0, [1] + [0] * (rs.rank - 1))
     # walk reaches itself through its closure; emptying that cell breaks the
     # cycle, so out is freed with its last caller, not at a later full
     # garbage collection
@@ -298,9 +271,11 @@ def _checked_rays(rs: rootsys.RootSystem):
     (problems then holds that anomaly alone); otherwise problems are the
     violated expectations, each to be read after "ray <vector> ".  The
     checks run on ints, which has the ray's signs and, the cone being
-    invariant under positive scaling, its memberships."""
+    invariant under positive scaling, its memberships.  The equalities are
+    read from the rows of _edge_rows, not from the _edge_terms the walk
+    takes its ratios from, so a wrong ratio there shows here."""
     n = rs.rank
-    terms = _edge_terms(rs)
+    rows = [(i, j, *_edge_rows(rs, i, j)) for i, j in rs.edges]
     closed_rows = _closed_terms(rs)
     orders = product((LEFT, RIGHT), repeat=len(rs.edges))
     for states, (k, broken) in zip(orders, _propagated_rays(rs, (LEFT, RIGHT)), strict=True):
@@ -309,9 +284,9 @@ def _checked_rays(rs: rootsys.RootSystem):
             continue
         ints = _ray_multiple(k)
         problems = []
-        for (i, j, fi, fj, bi, bj), state in zip(terms, states):
-            v = fi * ints[i] + fj * ints[j] if state == RIGHT else bi * ints[i] + bj * ints[j]
-            if v != 0:
+        for (i, j, fwd, bwd), state in zip(rows, states):
+            row = fwd if state == RIGHT else bwd
+            if row[i] * ints[i] + row[j] * ints[j]:
                 problems.append(f"violates the equality on edge ({i + 1}, {j + 1})")
         if min(ints) <= 0:
             problems.append("leaves the positive orthant")

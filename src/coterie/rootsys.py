@@ -105,7 +105,9 @@ class RootSystem:
     length 2; weights = weight_den * (cartan^T)^-1 with weight_den > 0 the
     lcm of the denominators of that inverse, so column alpha of weights is
     weight_den * lambda_alpha in root coordinates; edges are the 0-based
-    tree edges (i, j) with i < j.
+    tree edges (i, j) with i < j, sorted.  In that order each edge (i, j)
+    joins a node already reached from node 0 to a new node j, so one pass
+    over edges reaches every node; the ray walk in faces relies on it.
     """
 
     stype: SimpleType

@@ -456,14 +456,16 @@ def extremal_rays_by_solve(rs) -> tuple:
 
 def propagate_ray(rs, states) -> tuple:
     """(integer vector, anomaly) for one full orientation, propagated on its
-    own from a_0 = 1 along faces._tree_steps: every oriented edge fixes its
-    child from its parent, the vector kept in integers by rescaling it
-    whenever a ratio has a denominator; a zero ratio breaks the chain and
-    comes back as an anomaly instead.  The ratios are read from rootsys, not
-    from faces._edge_ratios."""
+    own from a_0 = 1 in the breadth-first order of support.bfs_order: every
+    oriented edge fixes its child from its parent, the vector kept in
+    integers by rescaling it whenever a ratio has a denominator; a zero
+    ratio breaks the chain and comes back as an anomaly instead.  Neither
+    the order nor the ratios come from faces: the ratios are the Fractions
+    of rootsys.ratio, not the integer pairs of faces._edge_terms."""
     x = [0] * rs.rank
     x[0] = 1
-    for parent, child, pos in faces._tree_steps(rs):
+    for child, parent in support.bfs_order(rs)[1:]:
+        pos = rs.edges.index((min(parent, child), max(parent, child)))
         i, j = rs.edges[pos]
         # a_big = q a_small on this edge's equality
         big, q = (i, rootsys.ratio(rs, i, j)) if states[pos] == RIGHT else (j, rootsys.ratio(rs, j, i))

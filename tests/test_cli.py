@@ -719,3 +719,33 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_closed_pipe_is_one_error_line(self):
+        """`coterie rays A12 | head -1`: the reader leaves after one line
+        of about 0.5 MB, so the rest cannot be written; exit 2 with one
+        error line, and neither a traceback nor an "Exception ignored" note
+        from the interpreter's last flush."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coterie", "rays", "A12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "type A12\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert stderr == "error: cannot write the output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    def test_full_disk_is_one_error_line(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "coterie", "faces", "A5", "--format", "json"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write the output: [Errno 28] No space left on device\n"

@@ -1,6 +1,7 @@
 """Tests for edge orientations, the face census, extremal rays, and the
 cube-order comparison."""
 
+import dataclasses
 import gc
 import random
 from collections import Counter
@@ -219,6 +220,29 @@ class TestExtremalRays:
             assert len(extremal_rays(rs)) == 2 ** len(rs.edges)
 
 
+def edge_ratios(rs) -> list:
+    """Per edge (i, j): [ratio(i, j), ratio(j, i)], the ratios of the
+    inequalities a_i >= ratio(i, j) a_j and a_j >= ratio(j, i) a_i."""
+    return [[rootsys.ratio(rs, i, j), rootsys.ratio(rs, j, i)] for i, j in rs.edges]
+
+
+def terms_of(rs, ratios) -> tuple:
+    """The two-term rows of faces._edge_terms that carry the given edge
+    ratios: a primitive row's entries are its ratio's denominator and minus
+    its numerator, as in rootsys.pair_row."""
+    return tuple(
+        (i, j, q.denominator, -q.numerator, -r.numerator, r.denominator)
+        for (i, j), (q, r) in zip(rs.edges, ratios, strict=True)
+    )
+
+
+def plant_ratios(monkeypatch, rs, ratios):
+    """Make the walk read the given edge ratios; the equality checks read
+    faces._edge_rows and keep the true rows."""
+    terms = terms_of(rs, ratios)
+    monkeypatch.setattr(faces, "_edge_terms", lambda _: terms)
+
+
 def per_ray_mismatches(rs) -> list:
     """Orientations where the depth-first pass differs from propagating
     that ray on its own, vector and anomaly alike."""
@@ -255,11 +279,11 @@ class TestRayPropagation:
         """The '<' branch of one edge takes the edge's '>' ratio: only the
         orientations below that branch change, and both oracles see them."""
         rs = rootsys.build(label)
-        ratios = [list(r) for r in faces._edge_ratios(rs)]
+        ratios = edge_ratios(rs)
         # the last edge whose two ratios differ
         pos = max(p for p, (q, r) in enumerate(ratios) if q != r)
         ratios[pos][1] = ratios[pos][0]
-        monkeypatch.setattr(faces, "_edge_ratios", lambda _: tuple(map(tuple, ratios)))
+        plant_ratios(monkeypatch, rs, ratios)
         wrong = per_ray_mismatches(rs)
         assert wrong and all(s[pos] == LEFT for s in wrong)
         assert extremal_rays(rs) != oracles.extremal_rays_by_solve(rs)
@@ -267,13 +291,13 @@ class TestRayPropagation:
 
     @staticmethod
     def corrupt(monkeypatch, rs, pos, which, value):
-        ratios = [list(r) for r in faces._edge_ratios(rs)]
+        ratios = edge_ratios(rs)
         ratios[pos][which] = value
-        monkeypatch.setattr(faces, "_edge_ratios", lambda _: tuple(map(tuple, ratios)))
+        plant_ratios(monkeypatch, rs, ratios)
 
     def test_corrupted_ratio_gives_anomaly(self, monkeypatch):
         rs = rootsys.build("A4")
-        good = faces._edge_ratios(rs)[1][0]
+        good = edge_ratios(rs)[1][0]
         self.corrupt(monkeypatch, rs, 1, 0, 2 * good)
         rays = extremal_rays(rs)
         hit = [r for r in rays if r.orientation.states[1] == RIGHT]
@@ -301,11 +325,31 @@ class TestRayPropagation:
         # '>' on that edge does not use the corrupted ratio
         assert rays[">>"].anomalies == ()
         rs_b = rootsys.build("B3")
+        # the (1, 2) row loses its a_2 term: fj = 0
         self.corrupt(monkeypatch, rs_b, 0, 0, F(0))
+        assert faces._edge_terms(rs_b)[0][3] == 0
         # '>' reads a_1 = 0 a_2: node 1, the parent, cannot fix node 2
         broken = {str(r.orientation): r for r in extremal_rays(rs_b)}[">>"]
         assert broken.vector is None
         assert broken.anomalies == ("zero ratio on edge (1, 2) leaves node 2 free",)
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_planted_terms_of_the_true_ratios_are_the_edge_terms(self, label):
+        """The planting above changes only the ratios it is given."""
+        rs = rootsys.build(label)
+        assert terms_of(rs, edge_ratios(rs)) == faces._edge_terms(rs)
+
+    @pytest.mark.parametrize("order", [(3, 2, 1, 0), (0, 2, 1, 3), (1, 0, 2, 3)])
+    def test_edges_out_of_tree_order_are_caught(self, order):
+        """The walk sets a_j from a_i along rs.edges in order, so an edge
+        listed before its node i is reached reads a_i = 0: every ray leaves
+        the positive orthant, and the certificate fails."""
+        rs = rootsys.build("D5")
+        shuffled = dataclasses.replace(rs, edges=tuple(rs.edges[k] for k in order))
+        rays = extremal_rays(shuffled)
+        assert rays and all("leaves the positive orthant" in " ".join(r.anomalies) for r in rays)
+        assert not cube_isomorphism_check(shuffled)
+        assert cube_isomorphism_check(rs)
 
 
 class TestRayCheck:
@@ -763,7 +807,7 @@ class TestCubeRoutinePlantedDefects:
 
     @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
     def test_neutral_edge_taking_one_endpoint_ratio(self, monkeypatch, label):
-        """The last step's neutral edge takes its '<' ratio instead of the
+        """The last edge's neutral state takes its '<' ratio instead of the
         mean: the rays stay right, and exactly the faces with that edge
         neutral move, onto their '<' subface."""
         rs = rootsys.build(label)
@@ -771,12 +815,12 @@ class TestCubeRoutinePlantedDefects:
 
         def one_sided(rs):
             steps = real(rs)
-            parent, child, pos, by_state = steps[-1]
-            steps[-1] = (parent, child, pos, {**by_state, NEUTRAL: by_state[LEFT]})
+            i, j, by_state = steps[-1]
+            steps[-1] = (i, j, {**by_state, NEUTRAL: by_state[LEFT]})
             return steps
 
         monkeypatch.setattr(faces, "_step_ratios", one_sided)
-        pos = faces._tree_steps(rs)[-1][2]
+        pos = len(rs.edges) - 1
         wrong = point_mismatches(rs)
         assert wrong and {s for s in face_points(rs) if s[pos] == NEUTRAL} == {tuple(s) for s in wrong}
         terms = faces._edge_terms(rs)

@@ -155,6 +155,17 @@ class TestRootSystemInvariants:
                 commute = support.mat_mul(si, sj) == support.mat_mul(sj, si)
                 assert commute == ((i, j) not in rs.edges)
 
+    @pytest.mark.parametrize("rs", checked_types(12), ids=str)
+    def test_edges_in_tree_order(self, rs):
+        """In edges order each edge (i, j), i < j, joins a node already
+        reached from node 0 to a new node j: the ray walk in faces sets a_j
+        from a_i in that order."""
+        reached = {0}
+        for i, j in rs.edges:
+            assert i < j and i in reached and j not in reached
+            reached.add(j)
+        assert reached == set(range(rs.rank))
+
     @pytest.mark.parametrize("rs", checked_types(), ids=str)
     def test_pairing_of_weights(self, rs):
         """<lambda_a, beta^v> = delta: the defining property, via the form."""
