@@ -204,6 +204,31 @@ def orbit_size(arr: Arrangement) -> int:
     return sum(order // _parabolic_order(rs, _stabilizer(h.functional)) for h in arr.fundamental)
 
 
+def reflection_closure(rs: rootsys.RootSystem, seeds, cap: int, points: bool = False) -> Optional[set]:
+    """The closure of the integer vectors seeds under the simple reflections
+    of rs, or None once it would grow past cap members.  A reflection s acts
+    on the right on functionals, f -> f s (_reflection_updates), and with
+    points on the left on points, x -> s x, by the transposed updates."""
+    updates = _reflection_updates(rs)
+    if points:
+        updates = tuple(tuple((j, k, c) for k, j, c in changes) for changes in updates)
+    seen = set(seeds)
+    queue = list(seen)
+    while queue:
+        f = queue.pop()
+        for changes in updates:
+            g = list(f)
+            for k, j, c in changes:
+                g[j] += f[k] * c
+            g = tuple(g)
+            if g not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(g)
+                queue.append(g)
+    return seen
+
+
 def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
     """Close the fundamental functionals under all simple reflections.
 
@@ -217,32 +242,15 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
     fits is enumerated in full, and its members skip the validation of
     OrientedHyperplane: each is a nonzero integer tuple by construction.
     """
-    updates = _reflection_updates(arr.rs)
     seen = {kernels._reduce_row(h.functional, 0)[0] for h in arr.fundamental}
-    if len(seen) > cap or orbit_size(arr) > cap:
-        return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=cap)
-    queue = list(seen)
-    while queue:
-        f = queue.pop()
-        for changes in updates:
-            g = list(f)
-            for k, j, c in changes:
-                g[j] += f[k] * c
-            g = tuple(g)
-            if g not in seen:
-                # not reached while orbit_size is exact; it still bounds
-                # the set if the count were ever wrong
-                if len(seen) >= cap:
-                    return Arrangement(
-                        rs=arr.rs,
-                        fundamental=arr.fundamental,
-                        full=IMPLICIT,
-                        partial_size=len(seen),
-                    )
-                seen.add(g)
-                queue.append(g)
-    full = tuple(map(_trusted_hyperplane, sorted(seen)))
-    return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=full)
+    if len(seen) <= cap and orbit_size(arr) <= cap:
+        # the closure comes back None only if the count were ever wrong; it
+        # then stops at the cap, with cap members
+        seen = reflection_closure(arr.rs, seen, cap)
+        if seen is not None:
+            full = tuple(map(_trusted_hyperplane, sorted(seen)))
+            return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=full)
+    return Arrangement(rs=arr.rs, fundamental=arr.fundamental, full=IMPLICIT, partial_size=cap)
 
 
 @dataclass(frozen=True)

@@ -230,22 +230,18 @@ def orbit_polytope_vertices(
     rs: rootsys.RootSystem, cs: CrossSection, cap: int = arrmod.ORBIT_CAP
 ) -> tuple:
     """Weyl-orbit closure of the cross-section vertex set, under the Weyl
-    group of rs, which must be the cross-section's root system."""
+    group of rs, which must be the cross-section's root system.  The
+    vertices are cleared over one common denominator and closed in integers
+    (arrangement.reflection_closure)."""
     if rs != cs.rs:
         raise ValueError(f"cross-section of {cs.rs} cannot take the Weyl group of {rs}")
-    mats = [rootsys.simple_reflection(rs, a).matrix for a in range(rs.rank)]
-    seen = set(polytope_vertices(cs))
-    queue = list(seen)
-    while queue:
-        v = queue.pop()
-        for m in mats:
-            w = tuple(exactla.mat_vec(m, v))
-            if w not in seen:
-                if len(seen) >= cap:
-                    raise ResourceCapError(f"orbit closure exceeds the cap {cap}")
-                seen.add(w)
-                queue.append(w)
-    return tuple(sorted(seen))
+    verts = polytope_vertices(cs)
+    den = lcm(*(c.denominator for v in verts for c in v))
+    seeds = [tuple(c.numerator * (den // c.denominator) for c in v) for v in verts]
+    closed = arrmod.reflection_closure(rs, seeds, cap, points=True)
+    if closed is None:
+        raise ResourceCapError(f"orbit closure exceeds the cap {cap}")
+    return tuple(tuple(Fraction(c, den) for c in v) for v in sorted(closed))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Entries are ints or fractions.Fraction, vectors are tuples, matrices tuples
 of row tuples; no floating point anywhere. clear_row turns a rational
-vector into integers; the Fraction vector helpers (vec, vec_dot, mat_vec,
-...) are left for code off the integer paths. A LinearConstraint keeps
+vector into integers; the Fraction vector helpers (vec, vec_dot, ...) are
+left for code off the integer paths, and mat_vec, with no library caller
+left, for the tracer of perfbench. A LinearConstraint keeps
 int and Fraction entries as given, boxes other input (str, bool, ...)
 with Fraction, and clears its row once, to integers in sparse form: the
 nonzero (index, coeff) terms, the bound and the relation code. The row is

@@ -26,30 +26,29 @@ per m (_cube_orders_agree) and the verdict is kept for every later check
 at that m.
 
 The orientation-to-face map is then certified geometrically through
-exact integer ranks and per-face interior points.  The face dimensions
-(face_dimensions) come from one depth-first rank pass over the edges in
-enumeration order: each path carries an integer echelon basis of
-(pivot, primitive row) pairs, an oriented edge reduces its row against
-the basis fraction-free and pushes the nonzero remainder, and a face's
-rank is the basis length at its leaf.  Each face must have dimension
-rank minus its oriented count, which also makes every cover drop the
-dimension by exactly one, and its interior point's tight edge
-inequalities must reproduce the orientation exactly.
+exact integer ranks and per-face interior points, both from one streamed
+depth-first walk over the edges in enumeration order (_product_walk).
+For the ranks each path carries an integer echelon basis of (pivot,
+primitive row) pairs: an oriented edge reduces its row against the basis
+fraction-free and pushes the nonzero remainder, and a face's rank is the
+basis length at its leaf.  Each face must have dimension rank minus its
+oriented count, which also makes every cover drop the dimension by
+exactly one, and its interior point's tight edge inequalities must
+reproduce the orientation exactly.
 
-One depth-first pass over rs.edges in order builds the rays and the
-interior points: rs.edges reaches every node from node 0, each edge (i, j)
-joining the reached node i to the new node j, so each edge sets a_j to a_i
-times the edge's ratio, once for every orientation below it.  The ratios
-are integer pairs read off the edge's two cleared rows (_edge_terms), and
-a neutral edge takes the mean of its two ratios.  A coordinate is the
-product of the ratios on its tree path, so a face's point is the mean of
-the rays of its full orientings, each scaled to a_0 = 1, and lies in the
-face's relative interior.  Each ray is checked as its primitive integer
-multiple: against its equality rows (_edge_rows), against the closed
-cone by one pass over the closed system's integer rows (_outside_closed),
-and against the open cone through cone.member.  extremal_rays keeps those
-integer multiples and builds a ray's Fraction vector only when it is asked
-for; the rays command writes the entries from the integers.
+For the rays and the interior points each path carries a partial integer
+vector: rs.edges reaches every node from node 0, each edge (i, j) joining
+the reached node i to the new node j, so each edge sets a_j to a_i times
+the edge's ratio.  The ratios are integer pairs read off the edge's two
+cleared rows (_edge_terms), and a neutral edge takes the mean of its two
+ratios.  A coordinate is the product of the ratios on its tree path, so a
+face's point is the mean of the rays of its full orientings, each scaled
+to a_0 = 1, and lies in the face's relative interior.  Each ray is checked
+as its primitive integer multiple: against its equality rows (_edge_rows),
+against the closed cone by one pass over the closed system's integer rows
+(_outside_closed), and against the open cone through cone.member.
+extremal_rays keeps those integer multiples and builds a ray's Fraction
+vector only when it is asked for; rays writes the entries from the ints.
 """
 
 from __future__ import annotations
@@ -185,44 +184,52 @@ def _step_ratios(rs: rootsys.RootSystem) -> list:
     return out
 
 
-def _propagated_rays(rs: rootsys.RootSystem, states) -> list:
-    """(integer vector, anomaly) per orientation over the given edge states,
-    in the order of product(states): a_0 = 1, then every edge (i, j) of
-    rs.edges in turn sets a_j to a_i times the state's ratio from
-    _step_ratios, the vector kept in integers by rescaling it whenever a
-    ratio has a denominator.  Each edge joins a reached node i to a new node
-    j (see RootSystem), so a_i is already set when a_j is.  Walked depth
-    first, each partial vector is computed once for all the orientations
-    that extend it, and the leaves come in product order.  A full
+def _product_walk(start, levels, step):
+    """Yield one leaf per tuple of product(*levels), in that order: a node
+    at depth d with value x has the child step(x, b) for each branch b of
+    levels[d], from start at the root.  Walked depth first, each partial
+    value is computed once for all the tuples that extend it, and only the
+    pending siblings along one path are held; the last level's values are
+    yielded from their parent rather than pushed."""
+    if not levels:
+        yield start
+        return
+    last = len(levels) - 1
+    stack = [(0, start)]
+    while stack:
+        depth, x = stack.pop()
+        if depth == last:
+            for b in levels[last]:
+                yield step(x, b)
+        else:
+            stack.extend([(depth + 1, step(x, b)) for b in reversed(levels[depth])])
+
+
+def _ray_step(node, branch):
+    """The walk's (vector, anomaly) node extended over the edge (i, j):
+    a_j = a_i num / den, the vector rescaled by den.  An anomaly, the
+    node's or a zero ratio's, is passed on instead."""
+    x, broken = node
+    i, j, ratio = branch
+    if broken or isinstance(ratio, str):
+        return None, broken or ratio
+    num, den = ratio
+    y = [c * den for c in x] if den != 1 else list(x)
+    y[j] = x[i] * num
+    return y, None
+
+
+def _propagated_rays(rs: rootsys.RootSystem, states):
+    """Stream (integer vector, anomaly) per orientation over the given edge
+    states, in the order of product(states): a_0 = 1, then every edge (i, j)
+    of rs.edges in turn sets a_j to a_i times the state's ratio from
+    _step_ratios (_ray_step).  Each edge joins a reached node i to a new
+    node j (see RootSystem), so a_i is already set when a_j is.  A full
     orientation's equalities form a tree with nonzero coefficients, so they
     cut out exactly its ray's line; a zero ratio breaks the chain, and every
     orientation below it gets an anomaly instead of a vector."""
-    table = [(i, j, [by_state[s] for s in states]) for i, j, by_state in _step_ratios(rs)]
-    out = []
-
-    def walk(depth, x):
-        # x is the partial vector, or the anomaly of a broken chain
-        if depth == len(table):
-            out.append((None, x) if isinstance(x, str) else (x, None))
-            return
-        i, j, branches = table[depth]
-        for step in branches:
-            if isinstance(x, str):
-                y = x
-            elif isinstance(step, str):
-                y = step
-            else:
-                num, den = step
-                y = [c * den for c in x] if den != 1 else list(x)
-                y[j] = x[i] * num
-            walk(depth + 1, y)
-
-    walk(0, [1] + [0] * (rs.rank - 1))
-    # walk reaches itself through its closure; emptying that cell breaks the
-    # cycle, so out is freed with its last caller, not at a later full
-    # garbage collection
-    del walk
-    return out
+    levels = [[(i, j, by_state[s]) for s in states] for i, j, by_state in _step_ratios(rs)]
+    return _product_walk(([1] + [0] * (rs.rank - 1), None), levels, _ray_step)
 
 
 def _ray_multiple(k) -> tuple:
@@ -407,29 +414,15 @@ def _pushed(basis, row) -> tuple:
     return basis
 
 
-def _echelon_ranks(edge_rows) -> list:
+def _echelon_ranks(edge_rows):
     """Rank of the equality rows of every tuple of edge states, in the order
     of product(STATES): edge_rows gives each edge's '<' and '>' rows, and a
-    neutral edge adds none.  Walked depth first, each path carries one
-    echelon basis, so each oriented edge costs one reduction for all the
-    tuples that extend the path, and the rank at a leaf is the basis
-    length."""
-    m = len(edge_rows)
-    out = []
-
-    def walk(pos, basis):
-        if pos == m:
-            out.append(len(basis))
-            return
-        left, right = edge_rows[pos]
-        walk(pos + 1, _pushed(basis, left))
-        walk(pos + 1, basis)
-        walk(pos + 1, _pushed(basis, right))
-
-    walk(0, ())
-    # break the closure's cycle, as _propagated_rays does
-    del walk
-    return out
+    neutral edge adds none.  Each path of the walk carries one echelon
+    basis, so each oriented edge costs one reduction for all the tuples that
+    extend the path, and the rank at a leaf is the basis length."""
+    levels = [(left, None, right) for left, right in edge_rows]
+    walked = _product_walk((), levels, lambda basis, row: basis if row is None else _pushed(basis, row))
+    return map(len, walked)
 
 
 @lru_cache(maxsize=None)

@@ -531,6 +531,15 @@ class TestCrossSection:
             orbit_polytope_vertices(rootsys.build(label), cs)
         assert len(orbit_polytope_vertices(rootsys.build("C3"), cs)) == 27
 
+    def test_orbit_cap(self):
+        """The C3 section's orbit has 27 points: refused one below that,
+        and closed in full at it."""
+        rs = rootsys.build("C3")
+        cs = cross_section(rs, (1, 1, 1))
+        with pytest.raises(ResourceCapError, match="^orbit closure exceeds the cap 26$"):
+            orbit_polytope_vertices(rs, cs, cap=26)
+        assert len(orbit_polytope_vertices(rs, cs, cap=27)) == 27
+
 
 class TestReduction:
     """The edge conditions generate the full pair system."""

@@ -4,6 +4,7 @@ cube-order comparison."""
 import dataclasses
 import gc
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -376,7 +377,7 @@ class TestRayCheck:
         # the interior point with node 2 raised far above node 1's reach
         outside = [c * 100 if k == 1 else c for k, c in enumerate(interior)]
         planted = [(interior, None), (outside, None), (facet, None)]
-        planted += faces._propagated_rays(rs, (LEFT, RIGHT))[3:]
+        planted += list(faces._propagated_rays(rs, (LEFT, RIGHT)))[3:]
         monkeypatch.setattr(faces, "_propagated_rays", lambda *_: planted)
         got = list(faces._checked_rays(rs))
         assert got == oracles.checked_rays_by_member(rs)
@@ -675,6 +676,20 @@ class TestCubeIsomorphism:
         assert Counter(dims) == {1: 512, 2: 2304, 3: 4608, 4: 5376, 5: 4032, 6: 2016, 7: 672, 8: 144, 9: 18, 10: 1}
         assert cube_isomorphism_check(rs)
 
+    def test_a10_streams_its_face_points(self):
+        """With the order verdict and the face dimensions cached, the check
+        holds one path of the face walk at a time, never the 3^9 face
+        points: its traced peak stays below 1 MB."""
+        rs = rootsys.build("A10")
+        assert cube_isomorphism_check(rs)
+        tracemalloc.start()
+        try:
+            assert cube_isomorphism_check(rs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("label", ["B11", "D12"])
     def test_ranks_eleven_and_twelve(self, label):
         rs = rootsys.build(label)
@@ -749,7 +764,7 @@ class TestCubeRoutinesAgainstOracles:
         (only,) = all_orientations(rs)
         assert faces._lacked_arrows(only.states) == []
         assert rule_upsets([only]) == [1]
-        assert faces._propagated_rays(rs, faces.STATES) == [([1], None)]
+        assert list(faces._propagated_rays(rs, faces.STATES)) == [([1], None)]
         assert cube_isomorphism_check(rs)
 
     def test_rank_two_is_a_segment(self):
