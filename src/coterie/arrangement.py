@@ -15,12 +15,11 @@ stabilizer), so a capped orbit is never enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, prod
 from typing import Optional, Union
 
-from . import exactla, rootsys
+from . import rootsys
 from ._backend import kernels
 
 ORBIT_CAP = 100_000
@@ -48,9 +47,6 @@ class OrientedHyperplane:
         if not any(f):
             raise DegenerateArrangementError("zero functional")
         object.__setattr__(self, "functional", f)
-
-    def __call__(self, x) -> Fraction:
-        return exactla.vec_dot(exactla.vec(self.functional), exactla.vec(x))
 
 
 def _trusted_hyperplane(functional: tuple) -> OrientedHyperplane:
@@ -255,7 +251,7 @@ def weyl_orbit(arr: Arrangement, cap: int = ORBIT_CAP) -> Arrangement:
 
 @dataclass(frozen=True)
 class ClassifyingMap:
-    """Rows -l_i(alpha) over the simple roots, plus row gcds k."""
+    """Rows -l_i(alpha) over the simple roots, plus their gcds k > 0."""
 
     a_star: tuple
     k: tuple
@@ -264,22 +260,13 @@ class ClassifyingMap:
 def classifying_map(arr: Arrangement) -> ClassifyingMap:
     if not arr.fundamental:
         raise DegenerateArrangementError("empty arrangement")
-    rows = []
-    ks = []
-    for h in arr.fundamental:
-        row = tuple(-c for c in h.functional)
-        if any(c < 0 for c in row):
-            raise DegenerateArrangementError(
-                f"functional {h.functional} violates the orientation condition"
-            )
-        g = 0
-        for c in row:
-            g = gcd(g, c)
-        if g == 0:
-            raise DegenerateArrangementError("all-zero classifying row")
-        rows.append(row)
-        ks.append(g)
-    return ClassifyingMap(a_star=tuple(rows), k=tuple(ks))
+    rows = tuple(tuple(-c for c in h.functional) for h in arr.fundamental)
+    return ClassifyingMap(a_star=rows, k=tuple(gcd(*row) for row in rows))
+
+
+def content_lines(text: str) -> list:
+    """The nonempty lines of a file, each stripped of its `#` comment."""
+    return [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
 
 
 def parse_arrangement(text: str) -> Arrangement:
@@ -288,11 +275,11 @@ def parse_arrangement(text: str) -> Arrangement:
     Header `type <family><rank>`, then one line of space-separated integers
     per fundamental functional; `#` starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    return arrangement_from_lines(content_lines(text))
+
+
+def arrangement_from_lines(lines: list) -> Arrangement:
+    """parse_arrangement on the file's content_lines."""
     if not lines:
         raise ArrangementFormatError("empty arrangement file")
     head = lines[0].split()

@@ -203,14 +203,12 @@ def cross_section(rs: rootsys.RootSystem, y) -> CrossSection:
     return CrossSection(rs=rs, y=y, system=ConeSystem(n, tuple(cons)))
 
 
-def polytope_vertices(cs: CrossSection, subset_cap: int = SUBSET_CAP) -> tuple:
-    """All vertices, by solving every n-subset of constraints as equalities."""
+def polytope_vertices(cs: CrossSection) -> tuple:
+    """All vertices, solving each of at most SUBSET_CAP n-subsets of constraints as equalities."""
     n = cs.rs.rank
     rows = [(c.functional, c.bound) for c in cs.system.constraints]
-    if comb(len(rows), n) > subset_cap:
-        raise ResourceCapError(
-            f"{comb(len(rows), n)} active sets exceed the cap {subset_cap}"
-        )
+    if comb(len(rows), n) > SUBSET_CAP:
+        raise ResourceCapError(f"{comb(len(rows), n)} active sets exceed the cap {SUBSET_CAP}")
     verts = set()
     for subset in combinations(range(len(rows)), n):
         a = [list(rows[i][0]) for i in subset]
@@ -226,21 +224,19 @@ def polytope_vertices(cs: CrossSection, subset_cap: int = SUBSET_CAP) -> tuple:
     return tuple(sorted(verts))
 
 
-def orbit_polytope_vertices(
-    rs: rootsys.RootSystem, cs: CrossSection, cap: int = arrmod.ORBIT_CAP
-) -> tuple:
+def orbit_polytope_vertices(rs: rootsys.RootSystem, cs: CrossSection) -> tuple:
     """Weyl-orbit closure of the cross-section vertex set, under the Weyl
     group of rs, which must be the cross-section's root system.  The
     vertices are cleared over one common denominator and closed in integers
-    (arrangement.reflection_closure)."""
+    (arrangement.reflection_closure) up to arrangement.ORBIT_CAP points."""
     if rs != cs.rs:
         raise ValueError(f"cross-section of {cs.rs} cannot take the Weyl group of {rs}")
     verts = polytope_vertices(cs)
     den = lcm(*(c.denominator for v in verts for c in v))
     seeds = [tuple(c.numerator * (den // c.denominator) for c in v) for v in verts]
-    closed = arrmod.reflection_closure(rs, seeds, cap, points=True)
+    closed = arrmod.reflection_closure(rs, seeds, arrmod.ORBIT_CAP, points=True)
     if closed is None:
-        raise ResourceCapError(f"orbit closure exceeds the cap {cap}")
+        raise ResourceCapError(f"orbit closure exceeds the cap {arrmod.ORBIT_CAP}")
     return tuple(tuple(Fraction(c, den) for c in v) for v in sorted(closed))
 
 
@@ -412,8 +408,9 @@ def _wall_systems(inst: GeneralCoterieInstance, e: int, heights: tuple) -> tuple
     )
 
 
-def general_member(inst: GeneralCoterieInstance, delta, max_rows: int = exactla.DEFAULT_ROW_CAP) -> bool:
-    """Whether the shift delta lies in the general coterie set.
+def general_member(inst: GeneralCoterieInstance, delta) -> bool:
+    """Whether the shift delta lies in the general coterie set, i.e. every
+    wall system is feasible (exactla.feasible, under exactla.ROW_CAP).
 
     Requires nu_i(delta) >= 0 for every i.  The zero shift is excluded:
     every wall sphere degenerates to the origin, which is not strictly
@@ -427,7 +424,7 @@ def general_member(inst: GeneralCoterieInstance, delta, max_rows: int = exactla.
     if not any(shift):
         return False
     for system in _wall_systems(inst, e, heights):
-        if not exactla.feasible(system, max_rows=max_rows):
+        if not exactla.feasible(system):
             return False
     return True
 
@@ -439,10 +436,7 @@ def parse_instance(text: str) -> GeneralCoterieInstance:
     theta_rows = []
     nu_rows = []
     section = arr_lines
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in arrmod.content_lines(text):
         if line == "theta":
             if section is not arr_lines:
                 raise InstanceFormatError("duplicate theta section")
@@ -457,7 +451,7 @@ def parse_instance(text: str) -> GeneralCoterieInstance:
     if section is not nu_rows:
         raise InstanceFormatError("instance file needs theta and nu sections")
     try:
-        arr = arrmod.parse_arrangement("\n".join(arr_lines))
+        arr = arrmod.arrangement_from_lines(arr_lines)
     except arrmod.ArrangementFormatError as exc:
         raise InstanceFormatError(str(exc)) from None
 

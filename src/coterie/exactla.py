@@ -18,7 +18,8 @@ Solving, inversion and rank clear each row to integers and run one
 fraction-free elimination, kernels.eliminate; Fraction appears only in
 what they return. Feasibility of systems mixing strict/weak inequalities
 and equalities is decided by Fourier-Motzkin elimination with strictness
-tracking over the same cleared integer rows. On success the witness is
+tracking over the same cleared integer rows, from the last variable down,
+refusing a step that would outgrow ROW_CAP rows. On success the witness is
 rebuilt in integers over one positive common denominator and checked
 against those rows in integers; Fraction appears only in the exact
 rational witness returned.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._backend import kernels
 
@@ -38,7 +39,7 @@ GE = ">="
 EQ = "="
 _REL_CODE = {GT: kernels.REL_GT, GE: kernels.REL_GE, EQ: kernels.REL_EQ}
 
-DEFAULT_ROW_CAP = 10**6
+ROW_CAP = 10**6  # most inequality rows one Fourier-Motzkin step may produce
 _EXACT = (int, Fraction)  # entry types a constraint keeps unboxed; bool is boxed
 
 
@@ -349,26 +350,23 @@ def _back_substitute(steps, dim: int) -> tuple:
     return tuple(witness), den
 
 
-def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Optional[Sequence[int]] = None) -> Feasibility:
+def feasible(system: ConeSystem) -> Feasibility:
     """Exact feasibility of a mixed strict/weak/equality system.
 
-    Variables are eliminated one at a time: by substitution when an equality
-    mentions the variable, otherwise by a Fourier-Motzkin step (a derived
-    inequality is strict iff at least one parent is). On success the witness
-    is rebuilt by back-substitution, taking the midpoint of each bounded
-    interval and bound +/- 1 on unbounded sides, and checked in integers
-    against the system's cleared rows (kernels.eval_rows) before it is
-    boxed into Fractions; a witness that fails them raises AssertionError.
-    Raises ResourceCapError if an intermediate system exceeds max_rows
-    rows.
+    Variables are eliminated one at a time, from the last down: by
+    substitution when an equality mentions the variable, otherwise by a
+    Fourier-Motzkin step (a derived inequality is strict iff at least one
+    parent is). On success the witness is rebuilt by back-substitution,
+    taking the midpoint of each bounded interval and bound +/- 1 on
+    unbounded sides, and checked in integers against the system's cleared
+    rows (kernels.eval_rows) before it is boxed into Fractions; a witness
+    that fails them raises AssertionError. Raises ResourceCapError if a
+    Fourier-Motzkin step would produce more than ROW_CAP rows.
     """
     dim = system.dim
-    elim_order = list(range(dim - 1, -1, -1)) if order is None else list(order)
-    if sorted(elim_order) != list(range(dim)):
-        raise ValueError("order must be a permutation of the variable indices")
     eq_rows, ineq_rows = _initial_rows(system)
     steps = []
-    for var in elim_order:
+    for var in range(dim - 1, -1, -1):
         if not _verdict(eq_rows, ineq_rows):
             return Feasibility(False, None)
         piv_idx = next((k for k, row in enumerate(eq_rows) if row[0][var] != 0), None)
@@ -393,9 +391,9 @@ def feasible(system: ConeSystem, *, max_rows: int = DEFAULT_ROW_CAP, order: Opti
             npos = sum(1 for r in ineq_rows if r[0][var] > 0)
             nneg = sum(1 for r in ineq_rows if r[0][var] < 0)
             nzero = len(ineq_rows) - npos - nneg
-            if nzero + npos * nneg > max_rows:
+            if nzero + npos * nneg > ROW_CAP:
                 raise ResourceCapError(
-                    f"Fourier-Motzkin blow-up: {nzero + npos * nneg} rows exceeds cap {max_rows}"
+                    f"Fourier-Motzkin blow-up: {nzero + npos * nneg} rows exceeds cap {ROW_CAP}"
                 )
             ineq_rows = kernels.fm_step(ineq_rows, var)
     if not _verdict(eq_rows, ineq_rows):

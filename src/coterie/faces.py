@@ -356,7 +356,8 @@ def _lacked_arrows(states) -> list:
 def _index_sets(keys_per_index, size: int) -> dict:
     """key -> bitset of the indices whose keys include it, for the key
     collections of indices 0 .. size - 1: the bits are set in one bytearray
-    per key, which becomes an int once, so no big int grows bit by bit."""
+    per key, which becomes an int once (no big int grows bit by bit) and is
+    popped as it does, so the table is never held twice."""
     rows = {}
     for index, keys in enumerate(keys_per_index):
         byte, bit = index >> 3, 1 << (index & 7)
@@ -365,7 +366,7 @@ def _index_sets(keys_per_index, size: int) -> dict:
             if row is None:
                 row = rows[key] = bytearray((size + 7) >> 3)
             row[byte] |= bit
-    return {key: int.from_bytes(row, "little") for key, row in rows.items()}
+    return {key: int.from_bytes(rows.pop(key), "little") for key in list(rows)}
 
 
 def _tight_states(edge_terms, point) -> Optional[tuple]:

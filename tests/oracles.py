@@ -556,8 +556,8 @@ def back_substitute_by_fractions(steps, dim: int) -> tuple:
     return tuple(witness)
 
 
-def rebuilt_witnesses(system, **kwargs):
-    """Run exactla.feasible(system, **kwargs) and rebuild its witness twice
+def rebuilt_witnesses(system):
+    """Run exactla.feasible(system) and rebuild its witness twice
     from the same elimination steps: (the library's witness as its integer
     pair (ints, den), this oracle's Fraction witness, whether feasible's own
     re-check rejected the library's), or None when feasible decided
@@ -574,7 +574,7 @@ def rebuilt_witnesses(system, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactla, "_back_substitute", both)
         try:
-            exactla.feasible(system, **kwargs)
+            exactla.feasible(system)
         except AssertionError as exc:
             if "witness fails its own system" not in str(exc):
                 raise

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded exact samplers, the small
 Fraction vector and matrix helpers the library no longer needs, the
-Fraction evaluation and dense clearing of one constraint, the additivity
+Fraction evaluation and dense clearing of one constraint, the column
+permutation that sets feasible's elimination order, the additivity
 of cone members, the wall heights of a general instance with their
 quadratic identity, and the root-system and arrangement functions that
 only the tests use: fundamental weights, tree paths and the chain
@@ -49,6 +50,17 @@ def holds(c, x) -> bool:
     if c.rel == exactla.GE:
         return v >= c.bound
     return v == c.bound
+
+
+def permuted_columns(system, order) -> exactla.ConeSystem:
+    """The system with its variables renumbered so that exactla.feasible,
+    which eliminates from the last variable down, eliminates the original
+    variables in the given order: new variable k is order[dim - 1 - k]."""
+    cols = tuple(reversed(order))
+    return exactla.ConeSystem(
+        system.dim,
+        tuple(exactla.constraint([c.functional[j] for j in cols], c.rel, c.bound) for c in system.constraints),
+    )
 
 
 def cleared(c) -> tuple:

@@ -45,11 +45,6 @@ class TestOrientedHyperplane:
         with pytest.raises(ValueError):
             OrientedHyperplane((F(1, 2), 1))
 
-    def test_evaluates(self):
-        h = OrientedHyperplane((-1, 2))
-        assert h((3, 1)) == -1
-        assert h((F(1, 2), F(1, 4))) == 0
-
 
 class TestValidation:
     def test_wrong_length_rejected(self):
@@ -323,6 +318,11 @@ class TestClassifyingMap:
         cm = classifying_map(arr)
         assert cm.a_star == ((2, 4), (0, 1))
         assert cm.k == (2, 1)
+
+    def test_empty_arrangement_rejected(self):
+        arr = Arrangement(rs=rootsys.build("A2"), fundamental=())
+        with pytest.raises(DegenerateArrangementError, match="^empty arrangement$"):
+            classifying_map(arr)
 
 
 class TestEnvAugmentedConeMember:

@@ -462,6 +462,13 @@ class TestPolytope:
         assert code == 4
         assert "cap" in err
 
+    def test_lowered_subset_cap(self, capsys, monkeypatch):
+        """A2 with bounds has 4 rows, so C(4, 2) = 6 active sets."""
+        monkeypatch.setattr(cone, "SUBSET_CAP", 5)
+        code, out, err = run_cli(capsys, "polytope", "A2", "1,1")
+        assert code == 4 and out == ""
+        assert err == "error: resource cap exceeded: 6 active sets exceed the cap 5\n"
+
 
 class TestArrangement:
     def test_canonical(self, capsys):

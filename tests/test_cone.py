@@ -2,7 +2,6 @@
 polytopes, and pulled-back instances."""
 
 import dataclasses
-import inspect
 import random
 from fractions import Fraction
 from itertools import product
@@ -504,10 +503,11 @@ class TestCrossSection:
         with pytest.raises(ValueError, match="node 2 is -1$"):
             cross_section(rootsys.build("A2"), (1, -1))
 
-    def test_subset_cap(self):
+    def test_subset_cap(self, monkeypatch):
+        monkeypatch.setattr(cone, "SUBSET_CAP", 3)
         cs = cross_section(rootsys.build("D4"), (1, 1, 1, 1))
         with pytest.raises(ResourceCapError):
-            polytope_vertices(cs, subset_cap=3)
+            polytope_vertices(cs)
 
     def test_orbit_closure_a2(self):
         rs = rootsys.build("A2")
@@ -531,14 +531,16 @@ class TestCrossSection:
             orbit_polytope_vertices(rootsys.build(label), cs)
         assert len(orbit_polytope_vertices(rootsys.build("C3"), cs)) == 27
 
-    def test_orbit_cap(self):
+    def test_orbit_cap(self, monkeypatch):
         """The C3 section's orbit has 27 points: refused one below that,
         and closed in full at it."""
         rs = rootsys.build("C3")
         cs = cross_section(rs, (1, 1, 1))
+        monkeypatch.setattr(arrmod, "ORBIT_CAP", 26)
         with pytest.raises(ResourceCapError, match="^orbit closure exceeds the cap 26$"):
-            orbit_polytope_vertices(rs, cs, cap=26)
-        assert len(orbit_polytope_vertices(rs, cs, cap=27)) == 27
+            orbit_polytope_vertices(rs, cs)
+        monkeypatch.setattr(arrmod, "ORBIT_CAP", 27)
+        assert len(orbit_polytope_vertices(rs, cs)) == 27
 
 
 class TestReduction:
@@ -728,15 +730,11 @@ class TestGeneralMember:
             assert got == member(rs, values)
         assert hits > 0
 
-    def test_row_cap(self):
+    def test_row_cap(self, monkeypatch):
+        monkeypatch.setattr(exactla, "ROW_CAP", 2)
         inst = canonical_instance(rootsys.build("A3"))
         with pytest.raises(ResourceCapError):
-            general_member(inst, (1, 2, 1), max_rows=2)
-
-    def test_default_row_cap_is_shared(self):
-        # one source for the Fourier-Motzkin cap
-        caps = [inspect.signature(f).parameters["max_rows"].default for f in (general_member, exactla.feasible)]
-        assert caps == [exactla.DEFAULT_ROW_CAP] * 2
+            general_member(inst, (1, 2, 1))
 
     def test_systems_shape(self):
         inst = canonical_instance(rootsys.build("A2"))

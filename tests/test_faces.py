@@ -690,6 +690,19 @@ class TestCubeIsomorphism:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_holder_table_peak_stays_near_its_size(self):
+        """Each key's bytearray is dropped as its int is built, so building
+        the cube-vertex table at m = 9 never holds both forms of it."""
+        states = product(faces.STATES, repeat=9)
+        tracemalloc.start()
+        try:
+            table = faces._index_sets(map(faces._face_vertices, states), 3**9)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 2**9
+        assert peak < 1.5 * kept
+
     @pytest.mark.parametrize("label", ["B11", "D12"])
     def test_ranks_eleven_and_twelve(self, label):
         rs = rootsys.build(label)
