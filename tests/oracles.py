@@ -12,6 +12,7 @@ the arrow-erasure order one pair of orientations at a time, the pairwise
 comparison of the face order with the cube order, the same comparison
 over two stored complete relations, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
+time, every face point's tight set read off its edge rows one face at a
 time, face dimensions ranked one face at a time, extremal rays as Fraction nullspace solves and as one propagation
 per ray, the ray checks made by two cone.member calls, Fourier-Motzkin witnesses rebuilt over Fractions, rows
 evaluated as dense dot products, the Weyl orbit closed by dense matrix
@@ -411,6 +412,35 @@ def face_point_by_rays(rs, o: Orientation) -> tuple:
             states[p] = s
         picked.append(rays[tuple(states)])
     return tuple(sum(column, Fraction(0)) / len(picked) for column in zip(*picked))
+
+
+def tight_states(edge_terms, point):
+    """Which edge inequalities the integer point makes tight, given every
+    edge's rows in the two-term form of faces._edge_terms; None if the point
+    is not strictly positive or is tight in both directions of one edge."""
+    if min(point) <= 0:
+        return None
+    states = []
+    for i, j, fi, fj, bi, bj in edge_terms:
+        vf = fi * point[i] + fj * point[j]
+        vb = bi * point[i] + bj * point[j]
+        if vf < 0 or vb < 0:
+            return None
+        if vf == 0 and vb == 0:
+            return None
+        states.append(RIGHT if vf == 0 else LEFT if vb == 0 else NEUTRAL)
+    return tuple(states)
+
+
+def face_points_realize_orientations(rs) -> bool:
+    """faces._points_realize_orientations one face at a time: walk all 3^m
+    face points of faces._propagated_rays(rs, STATES) and evaluate every
+    edge's two rows at each one, which must give exactly its orientation as
+    the tight set.  A face left without a point (a zero ratio) fails."""
+    terms = faces._edge_terms(rs)
+    walked = faces._propagated_rays(rs, faces.STATES)
+    every = product(faces.STATES, repeat=len(rs.edges))
+    return all(x is not None and tight_states(terms, x) == s for s, (x, _) in zip(every, walked, strict=True))
 
 
 # ---------------------------------------------------------------------------

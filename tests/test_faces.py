@@ -667,7 +667,7 @@ class TestCubeIsomorphism:
         rs = rootsys.build("A3")
         terms = faces._edge_terms(rs)
         for states, point in face_points(rs).items():
-            assert faces._tight_states(terms, point) == states
+            assert oracles.tight_states(terms, point) == states
 
     def test_a10(self):
         rs = rootsys.build("A10")
@@ -678,8 +678,8 @@ class TestCubeIsomorphism:
 
     def test_a10_streams_its_face_points(self):
         """With the order verdict and the face dimensions cached, the check
-        holds one path of the face walk at a time, never the 3^9 face
-        points: its traced peak stays below 1 MB."""
+        certifies the 3^9 face points per edge state without building one
+        of them: its traced peak stays below 1 MB."""
         rs = rootsys.build("A10")
         assert cube_isomorphism_check(rs)
         tracemalloc.start()
@@ -854,6 +854,92 @@ class TestCubeRoutinePlantedDefects:
         terms = faces._edge_terms(rs)
         for states, x in face_points(rs).items():
             if states[pos] == NEUTRAL:
-                assert faces._tight_states(terms, x) == states[:pos] + (LEFT,) + states[pos + 1 :]
+                assert oracles.tight_states(terms, x) == states[:pos] + (LEFT,) + states[pos + 1 :]
         assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
         assert not cube_isomorphism_check(rs)
+
+
+def plant_step(monkeypatch, pos, moved):
+    """Make the walk and the certificate read edge pos's ratios with the
+    states that moved(by_state) maps replaced, every other edge's intact."""
+    real = faces._step_ratios
+
+    def planted(rs):
+        steps = real(rs)
+        i, j, by_state = steps[pos]
+        steps[pos] = (i, j, {**by_state, **moved(by_state)})
+        return steps
+
+    monkeypatch.setattr(faces, "_step_ratios", planted)
+
+
+def both_verdicts(rs) -> tuple:
+    return faces._points_realize_orientations(rs), oracles.face_points_realize_orientations(rs)
+
+
+class TestPointCertificate:
+    """The per-edge-state certificate of the face points against the oracle
+    that walks all 3^m points and reads each one's tight set."""
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_agrees_with_per_face_oracle(self, label):
+        assert both_verdicts(rootsys.build(label)) == (True, True)
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_step_ratios_are_positive(self, label):
+        """The certificate rests on this: every state of every edge has a
+        ratio num / den with num > 0 and den > 0, never an anomaly."""
+        for _, _, by_state in faces._step_ratios(rootsys.build(label)):
+            assert set(by_state) == set(faces.STATES)
+            assert all(not isinstance(r, str) and r[0] > 0 and r[1] > 0 for r in by_state.values())
+
+    @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
+    def test_planted_swapped_oriented_ratios(self, label):
+        rs = rootsys.build(label)
+        for pos in range(len(rs.edges)):
+            with pytest.MonkeyPatch.context() as mp:
+                plant_step(mp, pos, lambda r: {LEFT: r[RIGHT], RIGHT: r[LEFT]})
+                assert both_verdicts(rs) == (False, False), pos
+
+    @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
+    def test_planted_neutral_ratio_on_the_right_ratio(self, label):
+        """The rays stay right, so only the face points can show this."""
+        rs = rootsys.build(label)
+        for pos in range(len(rs.edges)):
+            with pytest.MonkeyPatch.context() as mp:
+                plant_step(mp, pos, lambda r: {NEUTRAL: r[RIGHT]})
+                assert both_verdicts(rs) == (False, False), pos
+                assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
+                assert not cube_isomorphism_check(rs)
+
+    @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
+    def test_planted_dropped_edge(self, label):
+        """Without one edge the walk never sets some node, so some face
+        point has a zero coordinate."""
+        rs = rootsys.build(label)
+        for pos in range(len(rs.edges)):
+            dropped = dataclasses.replace(rs, edges=rs.edges[:pos] + rs.edges[pos + 1 :])
+            assert both_verdicts(dropped) == (False, False), pos
+            assert not cube_isomorphism_check(dropped)
+
+    @pytest.mark.parametrize("order", [(3, 2, 1, 0), (0, 2, 1, 3), (1, 0, 2, 3)])
+    def test_edges_out_of_tree_order(self, order):
+        """Every node is still reached, but some edge reads a_i before it
+        is set."""
+        rs = rootsys.build("D5")
+        shuffled = dataclasses.replace(rs, edges=tuple(rs.edges[k] for k in order))
+        assert both_verdicts(shuffled) == (False, False)
+
+    @pytest.mark.parametrize("label", ["E8", "D7"])
+    def test_certificate_walks_no_face_points(self, monkeypatch, label):
+        """The walk over all three states would visit the 3^m face points;
+        only the rays' walk over the two oriented states may run."""
+        real = faces._propagated_rays
+
+        def rays_only(rs, states):
+            if tuple(states) == faces.STATES:
+                raise AssertionError("the face points were walked")
+            return real(rs, states)
+
+        monkeypatch.setattr(faces, "_propagated_rays", rays_only)
+        assert cube_isomorphism_check(rootsys.build(label))
