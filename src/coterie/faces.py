@@ -50,10 +50,16 @@ over the ratio's positive denominator.  So once the edges form that tree
 and every ratio is positive, each point is strictly positive and its
 tight set is decided edge by edge: 3m (edge, state) checks stand for all
 3^m faces, and no face point is built (_points_realize_orientations).
-The rays are walked over the two oriented states (_propagated_rays), and
-each is checked as its primitive integer multiple: against its equality
-rows (_edge_rows), against the closed cone by one pass over the closed
-system's integer rows (_outside_closed), and against the open cone
+The rays are walked over the two oriented states at one scale fixed
+before the walk, a_0 the product over the edges of the lcm of their two
+denominators, so every a_j = a_i num / den is an exact integer that no
+later edge changes (_ray_walk).  Every row a ray is checked against
+has two terms, its edge equality (_edge_rows), one positivity row per
+node and the closed system's rows (_closed_terms), so each is evaluated
+once, at the walk node that writes the later of its two nodes, for all
+the rays below it; the verdicts ride down the path as bits, and they are
+those of the ray's primitive integer multiple whatever its sign against
+the walk's vector (_checked_rays).  The open cone is checked per ray
 through cone.member.
 extremal_rays keeps those integer multiples and builds a ray's Fraction
 vector only when it is asked for; rays writes the entries from the ints.
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from . import cone, exactla, rootsys
@@ -172,22 +178,25 @@ class ExtremalRay:
 
 def _step_ratios(rs: rootsys.RootSystem) -> list:
     """Per edge (i, j) of rs.edges, in order: (i, j, ratios), where ratios
-    maps each state of the edge to a_j / a_i as integers (num, den), den > 0,
-    or to the anomaly of a zero ratio that leaves node j free.  They are read
-    off the edge's primitive rows in _edge_terms: the '<' row gives
+    maps each state of the edge to a_j / a_i as integers (num, den), den
+    nonzero, or to the anomaly of a ratio that leaves node j free.  They are
+    read off the edge's primitive rows in _edge_terms: the '<' row gives
     (-bi, bj), the '>' row (fi, -fj), and a neutral edge takes their mean
-    in lowest terms."""
+    in lowest terms.  A row without its a_j term (bj = 0 or fj = 0) cannot
+    fix node j from node i, so its state, and the mean, get the anomaly
+    instead of a zero denominator."""
     out = []
     for i, j, fi, fj, bi, bj in _edge_terms(rs):
-        left = (-bi, bj)
-        if fj:
-            right = (fi, -fj)
-            # -bi / bj + fi / -fj over 2, both denominators positive
+        free = f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {j + 1} free"
+        left = (-bi, bj) if bj else free
+        right = (fi, -fj) if fj else free
+        if bj and fj:
+            # -bi / bj + fi / -fj over 2
             num, den = bi * fj + fi * bj, -2 * bj * fj
             g = gcd(num, den)
             mean = (num // g, den // g)
         else:
-            right = mean = f"zero ratio on edge ({i + 1}, {j + 1}) leaves node {j + 1} free"
+            mean = free
         out.append((i, j, dict(zip(STATES, (left, mean, right)))))
     return out
 
@@ -213,33 +222,6 @@ def _product_walk(start, levels, step):
             stack.extend([(depth + 1, step(x, b)) for b in reversed(levels[depth])])
 
 
-def _ray_step(node, branch):
-    """The walk's (vector, anomaly) node extended over the edge (i, j):
-    a_j = a_i num / den, the vector rescaled by den.  An anomaly, the
-    node's or a zero ratio's, is passed on instead."""
-    x, broken = node
-    i, j, ratio = branch
-    if broken or isinstance(ratio, str):
-        return None, broken or ratio
-    num, den = ratio
-    y = [c * den for c in x] if den != 1 else list(x)
-    y[j] = x[i] * num
-    return y, None
-
-
-def _propagated_rays(rs: rootsys.RootSystem, states):
-    """Stream (integer vector, anomaly) per orientation over the given edge
-    states, in the order of product(states): a_0 = 1, then every edge (i, j)
-    of rs.edges in turn sets a_j to a_i times the state's ratio from
-    _step_ratios (_ray_step).  Each edge joins a reached node i to a new
-    node j (see RootSystem), so a_i is already set when a_j is.  A full
-    orientation's equalities form a tree with nonzero coefficients, so they
-    cut out exactly its ray's line; a zero ratio breaks the chain, and every
-    orientation below it gets an anomaly instead of a vector."""
-    levels = [[(i, j, by_state[s]) for s in states] for i, j, by_state in _step_ratios(rs)]
-    return _product_walk(([1] + [0] * (rs.rank - 1), None), levels, _ray_step)
-
-
 def _ray_multiple(k) -> tuple:
     """The primitive integer multiple of the nonzero integer vector k that
     the checks run on, whatever route built k: its last coordinate made
@@ -259,24 +241,127 @@ def _ray_vector(ints) -> tuple:
 
 def _closed_terms(rs: rootsys.RootSystem) -> list:
     """The closed reduced system's rows, the ones member(..., "closed",
-    "edges") reads, in two-term form (i, fi, j, fj, bound), read as
-    fi a_i + fj a_j >= bound: a positivity row has one term and gets fj = 0,
-    a pair row has two."""
+    "edges") reads, in two-term form (i, fi, j, fj), read as
+    fi a_i + fj a_j >= 0 (the system is a cone, so every bound is 0): a
+    positivity row has one term and gets j = fj = 0, a pair row has two."""
     out = []
-    for terms, bound, _ in cone.inequalities(rs).closed_system._rows:
+    for terms, _, _ in cone.inequalities(rs).closed_system._rows:
         (i, fi), (j, fj) = terms if len(terms) == 2 else (*terms, (0, 0))
-        out.append((i, fi, j, fj, bound))
+        out.append((i, fi, j, fj))
     return out
 
 
-def _outside_closed(rows, ints) -> bool:
-    """Whether the integer point violates one of the _closed_terms rows:
-    the closed-cone test, in one pass over the rows and without clearing
-    the point again."""
-    for i, fi, j, fj, bound in rows:
-        if fi * ints[i] + fj * ints[j] < bound:
-            return True
-    return False
+# The verdict bits of a ray's walk; bit 2 + pos marks a violated equality
+# on edge pos.
+_ORTHANT = 1
+_CLOSED = 2
+
+
+def _verdicts(x, rows, bad: int) -> int:
+    """bad with the verdicts of the two-term rows at the integer vector x:
+    a row (i, fi, j, fj, neg, zero, pos) adds the bits named for the sign
+    of fi x_i + fj x_j."""
+    for i, fi, j, fj, neg, zero, pos in rows:
+        v = fi * x[i] + fj * x[j]
+        bad |= neg if v < 0 else pos if v else zero
+    return bad
+
+
+def _ray_step(node, branch):
+    """The walk's (vector, verdicts) node extended over the edge (i, j):
+    a_j = a_i num / den, exact at the walk's fixed scale, and then the
+    verdicts of the rows that a_j completes.  An anomaly, the node's
+    (None, text) or a ratio's, is passed on instead."""
+    x, bad = node
+    i, j, ratio, rows = branch
+    if x is None:
+        return node
+    if isinstance(ratio, str):
+        return None, ratio
+    num, den = ratio
+    y = x.copy()
+    y[j] = x[i] * num // den
+    return y, _verdicts(y, rows, bad)
+
+
+def _problems(bad: int, edges) -> list:
+    """The texts of the verdict bits of one ray, each to be read after
+    "ray <vector> ": the violated equalities in edge order, then the
+    orthant and the closed cone."""
+    if not bad:
+        return []
+    problems = [
+        f"violates the equality on edge ({i + 1}, {j + 1})" for pos, (i, j) in enumerate(edges) if bad >> pos & 4
+    ]
+    if bad & _ORTHANT:
+        problems.append("leaves the positive orthant")
+    if bad & _CLOSED:
+        problems.append("is outside the closed cone")
+    return problems
+
+
+def _ray_walk(rs: rootsys.RootSystem) -> tuple:
+    """(root, levels, late) of the fixed-scale ray walk that _checked_rays
+    streams through _product_walk and _ray_step.
+
+    The scale is a_0 = M, the product over the edges of the lcm of their
+    two ratios' |den|, so every edge (i, j) sets a_j = a_i num / den, an
+    exact integer that no later edge changes.  Each edge joins a reached
+    node i to a new node j (see RootSystem), so a_i is set when a_j is, and
+    a full orientation's equalities form a tree with nonzero coefficients,
+    which cuts out exactly its ray's line; a ratio anomaly breaks the
+    chain, and every ray below it gets the anomaly instead of a vector.
+    Every row the checks read has two terms, so its value is final at the
+    walk node that writes the later of its two nodes (node 0 and nodes no
+    edge writes count as written at the root), and it is evaluated there
+    once: each edge's
+    equality row, read from _edge_rows rather than from the _edge_terms the
+    walk takes its ratios from, so a wrong ratio there shows here; one
+    positivity row per node; and the closed system's rows (_closed_terms).
+    Rows with the same terms are evaluated once, with their bits merged.
+    An edge listed before its node i is written cannot check its equality
+    when its state is chosen; late holds (pos, i, j, {state: (fi, fj)})
+    for those edges, to be checked at the leaf."""
+    n, m = rs.rank, len(rs.edges)
+    steps = _step_ratios(rs)
+    written = [0] * n  # depth after which node x keeps its value
+    scale = 1
+    for depth, (_, j, by_state) in enumerate(steps):
+        written[j] = depth + 1
+        scale *= lcm(*(abs(by_state[s][1]) for s in (LEFT, RIGHT) if not isinstance(by_state[s], str)))
+
+    def due(i, j):
+        return max(written[i], written[j])
+
+    def add(rows, terms, *bits):
+        # bits per sign of the row's value: (negative, zero, positive)
+        have = rows.get(terms, (0, 0, 0))
+        rows[terms] = tuple(a | b for a, b in zip(have, bits))
+
+    def flat(rows):
+        return tuple(terms + bits for terms, bits in rows.items())
+
+    shared = [{} for _ in range(m + 1)]  # the rows due at each depth
+    # a one-term row has j = fj = 0, as in _closed_terms, so a node's
+    # positivity row and its closed row a_x >= 0 share one evaluation
+    for x in range(n):
+        add(shared[written[x]], (x, 1, 0, 0), _ORTHANT, _ORTHANT, 0)
+    for i, fi, j, fj in _closed_terms(rs):
+        add(shared[due(i, j)], (i, fi, j, fj), _CLOSED, 0, 0)
+    levels, late = [], []
+    for pos, (i, j, by_state) in enumerate(steps):
+        fwd, bwd = _edge_rows(rs, i, j)
+        level = []
+        for state, row in ((LEFT, bwd), (RIGHT, fwd)):
+            rows = dict(shared[pos + 1])
+            if due(i, j) == pos + 1:
+                add(rows, (i, row[i], j, row[j]), 4 << pos, 0, 4 << pos)
+            level.append((i, j, by_state[state], flat(rows)))
+        if due(i, j) != pos + 1:
+            late.append((pos, i, j, {LEFT: (bwd[i], bwd[j]), RIGHT: (fwd[i], fwd[j])}))
+        levels.append(level)
+    start = [scale] + [0] * (n - 1)
+    return (start, _verdicts(start, flat(shared[0]), 0)), levels, late
 
 
 def _checked_rays(rs: rootsys.RootSystem):
@@ -284,30 +369,30 @@ def _checked_rays(rs: rootsys.RootSystem):
     enumeration order of all_orientations: ints is the primitive integer
     multiple of the ray, or None when a zero ratio leaves it undetermined
     (problems then holds that anomaly alone); otherwise problems are the
-    violated expectations, each to be read after "ray <vector> ".  The
-    checks run on ints, which has the ray's signs and, the cone being
-    invariant under positive scaling, its memberships.  The equalities are
-    read from the rows of _edge_rows, not from the _edge_terms the walk
-    takes its ratios from, so a wrong ratio there shows here."""
-    n = rs.rank
-    rows = [(i, j, *_edge_rows(rs, i, j)) for i, j in rs.edges]
-    closed_rows = _closed_terms(rs)
+    violated expectations, each to be read after "ray <vector> ".
+
+    The rays come from one depth-first walk at a fixed scale (_ray_walk),
+    which checks each row once, at the node where its value becomes final,
+    on the walk's vector k, and carries the verdicts down the path.  They
+    are the verdicts of ints = k / g too.  For g > 0 the rows keep their
+    signs.  g < 0 means k_{n-1} < 0 < k_0 = M (no edge writes node 0), so
+    k and ints both leave the orthant and break a positivity row of the
+    closed system, a_{n-1} >= 0 for k and a_0 >= 0 for ints; the
+    equalities do not depend on the sign.  The open cone is checked
+    through one cone.member call per ray."""
+    root, levels, late = _ray_walk(rs)
     orders = product((LEFT, RIGHT), repeat=len(rs.edges))
-    for states, (k, broken) in zip(orders, _propagated_rays(rs, (LEFT, RIGHT)), strict=True):
+    for states, (k, bad) in zip(orders, _product_walk(root, levels, _ray_step), strict=True):
         if k is None:
-            yield states, None, (broken,)
+            yield states, None, (bad,)
             continue
+        for pos, i, j, rows in late:
+            fi, fj = rows[states[pos]]
+            if fi * k[i] + fj * k[j]:
+                bad |= 4 << pos
         ints = _ray_multiple(k)
-        problems = []
-        for (i, j, fwd, bwd), state in zip(rows, states):
-            row = fwd if state == RIGHT else bwd
-            if row[i] * ints[i] + row[j] * ints[j]:
-                problems.append(f"violates the equality on edge ({i + 1}, {j + 1})")
-        if min(ints) <= 0:
-            problems.append("leaves the positive orthant")
-        if _outside_closed(closed_rows, ints):
-            problems.append("is outside the closed cone")
-        if n > 1 and cone.member(rs, ints, "open", "edges"):
+        problems = _problems(bad, rs.edges)
+        if rs.rank > 1 and cone.member(rs, ints, "open", "edges"):
             # rank 1 is the degenerate case where the only ray is interior
             problems.append("is interior, expected boundary")
         yield states, ints, tuple(problems)
@@ -320,7 +405,7 @@ def extremal_rays(rs: rootsys.RootSystem) -> tuple:
     out = []
     for states, ints, problems in _checked_rays(rs):
         if ints is not None and problems:
-            v = _ray_vector(ints)
+            v = f"({', '.join(map(str, _ray_vector(ints)))})"
             problems = tuple(f"ray {v} {p}" for p in problems)
         out.append(ExtremalRay(Orientation(rs.edges, states), ints, problems))
     return tuple(out)
@@ -450,10 +535,9 @@ def _cube_orders_agree(m: int) -> bool:
 
 
 def _points_realize_orientations(rs: rootsys.RootSystem) -> bool:
-    """Whether every face's point from _propagated_rays(rs, STATES) is
-    strictly positive and makes tight exactly the edge inequalities its
-    orientation names, decided once per (edge, state) pair rather than once
-    per face.  Face s's point has a_0 = 1 and a_j = a_i num / den over each
+    """Whether every face's point is strictly positive and makes tight
+    exactly the edge inequalities its orientation names, decided once per
+    (edge, state) pair rather than once per face.  Face s's point has a_0 = 1 and a_j = a_i num / den over each
     edge (i, j) in turn, (num, den) being the ratio of the edge's state s_e.
     If every edge joins a reached node i to a new node j, every node is
     reached, and every ratio has num > 0 and den > 0, then every coordinate
@@ -475,6 +559,14 @@ def _points_realize_orientations(rs: rootsys.RootSystem) -> bool:
             if min(fwd, bwd) < 0 or (fwd == 0, bwd == 0) != (state == RIGHT, state == LEFT):
                 return False
     return len(reached) == rs.rank
+
+
+@lru_cache(maxsize=None)
+def _expected_dimensions(rank: int, m: int) -> tuple:
+    """The dimension each face must have, in the enumeration order of
+    all_orientations over m edges: rank - m plus its neutral count.  It
+    depends on the rank and m alone, so it is built once per pair."""
+    return tuple(rank - m + s.count(NEUTRAL) for s in product(STATES, repeat=m))
 
 
 def cube_isomorphism_check(rs: rootsys.RootSystem) -> bool:
@@ -499,6 +591,4 @@ def cube_isomorphism_check(rs: rootsys.RootSystem) -> bool:
         return False
     if not _points_realize_orientations(rs):
         return False
-    free = rs.rank - m  # a face's dimension less its neutral count
-    dims = zip(product(STATES, repeat=m), face_dimensions(rs), strict=True)
-    return all(d == free + s.count(NEUTRAL) for s, d in dims)
+    return face_dimensions(rs) == _expected_dimensions(rs.rank, m)

@@ -13,8 +13,10 @@ comparison of the face order with the cube order, the same comparison
 over two stored complete relations, the cube's
 vertex sets, down-sets and interior points built one vertex or ray at a
 time, every face point's tight set read off its edge rows one face at a
-time, face dimensions ranked one face at a time, extremal rays as Fraction nullspace solves and as one propagation
-per ray, the ray checks made by two cone.member calls, Fourier-Motzkin witnesses rebuilt over Fractions, rows
+time, face dimensions ranked one face at a time, extremal rays as Fraction nullspace solves, as one propagation
+per ray and as one walk that rescales the vector at every edge, the ray
+checks made by two cone.member calls and by one pass over the closed rows
+per ray, Fourier-Motzkin witnesses rebuilt over Fractions, rows
 evaluated as dense dot products, the Weyl orbit closed by dense matrix
 products, the cone's inequality rows built once per system with every
 entry a Fraction, the geometric membership test on Fraction vectors, and
@@ -434,13 +436,44 @@ def tight_states(edge_terms, point):
 
 def face_points_realize_orientations(rs) -> bool:
     """faces._points_realize_orientations one face at a time: walk all 3^m
-    face points of faces._propagated_rays(rs, STATES) and evaluate every
+    face points of propagated_rays(rs, STATES) and evaluate every
     edge's two rows at each one, which must give exactly its orientation as
     the tight set.  A face left without a point (a zero ratio) fails."""
     terms = faces._edge_terms(rs)
-    walked = faces._propagated_rays(rs, faces.STATES)
+    walked = propagated_rays(rs, faces.STATES)
     every = product(faces.STATES, repeat=len(rs.edges))
     return all(x is not None and tight_states(terms, x) == s for s, (x, _) in zip(every, walked, strict=True))
+
+
+# ---------------------------------------------------------------------------
+# the ray and face-point walk that rescales at every edge
+
+
+def _rescaling_step(node, branch):
+    """The walk's (vector, anomaly) node extended over the edge (i, j):
+    a_j = a_i num / den, the vector rescaled by den.  An anomaly, the
+    node's or a ratio's, is passed on instead."""
+    x, broken = node
+    i, j, ratio = branch
+    if broken or isinstance(ratio, str):
+        return None, broken or ratio
+    num, den = ratio
+    y = [c * den for c in x] if den != 1 else list(x)
+    y[j] = x[i] * num
+    return y, None
+
+
+def propagated_rays(rs, states):
+    """Stream (integer vector, anomaly) per orientation over the given edge
+    states, in the order of product(states): a_0 = 1, then every edge (i, j)
+    of rs.edges in turn sets a_j to a_i times the state's ratio from
+    faces._step_ratios, rescaling the whole vector by each denominator
+    rather than fixing one scale up front as faces._checked_rays does.
+    Over STATES it builds every face point, over ('<', '>') every ray; a
+    ratio anomaly breaks the chain, and every orientation below it gets the
+    anomaly instead of a vector."""
+    levels = [[(i, j, by_state[s]) for s in states] for i, j, by_state in faces._step_ratios(rs)]
+    return faces._product_walk(([1] + [0] * (rs.rank - 1), None), levels, _rescaling_step)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +507,13 @@ def extremal_rays_by_solve(rs) -> tuple:
             continue
         ints = faces._ray_multiple(kernel[0])
         v = faces._ray_vector(ints)
+        text = f"({', '.join(map(str, v))})"
         if any(c <= 0 for c in v):
-            anomalies.append(f"ray {v} leaves the positive orthant")
+            anomalies.append(f"ray {text} leaves the positive orthant")
         if not cone.member(rs, v, "closed", "edges"):
-            anomalies.append(f"ray {v} is outside the closed cone")
+            anomalies.append(f"ray {text} is outside the closed cone")
         if n > 1 and cone.member(rs, v, "open", "edges"):
-            anomalies.append(f"ray {v} is interior, expected boundary")
+            anomalies.append(f"ray {text} is interior, expected boundary")
         out.append(ExtremalRay(orientation=f, ints=ints, anomalies=tuple(anomalies)))
     return tuple(out)
 
@@ -513,15 +547,22 @@ def propagate_ray(rs, states) -> tuple:
     return x, None
 
 
+def outside_closed(rows, ints) -> bool:
+    """Whether the integer point violates one of the faces._closed_terms
+    rows, read as fi a_i + fj a_j >= 0: the closed-cone test in one pass
+    over the rows, one point at a time."""
+    return any(fi * ints[i] + fj * ints[j] < 0 for i, fi, j, fj in rows)
+
+
 def checked_rays_by_member(rs) -> list:
-    """faces._checked_rays with every check made the direct way: the same
-    propagated rays, each checked against its equality rows as dense dot
-    products and against the closed and the open cone by one cone.member
-    call each."""
+    """faces._checked_rays with every check made the direct way: the rays
+    of the rescaling walk (propagated_rays), each checked as its primitive
+    multiple against its equality rows as dense dot products and against
+    the closed and the open cone by one cone.member call each."""
     n = rs.rank
     out = []
     orders = product((LEFT, RIGHT), repeat=len(rs.edges))
-    for states, (k, broken) in zip(orders, faces._propagated_rays(rs, (LEFT, RIGHT)), strict=True):
+    for states, (k, broken) in zip(orders, propagated_rays(rs, (LEFT, RIGHT)), strict=True):
         if k is None:
             out.append((states, None, (broken,)))
             continue

@@ -350,12 +350,14 @@ class TestRays:
 
     @staticmethod
     def flip_closed_pass(monkeypatch):
-        outside = faces._outside_closed
-        monkeypatch.setattr(faces, "_outside_closed", lambda *args: not outside(*args))
+        """Flip the closed-cone verdict that the walk's closed rows give
+        each ray, as its problems are read."""
+        problems = faces._problems
+        monkeypatch.setattr(faces, "_problems", lambda bad, edges: problems(bad ^ faces._CLOSED, edges))
 
     def test_flipped_membership_fails_the_command(self, capsys, monkeypatch):
-        """Every ray is checked against the closed cone by the closed-row
-        pass and against the open cone through cone.member, so wrong
+        """Every ray is checked against the closed cone by the walk's closed
+        rows and against the open cone through cone.member, so wrong
         verdicts there must surface as exit 3 and must fail the cube
         certificate, which checks the same rays."""
         member = cone.member
@@ -372,7 +374,7 @@ class TestRays:
     def test_each_membership_check_is_kept(self, capsys, monkeypatch, flipped):
         """A wrong verdict in one check alone is still caught, by rays and by
         the cube certificate: neither may drop either check.  The closed
-        verdict comes from the closed-row pass, the open one from
+        verdict comes from the walk's closed rows, the open one from
         cone.member."""
         if flipped == "closed":
             self.flip_closed_pass(monkeypatch)

@@ -285,7 +285,7 @@ def oracle_points(rs, seed) -> list:
         points.append(support.rand_vec(rng, n))
     m = len(rs.edges)
     full = (faces.LEFT, faces.RIGHT)
-    rays = dict(zip(product(full, repeat=m), faces._propagated_rays(rs, full)))
+    rays = dict(zip(product(full, repeat=m), oracles.propagated_rays(rs, full)))
     for _ in range(4 if m else 0):
         s = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]
         t = [rng.choice((faces.LEFT, faces.RIGHT)) for _ in range(m)]

@@ -47,7 +47,7 @@ A4_RAYS = {
 def face_points(rs) -> dict:
     """states -> the vector that the depth-first walk over all three states
     builds for that face."""
-    walked = faces._propagated_rays(rs, faces.STATES)
+    walked = oracles.propagated_rays(rs, faces.STATES)
     return {o.states: x for o, (x, _) in zip(all_orientations(rs), walked, strict=True)}
 
 
@@ -245,14 +245,19 @@ def plant_ratios(monkeypatch, rs, ratios):
 
 
 def per_ray_mismatches(rs) -> list:
-    """Orientations where the depth-first pass differs from propagating
-    that ray on its own, vector and anomaly alike."""
-    full = product((LEFT, RIGHT), repeat=len(rs.edges))
-    return [
-        "".join(states)
-        for states, got in zip(full, faces._propagated_rays(rs, (LEFT, RIGHT)), strict=True)
-        if got != oracles.propagate_ray(rs, states)
-    ]
+    """Orientations where the fixed-scale walk of faces._checked_rays
+    differs from propagating that ray on its own, which rescales as it
+    goes: the primitive multiples of the two vectors, or the anomaly."""
+    wrong = []
+    for states, ints, problems in faces._checked_rays(rs):
+        x, broken = oracles.propagate_ray(rs, states)
+        if x is None:
+            same = ints is None and problems == (broken,)
+        else:
+            same = ints == faces._ray_multiple(x)
+        if not same:
+            wrong.append("".join(states))
+    return wrong
 
 
 class TestRayPropagation:
@@ -315,6 +320,43 @@ class TestRayPropagation:
         out = capsys.readouterr().out
         assert "anomalies:" in out and "anomalies: none" not in out
 
+    def test_zero_denominator_leaves_node_free(self, monkeypatch, capsys):
+        """A '<' row without its a_j term (bj = 0) reads bi a_i = 0, which
+        leaves node j free: its ratio and the neutral mean, whose
+        denominators would be 0, are the anomaly, as for fj = 0 on '>'."""
+        rs = rootsys.build("A3")
+        i, j, fi, fj, bi, _ = faces._edge_terms(rs)[0]
+        terms = ((i, j, fi, fj, bi, 0),) + faces._edge_terms(rs)[1:]
+        monkeypatch.setattr(faces, "_edge_terms", lambda _: terms)
+        note = "zero ratio on edge (1, 2) leaves node 2 free"
+        (_, _, by_state), _ = faces._step_ratios(rs)
+        assert by_state[LEFT] == by_state[NEUTRAL] == note
+        assert by_state[RIGHT] == (fi, -fj)
+        rays = {str(r.orientation): r for r in extremal_rays(rs)}
+        for text in ("<<", "<>"):
+            assert rays[text].ints is None and rays[text].anomalies == (note,)
+        assert rays[">>"].anomalies == rays["><"].anomalies == ()
+        assert list(faces._checked_rays(rs)) == oracles.checked_rays_by_member(rs)
+        assert not cube_isomorphism_check(rs)
+        assert cli.main(["rays", "A3"]) == cli.EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert out.count(f": {note}") == 2 and out.count("degenerate") == 2
+
+    def test_anomaly_text_writes_the_ray_as_its_line_does(self, monkeypatch):
+        """A ray's anomalies write its vector the way the rays listing does,
+        entries as p or p/q, never as Fraction reprs."""
+        rs = rootsys.build("A3")
+        member = cone.member
+
+        def open_flipped(rs, x, mode="open", method="edges"):
+            return member(rs, x, mode, method) != (mode == "open")
+
+        monkeypatch.setattr(cone, "member", open_flipped)
+        rays = {str(r.orientation): r for r in extremal_rays(rs)}
+        assert rays["<<"].anomalies == ("ray (3, 2, 1) is interior, expected boundary",)
+        assert rays[">>"].anomalies == ("ray (1/3, 2/3, 1) is interior, expected boundary",)
+        assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
+
     def test_zero_ratio_leaves_ray_undetermined(self, monkeypatch):
         rs = rootsys.build("A3")
         self.corrupt(monkeypatch, rs, 0, 1, F(0))
@@ -354,9 +396,10 @@ class TestRayPropagation:
 
 
 class TestRayCheck:
-    """The closed cone is checked by one pass over its integer rows
-    (faces._outside_closed), the open cone by cone.member; the oracle makes
-    both checks through cone.member."""
+    """The equality, orthant and closed-cone rows are checked once per walk
+    node in faces._checked_rays, the open cone by cone.member; the oracle
+    walks the rays rescaling as it goes and makes both membership checks
+    through cone.member."""
 
     @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
     def test_matches_member_oracle(self, label):
@@ -366,19 +409,19 @@ class TestRayCheck:
     @pytest.mark.parametrize("label", ["A4", "B3", "C4", "D5", "E6", "F4"])
     def test_planted_points(self, monkeypatch, label):
         """An interior point, a point outside the closed cone and a point on
-        one facet alone, planted in place of the first three rays: both
-        routes report the same problems, and the membership problems are
-        the ones each point calls for."""
+        one facet alone, planted as the first three rays through the
+        ratios: every edge's '<' ratio becomes its neutral mean and the
+        last edge's '>' ratio a hundredfold, so '<..<' walks to the top
+        face's point, '<..<>' to that point with the last node (a leaf of
+        the tree) raised far above its parent's reach, and '<..<><' to the
+        point of the face whose one oriented edge is the second-last, '>'.
+        Both routes report the same problems, and the membership problems
+        are the ones each point calls for."""
         rs = rootsys.build(label)
-        m = len(rs.edges)
-        points = dict(zip(product(faces.STATES, repeat=m), faces._propagated_rays(rs, faces.STATES)))
-        interior = points[(NEUTRAL,) * m][0]
-        facet = points[(RIGHT,) + (NEUTRAL,) * (m - 1)][0]
-        # the interior point with node 2 raised far above node 1's reach
-        outside = [c * 100 if k == 1 else c for k, c in enumerate(interior)]
-        planted = [(interior, None), (outside, None), (facet, None)]
-        planted += list(faces._propagated_rays(rs, (LEFT, RIGHT)))[3:]
-        monkeypatch.setattr(faces, "_propagated_rays", lambda *_: planted)
+        # a_j / a_i is r on '<' and 1 / q on '>'
+        ratios = [[q, (r + 1 / q) / 2] for q, r in edge_ratios(rs)]
+        ratios[-1][0] /= 100
+        plant_ratios(monkeypatch, rs, ratios)
         got = list(faces._checked_rays(rs))
         assert got == oracles.checked_rays_by_member(rs)
         membership = [
@@ -395,10 +438,41 @@ class TestRayCheck:
         rows = faces._closed_terms(rs)
         rng = random.Random(label)
         points = [tuple(rng.randint(-3, 12) for _ in range(rs.rank)) for _ in range(300)]
-        points += [tuple(x) for x, _ in faces._propagated_rays(rs, faces.STATES)]
-        verdicts = [faces._outside_closed(rows, x) for x in points]
+        points += [tuple(x) for x, _ in oracles.propagated_rays(rs, faces.STATES)]
+        verdicts = [oracles.outside_closed(rows, x) for x in points]
         assert verdicts == [not cone.member(rs, x, "closed", "edges") for x in points]
         assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4", "G2", "E6"])
+    def test_planted_ratios_match_member_oracle(self, label):
+        """A zero, a negative and a wrong positive ratio planted on each
+        branch of each edge in turn: the fixed-scale walk and its per-node
+        verdicts give exactly the oracle's records, and each planted ratio
+        shows as a problem.  Some walk vectors come out as negative
+        multiples of their primitive rays (ints[0] < 0, against the walk's
+        a_0 > 0), and their verdicts hold all the same."""
+        rs = rootsys.build(label)
+        negative = False
+        for pos, which in product(range(len(rs.edges)), (0, 1)):
+            true = edge_ratios(rs)[pos][which]
+            for planted in (F(0), -true, true + 1):
+                ratios = edge_ratios(rs)
+                ratios[pos][which] = planted
+                with pytest.MonkeyPatch.context() as mp:
+                    plant_ratios(mp, rs, ratios)
+                    got = list(faces._checked_rays(rs))
+                    assert got == oracles.checked_rays_by_member(rs), (pos, which, planted)
+                    assert any(problems for _, _, problems in got), (pos, which, planted)
+                    negative |= any(ints is not None and ints[0] < 0 for _, ints, _ in got)
+        assert negative
+
+    @pytest.mark.parametrize("order", [(3, 2, 1, 0), (0, 2, 1, 3), (1, 0, 2, 3)])
+    def test_edges_out_of_tree_order_match_member_oracle(self, order):
+        """Rows whose nodes are written out of edge order, and equality rows
+        due after their own edge, still give the oracle's records."""
+        rs = rootsys.build("D5")
+        shuffled = dataclasses.replace(rs, edges=tuple(rs.edges[k] for k in order))
+        assert list(faces._checked_rays(shuffled)) == oracles.checked_rays_by_member(shuffled)
 
 
 @pytest.fixture
@@ -759,14 +833,13 @@ class TestCubeRoutinesAgainstOracles:
         assert point_mismatches(rs) == []
 
     def test_point_of_a_vertex_face_is_its_ray(self):
-        """The full orientations' entries of the three-state walk are the
-        entries of the two-state walk that builds the rays."""
+        """The full orientations' entries of the three-state walk are, as
+        primitive multiples, the rays that faces._checked_rays checks."""
         for t in rootsys.all_types(9):
             rs = rootsys.build(str(t))
             points = face_points(rs)
-            full = product((LEFT, RIGHT), repeat=len(rs.edges))
-            rays = faces._propagated_rays(rs, (LEFT, RIGHT))
-            assert all(points[states] == x for states, (x, _) in zip(full, rays, strict=True)), str(t)
+            rays = faces._checked_rays(rs)
+            assert all(faces._ray_multiple(points[states]) == ints for states, ints, _ in rays), str(t)
 
     def test_rank_one_is_a_one_vertex_cube(self):
         # m = 0: one face, no arrow to lack, one vertex
@@ -777,7 +850,8 @@ class TestCubeRoutinesAgainstOracles:
         (only,) = all_orientations(rs)
         assert faces._lacked_arrows(only.states) == []
         assert rule_upsets([only]) == [1]
-        assert list(faces._propagated_rays(rs, faces.STATES)) == [([1], None)]
+        assert list(oracles.propagated_rays(rs, faces.STATES)) == [([1], None)]
+        assert list(faces._checked_rays(rs)) == [((), (1,), ())]
         assert cube_isomorphism_check(rs)
 
     def test_rank_two_is_a_segment(self):
@@ -932,14 +1006,18 @@ class TestPointCertificate:
 
     @pytest.mark.parametrize("label", ["E8", "D7"])
     def test_certificate_walks_no_face_points(self, monkeypatch, label):
-        """The walk over all three states would visit the 3^m face points;
-        only the rays' walk over the two oriented states may run."""
-        real = faces._propagated_rays
+        """A walk over all three states would visit the 3^m face points;
+        with the face dimensions cached, only the rays' walk over the two
+        oriented states may run."""
+        rs = rootsys.build(label)
+        faces.face_dimensions(rs)
+        real = faces._product_walk
+        widths = []
 
-        def rays_only(rs, states):
-            if tuple(states) == faces.STATES:
-                raise AssertionError("the face points were walked")
-            return real(rs, states)
+        def recorded(start, levels, step):
+            widths.extend(map(len, levels))
+            return real(start, levels, step)
 
-        monkeypatch.setattr(faces, "_propagated_rays", rays_only)
-        assert cube_isomorphism_check(rootsys.build(label))
+        monkeypatch.setattr(faces, "_product_walk", recorded)
+        assert cube_isomorphism_check(rs)
+        assert widths == [2] * len(rs.edges)
