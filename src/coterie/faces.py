@@ -6,34 +6,27 @@ three states: '>' makes the (i, j) inequality an equality, '<' makes the
 there are 3^(n-1) orientations; the fully oriented ones cut out the
 2^(n-1) extremal rays.
 
-The lattice is compared against the face lattice of an (n-1)-cube built
-the blunt way, as explicit vertex lists ordered by inclusion: each cube
-face lists the vertices pinned | s for every subset s of its free bits,
-over the 2^m vertices, m = n-1.  Both orders are inclusion orders of small
-key sets.  A face's up-set under either order is a bitset (a Python int)
-over the 3^(n-1) faces: the AND, over the face's keys, of the faces holding
-that key, read from one holder table per order (_index_sets).  A cube
-face's keys are its vertices, so F >= G when F holds every vertex of G; an
-orientation's keys are the arrows it lacks, numbered 2*pos for '<' and
-2*pos + 1 for '>', so f >= g when f lacks every arrow that g lacks, which
-is arrow erasure.  The two up-sets of each face are compared and dropped
-in turn, so only the two tables, 2m + 2^m bitsets, are ever held, and
-every supported rank runs.  Nothing assumes the product structure of the
-cube.
+The lattice is certified from the geometry alone, with no comparison of
+names.  A face of the cone C is the set of its points on which a given
+set of valid inequalities is tight (Ziegler, Lectures on Polytopes, 2.1).
+Let named(s) be the edge rows that the states s make equalities.  Each
+face point p_s is tight on exactly named(s) (_points_realize_orientations),
+so F_s = C cap {named(s) = 0} is the smallest face containing p_s, and
+F_t is inside F_s exactly when named(s) is inside named(t): t orients every
+edge that s orients, the same way, which is arrow erasure.  That arrow
+erasure on the 3^m state tuples, m = n-1, is the inclusion order of the
+m-cube's faces depends on m alone, so no input can break it; the tests
+prove it at every supported m.  Whether some face of C lies outside the
+3^m F_s is not decided here.
 
-Both orders depend on the edge count m alone, so they are compared once
-per m (_cube_orders_agree) and the verdict is kept for every later check
-at that m.
-
-The orientation-to-face map is then certified geometrically through
-exact integer ranks and per-face interior points.  The ranks come from
-one streamed depth-first walk over the edges in enumeration order
-(_product_walk): each path carries an integer echelon basis of (pivot,
-primitive row) pairs, an oriented edge reduces its row against the basis
-fraction-free and pushes the nonzero remainder, and a face's rank is the
-basis length at its leaf.  Each face must have dimension rank minus its
-oriented count, which also makes every cover drop the dimension by
-exactly one.
+The orientation-to-face map is certified through exact integer ranks and
+per-face interior points.  The ranks come from one streamed depth-first
+walk over the edges in enumeration order (_product_walk): each path
+carries an integer echelon basis of (pivot, primitive row) pairs, an
+oriented edge reduces its row against the basis fraction-free and pushes
+the nonzero remainder, and a face's rank is the basis length at its leaf.
+Each face must have dimension rank minus its oriented count, which also
+makes every cover drop the dimension by exactly one.
 
 The rays and the interior points are built along the edges: rs.edges
 reaches every node from node 0, each edge (i, j) joining the reached node
@@ -229,7 +222,7 @@ def _ray_multiple(k) -> tuple:
     g = gcd(*k)
     if (k[-1] or next(c for c in k if c)) < 0:
         g = -g
-    return tuple(c // g for c in k)
+    return tuple([c // g for c in k])
 
 
 def _ray_vector(ints) -> tuple:
@@ -314,10 +307,10 @@ def _ray_walk(rs: rootsys.RootSystem) -> tuple:
     Every row the checks read has two terms, so its value is final at the
     walk node that writes the later of its two nodes (node 0 and nodes no
     edge writes count as written at the root), and it is evaluated there
-    once: each edge's
-    equality row, read from _edge_rows rather than from the _edge_terms the
-    walk takes its ratios from, so a wrong ratio there shows here; one
-    positivity row per node; and the closed system's rows (_closed_terms).
+    once: each edge's equality row, read from _edge_rows rather than from
+    the _edge_terms the walk takes its ratios from, so a wrong ratio there
+    shows here; one positivity row per node; and the closed system's rows
+    (_closed_terms).
     Rows with the same terms are evaluated once, with their bits merged.
     An edge listed before its node i is written cannot check its equality
     when its state is chosen; late holds (pos, i, j, {state: (fi, fj)})
@@ -412,54 +405,7 @@ def extremal_rays(rs: rootsys.RootSystem) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# cube comparison
-
-
-def _face_vertices(states):
-    """Yield the vertices of the cube face named by the edge states, among
-    the 2^m ('<' pins 0, '>' pins 1): pinned | s for every subset s of the
-    neutral positions, from all of them down to none."""
-    free = pinned = 0
-    for pos, s in enumerate(states):
-        if s == NEUTRAL:
-            free |= 1 << pos
-        elif s == RIGHT:
-            pinned |= 1 << pos
-    sub = free
-    while True:
-        yield pinned | sub
-        if not sub:
-            return
-        sub = (sub - 1) & free
-
-
-def _lacked_arrows(states) -> list:
-    """The arrows a tuple of edge states lacks, each numbered
-    2*pos + arrow ('<' is arrow 0, '>' arrow 1): both on a neutral edge,
-    the opposite one on an oriented edge."""
-    keys = []
-    for pos, s in enumerate(states):
-        if s != LEFT:
-            keys.append(2 * pos)
-        if s != RIGHT:
-            keys.append(2 * pos + 1)
-    return keys
-
-
-def _index_sets(keys_per_index, size: int) -> dict:
-    """key -> bitset of the indices whose keys include it, for the key
-    collections of indices 0 .. size - 1: the bits are set in one bytearray
-    per key, which becomes an int once (no big int grows bit by bit) and is
-    popped as it does, so the table is never held twice."""
-    rows = {}
-    for index, keys in enumerate(keys_per_index):
-        byte, bit = index >> 3, 1 << (index & 7)
-        for key in keys:
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = bytearray((size + 7) >> 3)
-            row[byte] |= bit
-    return {key: int.from_bytes(rows.pop(key), "little") for key in list(rows)}
+# face dimensions and the certificate
 
 
 def _reduced(row, basis) -> list:
@@ -510,39 +456,16 @@ def face_dimensions(rs: rootsys.RootSystem) -> tuple:
     return tuple(rs.rank - r for r in _echelon_ranks(rows))
 
 
-@lru_cache(maxsize=None)
-def _cube_orders_agree(m: int) -> bool:
-    """Whether arrow erasure on the 3^m tuples of edge states is the
-    inclusion order of the m-cube's faces.  Both orders depend on m alone,
-    so they are compared once per edge count.  Two holder tables are built
-    once, one for the arrows and one for the cube vertices; then each
-    face's up-set under either order is the AND of its keys' holders, and
-    the two up-sets are compared and dropped, face by face, so the
-    complete relations are never stored."""
-    size = 3**m
-    arrows = _index_sets(map(_lacked_arrows, product(STATES, repeat=m)), size)
-    vertices = _index_sets(map(_face_vertices, product(STATES, repeat=m)), size)
-    everything = (1 << size) - 1
-    for states in product(STATES, repeat=m):
-        rule = cube = everything
-        for key in _lacked_arrows(states):
-            rule &= arrows[key]
-        for v in _face_vertices(states):
-            cube &= vertices[v]
-        if rule != cube:
-            return False
-    return True
-
-
 def _points_realize_orientations(rs: rootsys.RootSystem) -> bool:
     """Whether every face's point is strictly positive and makes tight
     exactly the edge inequalities its orientation names, decided once per
-    (edge, state) pair rather than once per face.  Face s's point has a_0 = 1 and a_j = a_i num / den over each
-    edge (i, j) in turn, (num, den) being the ratio of the edge's state s_e.
-    If every edge joins a reached node i to a new node j, every node is
-    reached, and every ratio has num > 0 and den > 0, then every coordinate
-    is positive, and the edge's two rows read a_i (fi den + fj num) / den
-    and a_i (bi den + bj num) / den there: their signs depend on (e, s_e)
+    (edge, state) pair rather than once per face.  Face s's point has
+    a_0 = 1 and a_j = a_i num / den over each edge (i, j) in turn,
+    (num, den) being the ratio of the edge's state s_e.  If every edge
+    joins a reached node i to a new node j, every node is reached, and
+    every ratio has num > 0 and den > 0, then every coordinate is positive,
+    and the edge's two rows read a_i (fi den + fj num) / den and
+    a_i (bi den + bj num) / den there: their signs depend on (e, s_e)
     alone.  So each edge state is checked once, on those two numerators:
     '>' needs the (i, j) row zero and the (j, i) row positive, '<' the
     reverse, and '-' both positive."""
@@ -571,24 +494,22 @@ def _expected_dimensions(rank: int, m: int) -> tuple:
 
 def cube_isomorphism_check(rs: rootsys.RootSystem) -> bool:
     """Verify that orientations, ordered by arrow erasure, form the face
-    lattice of the (rank-1)-cube, and that the geometry agrees: checked
-    rays, an interior point per face whose tight set reproduces the
-    orientation exactly, and exact face dimensions.  The two orders are
-    compared one face at a time, once per edge count, at every rank.  The
-    interior points are certified per edge state, in O(m) for all 3^m
-    faces and without building one of them (_points_realize_orientations).
-    Every face f must have dimension rank minus its oriented count; a cover
-    g of f orients one more edge, so dim g = dim f - 1 follows, and covers
-    need no check of their own."""
-    m = len(rs.edges)
+    lattice of the (rank-1)-cube, from the geometry alone: checked rays,
+    an interior point per face whose tight set reproduces the orientation
+    exactly, and exact face dimensions, in that order, in integers.
 
-    # combinatorial half: the two orders, one face's up-sets at a time
-    if not _cube_orders_agree(m):
-        return False
-
-    # geometric half; stays in integer arithmetic throughout
+    The order needs no comparison of names.  The point p_s of face s is
+    tight on exactly the rows named(s) that s makes equalities
+    (_points_realize_orientations), so F_s = C cap {named(s) = 0} is the
+    smallest face of the cone C containing p_s, and F_t is inside F_s
+    exactly when named(s) is inside named(t), which is arrow erasure.  That
+    arrow erasure is the cube's face order depends on the edge count
+    alone, so no input can break it and the tests prove it once per count.
+    The interior points are certified per edge state, in O(m) for all 3^m
+    faces and without building one of them.  Every face f must have
+    dimension rank minus its oriented count; a cover g of f orients one
+    more edge, so dim g = dim f - 1 follows, and covers need no check of
+    their own."""
     if any(problems for _, _, problems in _checked_rays(rs)):
         return False
-    if not _points_realize_orientations(rs):
-        return False
-    return face_dimensions(rs) == _expected_dimensions(rs.rank, m)
+    return _points_realize_orientations(rs) and face_dimensions(rs) == _expected_dimensions(rs.rank, len(rs.edges))

@@ -253,14 +253,15 @@ def _order_pairs_disagree(rule_triples, cube_triples) -> int:
 
 
 # ---------------------------------------------------------------------------
-# face order against the cube order as two stored complete relations
+# face order against the cube order, stored as complete relations or
+# compared one face at a time
 
 
-def _cube_vertex_lists(m: int) -> list:
-    """Faces of the m-cube in the enumeration order of all_orientations,
-    each as the list of its vertices among the 2^m ('<' pins 0, '>' pins 1):
-    pinned | s for every subset s of the neutral positions."""
-    lists = []
+def _cube_vertex_lists(m: int):
+    """Yield the faces of the m-cube in the enumeration order of
+    all_orientations, each as the list of its vertices among the 2^m ('<'
+    pins 0, '>' pins 1): pinned | s for every subset s of the neutral
+    positions, from all of them down to none."""
     for states in product(faces.STATES, repeat=m):
         free = pinned = 0
         for pos, s in enumerate(states):
@@ -275,15 +276,44 @@ def _cube_vertex_lists(m: int) -> list:
             if not sub:
                 break
             sub = (sub - 1) & free
-        lists.append(vertices)
-    return lists
+        yield vertices
+
+
+def _lacked_arrows(states) -> list:
+    """The arrows a tuple of edge states lacks, each numbered
+    2*pos + arrow ('<' is arrow 0, '>' arrow 1): both on a neutral edge,
+    the opposite one on an oriented edge."""
+    keys = []
+    for pos, s in enumerate(states):
+        if s != LEFT:
+            keys.append(2 * pos)
+        if s != RIGHT:
+            keys.append(2 * pos + 1)
+    return keys
+
+
+def _index_sets(keys_per_index, size: int) -> dict:
+    """key -> bitset of the indices whose keys include it, for the key
+    collections of indices 0 .. size - 1: the bits are set in one bytearray
+    per key, which becomes an int once (no big int grows bit by bit) and is
+    popped as it does, so the table is never held twice."""
+    rows = {}
+    for index, keys in enumerate(keys_per_index):
+        byte, bit = index >> 3, 1 << (index & 7)
+        for key in keys:
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = bytearray((size + 7) >> 3)
+            row[byte] |= bit
+    return {key: int.from_bytes(rows.pop(key), "little") for key in list(rows)}
 
 
 def _supersets(keysets) -> list:
     """Per item, the up-set bitset of the items whose keys include all of
     its own: the AND over its keys of the items holding that key."""
+    keysets = list(keysets)
     size = len(keysets)
-    holders = faces._index_sets(keysets, size)
+    holders = _index_sets(keysets, size)
     everything = (1 << size) - 1
     out = []
     for keys in keysets:
@@ -307,14 +337,37 @@ def _first_disagreement(a, b) -> int:
 
 def rule_upsets(state_tuples) -> list:
     """Per tuple of edge states, its up-set under arrow erasure, stored."""
-    return _supersets([faces._lacked_arrows(states) for states in state_tuples])
+    return _supersets([_lacked_arrows(states) for states in state_tuples])
 
 
 def cube_orders_agree_by_relations(m: int) -> bool:
-    """faces._cube_orders_agree with both orders stored as complete
+    """cube_orders_agree_streamed with both orders stored as complete
     relations, one up-set per face, 9^m bits per order."""
     rule = rule_upsets(product(faces.STATES, repeat=m))
     return _first_disagreement(rule, _supersets(_cube_vertex_lists(m))) == -1
+
+
+def cube_orders_agree_streamed(m: int) -> bool:
+    """Whether arrow erasure on the 3^m tuples of edge states is the
+    inclusion order of the m-cube's faces, which the library's cube
+    certificate relies on at m edges.  Two holder tables are built, one
+    for the arrows and one for the cube vertices; then each face's up-set
+    under either order is the AND of its keys' holders, and the two
+    up-sets are compared and dropped, face by face, so neither complete
+    relation is stored and every supported m (up to 11) runs."""
+    size = 3**m
+    arrows = _index_sets(map(_lacked_arrows, product(faces.STATES, repeat=m)), size)
+    vertices = _index_sets(_cube_vertex_lists(m), size)
+    everything = (1 << size) - 1
+    for states, cube_keys in zip(product(faces.STATES, repeat=m), _cube_vertex_lists(m), strict=True):
+        rule = cube = everything
+        for key in _lacked_arrows(states):
+            rule &= arrows[key]
+        for v in cube_keys:
+            cube &= vertices[v]
+        if rule != cube:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

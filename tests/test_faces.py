@@ -597,7 +597,7 @@ def rule_upsets(orients):
 
 class TestCubeEncoding:
     def test_square_vertex_sets(self):
-        lists = {s: list(faces._face_vertices(s)) for s in product(faces.STATES, repeat=2)}
+        lists = dict(zip(product(faces.STATES, repeat=2), oracles._cube_vertex_lists(2)))
         assert sorted(lists[("-", "-")]) == [0, 1, 2, 3]
         assert sorted(lists[(">", "-")]) == [1, 3]
         assert lists[("<", ">")] == [2]
@@ -606,7 +606,7 @@ class TestCubeEncoding:
     def test_cube_order_is_vertex_subset(self):
         """The triple formula on cube encodings is literal set inclusion."""
         m = 3
-        lists = oracles._cube_vertex_lists(m)
+        lists = list(oracles._cube_vertex_lists(m))
         triples = oracles._cube_triples(m)
         n = len(lists)
         for a in range(n):
@@ -628,7 +628,7 @@ class TestCubeEncoding:
 
     def test_lacked_arrows(self):
         rs = rootsys.build("A3")
-        keys = [faces._lacked_arrows(orientation(rs, s).states) for s in ("<>", "-<", "--")]
+        keys = [oracles._lacked_arrows(orientation(rs, s).states) for s in ("<>", "-<", "--")]
         assert [sorted(k) for k in keys] == [[1, 2], [0, 1, 3], [0, 1, 2, 3]]
 
     @pytest.mark.parametrize("m", range(6))
@@ -645,7 +645,7 @@ class TestCubeEncoding:
     def test_detects_planted_mismatch(self):
         rs = rootsys.build("A2")
         rule = rule_upsets(all_orientations(rs))
-        lists = oracles._cube_vertex_lists(1)
+        lists = list(oracles._cube_vertex_lists(1))
         assert oracles._first_disagreement(rule, oracles._supersets(lists)) == -1
         broken = list(lists)
         broken[0] = broken[1]
@@ -713,7 +713,7 @@ class TestBitsetCertificate:
     def test_every_single_face_corruption_is_caught(self):
         m = 3
         orients = all_orientations(rootsys.build("A4"))
-        lists = oracles._cube_vertex_lists(m)
+        lists = list(oracles._cube_vertex_lists(m))
         for index in range(len(lists)):
             for v in range(1 << m):
                 broken = list(lists)
@@ -721,20 +721,15 @@ class TestBitsetCertificate:
                 assert bitset_verdict(orients, broken) >= 0
 
 
-@pytest.fixture
-def fresh_cube_orders():
-    """An empty cache of order verdicts before and after the test, so that
-    a verdict reached under a planted defect reaches no other test."""
-    faces._cube_orders_agree.cache_clear()
-    yield
-    faces._cube_orders_agree.cache_clear()
-
-
 class TestCubeIsomorphism:
     @pytest.mark.parametrize(
         "label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4"]
     )
     def test_small_types(self, label):
+        assert cube_isomorphism_check(rootsys.build(label))
+
+    @pytest.mark.parametrize("label", [str(t) for t in rootsys.all_types()])
+    def test_every_type(self, label):
         assert cube_isomorphism_check(rootsys.build(label))
 
     def test_interior_points_realize_orientations(self):
@@ -751,9 +746,9 @@ class TestCubeIsomorphism:
         assert cube_isomorphism_check(rs)
 
     def test_a10_streams_its_face_points(self):
-        """With the order verdict and the face dimensions cached, the check
-        certifies the 3^9 face points per edge state without building one
-        of them: its traced peak stays below 1 MB."""
+        """With the face dimensions cached, the check certifies the 3^9 face
+        points per edge state without building one of them: its traced peak
+        stays below 1 MB."""
         rs = rootsys.build("A10")
         assert cube_isomorphism_check(rs)
         tracemalloc.start()
@@ -767,10 +762,9 @@ class TestCubeIsomorphism:
     def test_holder_table_peak_stays_near_its_size(self):
         """Each key's bytearray is dropped as its int is built, so building
         the cube-vertex table at m = 9 never holds both forms of it."""
-        states = product(faces.STATES, repeat=9)
         tracemalloc.start()
         try:
-            table = faces._index_sets(map(faces._face_vertices, states), 3**9)
+            table = oracles._index_sets(oracles._cube_vertex_lists(9), 3**9)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -783,26 +777,15 @@ class TestCubeIsomorphism:
         assert len(faces.face_dimensions(rs)) == 3 ** (rs.rank - 1)
         assert cube_isomorphism_check(rs)
 
-    @pytest.mark.usefixtures("fresh_cube_orders")
-    def test_second_check_at_one_edge_count_compares_no_orders(self, monkeypatch):
-        real = faces._index_sets
-        calls = []
-        monkeypatch.setattr(faces, "_index_sets", lambda keys, size: calls.append(size) or real(keys, size))
-        assert cube_isomorphism_check(rootsys.build("A7"))
-        assert calls == [3**6, 3**6]
-        # E7 has six edges too
-        assert cube_isomorphism_check(rootsys.build("E7"))
-        assert calls == [3**6, 3**6]
-        assert cube_isomorphism_check(rootsys.build("A3"))
-        assert calls == [3**6, 3**6, 9, 9]
-
-    @pytest.mark.usefixtures("fresh_cube_orders")
-    @pytest.mark.parametrize("m", range(10))
+    @pytest.mark.parametrize("m", range(12))
     def test_cached_verdict_is_the_comparison(self, m):
-        agree = oracles.cube_orders_agree_by_relations(m)
-        assert faces._cube_orders_agree(m) is agree is True
-        assert faces._cube_orders_agree(m) is agree
-        assert faces._cube_orders_agree.cache_info().hits == 1
+        """Arrow erasure is the cube's face order at every supported edge
+        count, which the certificate relies on: the streamed comparison
+        against the stored relations up to m = 9, and alone at m = 10 and
+        11, where each stored relation would take 9^m bits."""
+        assert oracles.cube_orders_agree_streamed(m) is True
+        if m <= 9:
+            assert oracles.cube_orders_agree_by_relations(m) is True
 
 
 @lru_cache(maxsize=None)
@@ -815,9 +798,8 @@ def oracle_cube(m):
 
 def check_cube(m):
     sets, upsets = oracle_cube(m)
-    lists = oracles._cube_vertex_lists(m)
+    lists = list(oracles._cube_vertex_lists(m))
     assert [set(vertex_list(vs)) for vs in sets] == [set(vl) for vl in lists]
-    assert [set(vertex_list(vs)) for vs in sets] == [set(faces._face_vertices(s)) for s in product(faces.STATES, repeat=m)]
     assert oracles._supersets(lists) == upsets
 
 
@@ -844,11 +826,10 @@ class TestCubeRoutinesAgainstOracles:
     def test_rank_one_is_a_one_vertex_cube(self):
         # m = 0: one face, no arrow to lack, one vertex
         rs = rootsys.build("A1")
-        assert oracles._cube_vertex_lists(0) == [[0]]
-        assert list(faces._face_vertices(())) == [0]
+        assert list(oracles._cube_vertex_lists(0)) == [[0]]
         assert oracles._supersets([[0]]) == [1]
         (only,) = all_orientations(rs)
-        assert faces._lacked_arrows(only.states) == []
+        assert oracles._lacked_arrows(only.states) == []
         assert rule_upsets([only]) == [1]
         assert list(oracles.propagated_rays(rs, faces.STATES)) == [([1], None)]
         assert list(faces._checked_rays(rs)) == [((), (1,), ())]
@@ -857,9 +838,8 @@ class TestCubeRoutinesAgainstOracles:
     def test_rank_two_is_a_segment(self):
         # m = 1: faces '<', '-', '>' over the vertices 0 and 1
         rs = rootsys.build("A2")
-        lists = oracles._cube_vertex_lists(1)
+        lists = list(oracles._cube_vertex_lists(1))
         assert lists == [[0], [1, 0], [1]]
-        assert [list(faces._face_vertices(s)) for s in product(faces.STATES, repeat=1)] == lists
         assert oracles._supersets(lists) == [0b011, 0b010, 0b110]
         assert rule_upsets(all_orientations(rs)) == [0b011, 0b010, 0b110]
         # a_2 = a_1 / 2 on '<' and 2 a_1 on '>', so 5/4 a_1 on '-', the
@@ -868,14 +848,9 @@ class TestCubeRoutinesAgainstOracles:
         assert cube_isomorphism_check(rs)
 
 
-@pytest.mark.usefixtures("fresh_cube_orders")
 class TestCubeRoutinePlantedDefects:
-    """A broken holder table, key list or face point must fail the streamed
-    comparison and the certificate itself."""
-
-    @staticmethod
-    def caught(m):
-        return not faces._cube_orders_agree(m) and not cube_isomorphism_check(rootsys.build(f"A{m + 1}"))
+    """A broken holder table or key list must fail the streamed comparison,
+    and a broken face point the certificate itself."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_one_wrong_table_entry(self, monkeypatch, m):
@@ -883,7 +858,7 @@ class TestCubeRoutinePlantedDefects:
         alone, and dropping it from the holders of vertex 0 drops it from
         its own up-set.  Orientation 0 does not lack arrow 0 (it lacks only
         the odd '>' arrows), so only the cube side changes."""
-        real = faces._index_sets
+        real = oracles._index_sets
 
         def cleared(keysets, size):
             holders = real(keysets, size)
@@ -891,21 +866,20 @@ class TestCubeRoutinePlantedDefects:
                 holders[0] &= ~1
             return holders
 
-        monkeypatch.setattr(faces, "_index_sets", cleared)
-        assert self.caught(m)
+        monkeypatch.setattr(oracles, "_index_sets", cleared)
+        assert oracles.cube_orders_agree_streamed(m) is False
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_one_key_dropped(self, monkeypatch, m):
-        """The top face ('-' everywhere) loses its last vertex, 0, so it no
-        longer lies above face 0."""
-        real = faces._face_vertices
+        """The top face ('-' everywhere, the only one with all 2^m vertices)
+        loses its last vertex, 0, so it no longer lies above face 0."""
+        real = oracles._cube_vertex_lists
 
-        def dropped(states):
-            vertices = list(real(states))
-            return vertices[:-1] if set(states) == {NEUTRAL} else vertices
+        def dropped(edges):
+            return (vertices[:-1] if len(vertices) == 1 << edges else vertices for vertices in real(edges))
 
-        monkeypatch.setattr(faces, "_face_vertices", dropped)
-        assert self.caught(m)
+        monkeypatch.setattr(oracles, "_cube_vertex_lists", dropped)
+        assert oracles.cube_orders_agree_streamed(m) is False
 
     @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
     def test_neutral_edge_taking_one_endpoint_ratio(self, monkeypatch, label):
@@ -985,6 +959,13 @@ class TestPointCertificate:
                 assert both_verdicts(rs) == (False, False), pos
                 assert extremal_rays(rs) == oracles.extremal_rays_by_solve(rs)
                 assert not cube_isomorphism_check(rs)
+
+    def test_planted_neutral_ratio_at_rank_twelve(self, monkeypatch):
+        """The same defect on D12's last edge: the largest supported rank
+        must fail the certificate too."""
+        rs = rootsys.build("D12")
+        plant_step(monkeypatch, len(rs.edges) - 1, lambda r: {NEUTRAL: r[RIGHT]})
+        assert not cube_isomorphism_check(rs)
 
     @pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4", "F4", "E6"])
     def test_planted_dropped_edge(self, label):
