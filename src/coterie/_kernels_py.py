@@ -6,7 +6,7 @@ calling in.
 
 Functions:
   eliminate     fraction-free Gauss-Jordan elimination, the one loop behind
-                exactla's rank, solve and inverse
+                exactla's rank, solve and inverse and rootsys's weights
   rank_of       matrix rank through eliminate
   _reduce_row   gcd normalisation of a (coeffs, bound) row
   fm_step       one Fourier-Motzkin elimination step

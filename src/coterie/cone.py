@@ -6,7 +6,8 @@ ordered pair of distinct simple roots (beta, alpha),
     a_beta > (c_{beta,alpha} / c_{alpha,alpha}) a_alpha
 
 together with a_alpha > 0, where c_{beta,alpha} are the weight coordinates
-(rootsys.ratio reads the ratio off the integer weights).  Only the pairs
+(rootsys.ratio reads the ratio off the integer weights, and
+rootsys.pair_row the row cleared to integers).  Only the pairs
 joined by a Dynkin edge are needed; the rest follow by telescoping ratios
 along the tree path, so the reduced description lists each edge in both
 directions.  The closed cone replaces
@@ -18,8 +19,9 @@ checks r_alpha(x) = a_alpha / c_{alpha,alpha} > 0 and positivity of the
 off-alpha coordinates of x - r_alpha(x) * weight_alpha for every alpha.
 All three run on the point cleared to integers, against the integer root
 data; member_all clears the point once and hands the integers to each
-route.  Each functional is cleared once: the closed system holds the
-open system's integer rows under its own relation.
+route.  Each row is built already cleared, from the integer pair rows,
+and the closed system holds the open system's integer rows under its own
+relation.
 
 A general instance replaces the weight data by an arrangement pulled back
 through a linear map theta_star; membership of a shift delta is decided by
@@ -48,7 +50,6 @@ from operator import mul
 from . import arrangement as arrmod
 from . import exactla, rootsys
 from .exactla import EQ, GE, GT, ConeSystem, ResourceCapError, constraint
-from .rootsys import ratio
 
 SUBSET_CAP = 1_000_000
 
@@ -91,7 +92,10 @@ class CoterieDescription:
 
 def inequalities(rs: rootsys.RootSystem, reduced: bool = True) -> CoterieDescription:
     """Defining inequalities, positivity rows first, then pair rows, cached
-    once per (rs, reduced) however the call spells them."""
+    once per (rs, reduced) however the call spells them.  Each row is built
+    already cleared, from rootsys.pair_row's primitive integer row, so no
+    row is cleared from its Fractions, and the closed system holds the
+    open system's rows under GE."""
     return _inequalities(rs, reduced)
 
 
@@ -99,20 +103,21 @@ def inequalities(rs: rootsys.RootSystem, reduced: bool = True) -> CoterieDescrip
 def _inequalities(rs: rootsys.RootSystem, reduced: bool) -> CoterieDescription:
     n = rs.rank
     pairs = ordered_pairs(rs, reduced)
-    # one functional per row, shared by the open and the closed system
-    functionals = [exactla.unit(n, a) for a in range(n)]
+    cleared = exactla.LinearConstraint._cleared
+    opened = [cleared(exactla.unit(n, a), GT, 0, ((a, 1),), 0) for a in range(n)]
     for b, a in pairs:
+        # the functional holds -ratio, the terms are pair_row's two entries
+        row = rootsys.pair_row(rs, b, a)
         f = [0] * n
         f[b] = 1
-        f[a] = -ratio(rs, b, a)
-        functionals.append(tuple(f))
-    # each functional cleared once: the closed rows share the open rows' terms
-    opened = tuple(constraint(f, GT) for f in functionals)
+        f[a] = Fraction(row[a], row[b])
+        terms = ((b, row[b]), (a, row[a])) if b < a else ((a, row[a]), (b, row[b]))
+        opened.append(cleared(tuple(f), GT, 0, terms, 0))
     return CoterieDescription(
         rs=rs,
         reduced=reduced,
         pairs=pairs,
-        open_system=ConeSystem(n, opened),
+        open_system=ConeSystem(n, tuple(opened)),
         closed_system=ConeSystem(n, tuple(c.with_rel(GE) for c in opened)),
     )
 

@@ -3,13 +3,15 @@
 Entries are ints or fractions.Fraction, vectors are tuples, matrices tuples
 of row tuples; no floating point anywhere. clear_row turns a rational
 vector into integers; the Fraction vector helpers (vec, vec_dot, ...) are
-left for code off the integer paths, and mat_vec, with no library caller
-left, for the tracer of perfbench. A LinearConstraint keeps
+left for code off the integer paths, and mat_vec and mat_inverse, with no
+library caller left, for the tracer of perfbench. A LinearConstraint keeps
 int and Fraction entries as given, boxes other input (str, bool, ...)
 with Fraction, and clears its row once, to integers in sparse form: the
 nonzero (index, coeff) terms, the bound and the relation code. The row is
 divided by the gcd of its entries and bound when it is built, so it is the
-one integer form of the constraint. A ConeSystem stores those rows as they
+one integer form of the constraint; a builder that already holds that
+row, as the cone's inequalities do, hands it in instead (the private
+LinearConstraint._cleared). A ConeSystem stores those rows as they
 are, one object per constraint however many systems hold it, and with_rel
 gives the same row under another relation without clearing it again. The
 rows are evaluated at a cleared integer point, and expanded to dense
@@ -179,7 +181,9 @@ class LinearConstraint:
     cleared_terms is the row (terms, bound, rel code), cleared to integers
     and gcd-reduced (_clear_terms), that every system holding the
     constraint evaluates and eliminates, built once per constraint;
-    with_rel shares it with the same row under another relation."""
+    with_rel shares it with the same row under another relation, and a
+    builder that holds a row already cleared passes it in through
+    _cleared."""
 
     functional: tuple
     rel: str
@@ -197,17 +201,24 @@ class LinearConstraint:
         object.__setattr__(self, "bound", b)
         object.__setattr__(self, "cleared_terms", _clear_terms(functional, b) + (_REL_CODE[self.rel],))
 
+    @classmethod
+    def _cleared(cls, functional: tuple, rel: str, bound, terms: tuple, cleared_bound: int) -> LinearConstraint:
+        """functional . x REL bound, stored as given, whose cleared and
+        gcd-reduced row the caller already holds as (terms, cleared_bound):
+        nothing is boxed or cleared."""
+        if rel not in _REL_CODE:
+            raise ValueError(f"unknown relation {rel!r}")
+        c = object.__new__(cls)
+        object.__setattr__(c, "functional", functional)
+        object.__setattr__(c, "rel", rel)
+        object.__setattr__(c, "bound", bound)
+        object.__setattr__(c, "cleared_terms", (terms, cleared_bound, _REL_CODE[rel]))
+        return c
+
     def with_rel(self, rel: str) -> LinearConstraint:
         """The same functional and bound under the relation rel, holding
         this constraint's cleared terms instead of clearing them again."""
-        if rel not in _REL_CODE:
-            raise ValueError(f"unknown relation {rel!r}")
-        other = object.__new__(LinearConstraint)
-        object.__setattr__(other, "functional", self.functional)
-        object.__setattr__(other, "rel", rel)
-        object.__setattr__(other, "bound", self.bound)
-        object.__setattr__(other, "cleared_terms", self.cleared_terms[:2] + (_REL_CODE[rel],))
-        return other
+        return self._cleared(self.functional, rel, self.bound, *self.cleared_terms[:2])
 
 
 def constraint(functional, rel, bound=0) -> LinearConstraint:

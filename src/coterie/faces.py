@@ -488,8 +488,13 @@ def _points_realize_orientations(rs: rootsys.RootSystem) -> bool:
 def _expected_dimensions(rank: int, m: int) -> tuple:
     """The dimension each face must have, in the enumeration order of
     all_orientations over m edges: rank - m plus its neutral count.  It
-    depends on the rank and m alone, so it is built once per pair."""
-    return tuple(rank - m + s.count(NEUTRAL) for s in product(STATES, repeat=m))
+    depends on the rank and m alone, so it is built once per pair.  Each
+    edge put in front, where product order varies it slowest, gives the
+    faces with it LEFT, then NEUTRAL (one dimension more), then RIGHT."""
+    dims = (rank - m,)
+    for _ in range(m):
+        dims = dims + tuple(d + 1 for d in dims) + dims
+    return dims
 
 
 def cube_isomorphism_check(rs: rootsys.RootSystem) -> bool:

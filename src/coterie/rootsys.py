@@ -15,8 +15,9 @@ reproduces (they differ from Bourbaki for some exceptional types):
 Short roots are normalized to squared length 2. Everything downstream
 (inequalities, faces, arrangements) consumes the RootSystem built here.
 Its tables are integers; the fundamental weights are one integer matrix
-over one denominator, computed by exact inversion, never tabulated, and
-the cone's pair ratios and cleared pair rows are read off it here alone.
+over one denominator, taken from one fraction-free elimination of the
+transposed Cartan matrix, never tabulated, and the cone's pair ratios and
+cleared pair rows are read off it here alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd
 
 from . import exactla
 from ._backend import kernels
@@ -104,7 +105,10 @@ class RootSystem:
     W-invariant bilinear form (alpha_i, alpha_j) with short roots of squared
     length 2; weights = weight_den * (cartan^T)^-1 with weight_den > 0 the
     lcm of the denominators of that inverse, so column alpha of weights is
-    weight_den * lambda_alpha in root coordinates; edges are the 0-based
+    weight_den * lambda_alpha in root coordinates.  Both come from one
+    integer elimination of [cartan^T | I] (kernels.eliminate), whose pivot
+    d and right half R give the inverse R / d: with G = gcd(d, R),
+    weight_den = d / G and weights = R / G.  edges are the 0-based
     tree edges (i, j) with i < j, sorted.  In that order each edge (i, j)
     joins a node already reached from node 0 to a new node j, so one pass
     over edges reaches every node; the ray walk in faces relies on it.
@@ -154,15 +158,19 @@ def _build(stype: SimpleType) -> RootSystem:
     if any(2 * form[i][j] % form[j][j] for i in range(n) for j in range(n)):
         raise AssertionError(f"non-integral Cartan entry for {stype}")
     cartan = tuple(tuple(2 * form[i][j] // form[j][j] for j in range(n)) for i in range(n))
-    inverse = exactla.mat_inverse(exactla.mat_transpose(cartan))
-    den = lcm(*(v.denominator for row in inverse for v in row))
-    weights = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in inverse)
+    # the pivot d is det(cartan) > 0, and R / d = (cartan^T)^-1
+    rows = [col + exactla.unit(n, i) for i, col in enumerate(zip(*cartan))]
+    rows, pivots, d = kernels.eliminate(rows)
+    if pivots != list(range(n)):
+        raise exactla.SingularMatrixError(f"singular Cartan matrix for {stype}")
+    g = gcd(d, *(v for row in rows for v in row[n:]))
+    weights = tuple(tuple(v // g for v in row[n:]) for row in rows)
     return RootSystem(
         stype=stype,
         cartan=cartan,
         form=tuple(tuple(row) for row in form),
         weights=weights,
-        weight_den=den,
+        weight_den=d // g,
         edges=edges,
     )
 
@@ -187,13 +195,15 @@ def ratio(rs: RootSystem, beta: int, alpha: int) -> Fraction:
 def pair_row(rs: RootSystem, beta: int, alpha: int) -> tuple:
     """The (beta, alpha) condition cleared to a primitive integer functional:
     weights[alpha][alpha] e_beta - weights[beta][alpha] e_alpha divided by
-    its gcd, so its beta and -alpha entries are the denominator and the
-    numerator of ratio(beta, alpha)."""
+    the gcd of its two entries, so its beta and -alpha entries are the
+    denominator and the numerator of ratio(beta, alpha)."""
     _nodes(rs, beta, alpha)
+    den, num = rs.weights[alpha][alpha], rs.weights[beta][alpha]
+    g = gcd(den, num)
     row = [0] * rs.rank
-    row[beta] = rs.weights[alpha][alpha]
-    row[alpha] = -rs.weights[beta][alpha]
-    return kernels._reduce_row(tuple(row), 0)[0]
+    row[beta] = den // g
+    row[alpha] = -num // g
+    return tuple(row)
 
 
 def symmetrizers(rs: RootSystem) -> tuple:

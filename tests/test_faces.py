@@ -571,6 +571,14 @@ class TestFaceDimensions:
         monkeypatch.setattr(faces, "face_dimensions", lambda _rs: real)
         assert cube_isomorphism_check(rs)
 
+    @pytest.mark.parametrize("m", range(12))
+    def test_expected_dimensions_are_the_neutral_counts(self, m):
+        """The recurrence over the edges gives rank - m plus each face's
+        neutral count, in product order, at every supported edge count."""
+        rank = m + 1
+        want = tuple(rank - m + s.count(faces.NEUTRAL) for s in product(faces.STATES, repeat=m))
+        assert faces._expected_dimensions.__wrapped__(rank, m) == want
+
 
 def vertex_list(mask):
     """The vertices of a vertex bitmask, as the list the library keys on."""

@@ -11,7 +11,8 @@ import sympy
 
 import oracles
 import support
-from coterie import exactla
+from coterie import _kernels_py as kernels
+from coterie import exactla, rootsys
 from coterie.rootsys import (
     SimpleType,
     UnsupportedTypeError,
@@ -179,6 +180,12 @@ class TestRootSystemInvariants:
         assert chain_identity_check(rs)
 
 
+def den_is_lcm(rs, cols) -> bool:
+    """weight_den is the lcm of the denominators of the sympy-solved
+    fundamental weights in cols, their one common denominator."""
+    return rs.weight_den == lcm(*(q.denominator for col in cols for q in col))
+
+
 def weight_mismatches(rs, cols) -> list:
     """Nodes alpha whose fundamental weight, column alpha of weights /
     weight_den, differs from the sympy-solved one in cols."""
@@ -205,7 +212,7 @@ class TestOracleAgreement:
         rs = build(stype)
         cols = oracles.weight_columns(stype)
         assert weight_mismatches(rs, cols) == []
-        assert rs.weight_den == lcm(*(q.denominator for col in cols for q in col))
+        assert den_is_lcm(rs, cols)
         det = abs(sympy.Matrix(oracles.cartan_matrix(stype)).det())
         if rs.stype.family == "D" and rs.rank % 2 == 0:
             assert (rs.weight_den, det) == (2, 4)
@@ -223,6 +230,35 @@ class TestIntegerWeights:
         assert rs.inv_coeffs == tuple(
             tuple(F(v, rs.weight_den) for v in row) for row in rs.weights
         )
+
+    @pytest.mark.parametrize("label", ["D4", "D6"])
+    def test_planted_unreduced_weights_are_caught(self, monkeypatch, label):
+        """Without the division by G = gcd(d, R), which is 2 on D_n with n
+        even, weight_den is the determinant d, twice the lcm; the weights
+        over it still give the right fundamental weights."""
+        monkeypatch.setattr(rootsys, "gcd", lambda *values: 1)
+        planted = rootsys._build.__wrapped__(parse_type(label))
+        cols = oracles.weight_columns(label)
+        assert weight_mismatches(planted, cols) == [] and not den_is_lcm(planted, cols)
+        assert planted.weight_den == 2 * build(label).weight_den
+
+    def test_build_inverts_no_fraction_matrix(self, monkeypatch):
+        """A cold build of every type takes the weights from one integer
+        elimination, never from exactla.mat_inverse."""
+        monkeypatch.setattr(exactla, "mat_inverse", None)
+        for t in all_types():
+            assert rootsys._build.__wrapped__(t) == build(t)
+
+    def test_dropped_pivot_is_singular(self, monkeypatch):
+        honest = kernels.eliminate
+
+        def dropped(rows):
+            rows, pivots, d = honest(rows)
+            return rows, pivots[:-1], d
+
+        monkeypatch.setattr(kernels, "eliminate", dropped)
+        with pytest.raises(exactla.SingularMatrixError, match="singular Cartan matrix for A3"):
+            rootsys._build.__wrapped__(parse_type("A3"))
 
     def test_planted_weight_is_caught(self):
         rs = build("E6")

@@ -123,13 +123,13 @@ def missing_reads() -> list:
 
 def ratio_drift(workloads) -> list:
     """(type, b, a) for every ordered pair where the benchmark's ratio is
-    not a Fraction equal to cone.ratio."""
+    not a Fraction equal to rootsys.ratio."""
     out = []
     for t in rootsys.all_types():
         rs = rootsys.build(t)
         for b, a in cone.ordered_pairs(rs, reduced=False):
             q = workloads.ratio(rs, b, a)
-            if not isinstance(q, Fraction) or q != cone.ratio(rs, b, a):
+            if not isinstance(q, Fraction) or q != rootsys.ratio(rs, b, a):
                 out.append((str(t), b, a))
     return out
 
